@@ -8,7 +8,7 @@ checks the round trip back to the ket.
 
 import numpy as np
 
-from qcert import k_basis, ket_from_tone_program, mub_pair_basis, rf_tone_program
+from qcert import k_basis, ket_from_tone_program, pair_basis, rf_tone_program
 from qcert.bases import cglmp_basis
 
 
@@ -26,7 +26,7 @@ def main():
     show("Fourier ket |k=0>, d=10", k_basis(10).projectors[0])
     show("Fourier ket |k=3>, d=10", k_basis(10).projectors[3])
     show("pair superposition (|0> + |5>)/sqrt(2)",
-         mub_pair_basis(0, 5, "x", 10).projectors[0])
+         pair_basis("X", 0, 5, "x", 10).projectors[0])
     show("Bell-test idler ket l=1, setting 1, d=4",
          cglmp_basis("idler", 1, 4).projectors[1])
 

@@ -10,19 +10,12 @@ from .linalg import (
     StateVector,
     density_from_ket,
     fidelity_to_pure,
-    joint_probability,
     matrix_element,
     outcome_probabilities,
     restrict_to_pair,
     tensor,
 )
-from .source import (
-    SourceConfig,
-    fit_noise_to_visibility,
-    ideal_state,
-    mean_pair_visibility,
-    noisy_state,
-)
+from .source import SourceConfig, ideal_state, mean_pair_visibility, noisy_state
 from .bases import (
     MeasurementBasis,
     RfToneProgram,
@@ -31,7 +24,6 @@ from .bases import (
     k_basis,
     ket_from_tone_program,
     mode_vector,
-    mub_pair_basis,
     pair_basis,
     rf_tone_program,
     x_basis,
@@ -51,18 +43,23 @@ from .counting import (
 )
 from .certify import (
     CglmpResult,
-    CurvePoint,
     EofResult,
     WitnessResult,
     cglmp,
     cglmp_weights,
     eof_bound,
-    violation_curve,
     visibility_from_counts,
     witness,
     witness_bound,
 )
 from .tomo import TomoResult, project_to_physical, reconstruct, reconstruct_exact, tomo_settings
-from .pipeline import SimulationConfig, preset, run_simulation
+from .pipeline import (
+    CurvePoint,
+    SimulationConfig,
+    fit_noise_to_visibility,
+    preset,
+    run_simulation,
+    violation_curve,
+)
 
 __version__ = "0.1.0"

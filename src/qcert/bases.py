@@ -38,7 +38,6 @@ __all__ = [
     "RfToneProgram",
     "x_basis",
     "k_basis",
-    "mub_pair_basis",
     "pair_basis",
     "cglmp_basis",
     "mode_vector",
@@ -225,11 +224,6 @@ def pair_basis(
     projs = (Projector(plus, 1), Projector(minus, -1))
     name = f"pair{space}:{j}-{k}:{axis}"
     return MeasurementBasis(name=name, side=side, dim=d_total, projectors=projs)
-
-
-def mub_pair_basis(j: int, k: int, axis: str, d_total: int, side: str = "signal") -> MeasurementBasis:
-    """Spatial-pair unbiased-triple basis (sigma_x / sigma_y / sigma_z analogue)."""
-    return pair_basis("X", j, k, axis, d_total, side=side)
 
 
 def cglmp_basis(side: str, setting: int, d: int, embed_dim: int | None = None) -> MeasurementBasis:

@@ -21,20 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .linalg import DensityOperator, density_from_ket, matrix_element, outcome_probabilities
+from .linalg import DensityOperator, matrix_element, outcome_probabilities
 from . import bases
 from .bases import AXES
-from .counting import (
-    CoincidenceTable,
-    CountingParams,
-    bootstrap_table,
-    raw_count,
-    simulate_setting,
-    subtract_accidentals,
-    with_accidental_noise,
-)
+from .counting import CoincidenceTable, bootstrap_std, estimate
 from . import naming
-from .source import SourceConfig, ideal_state, noisy_state
 
 __all__ = [
     "Visibility",
@@ -42,7 +33,6 @@ __all__ = [
     "WitnessResult",
     "EofResult",
     "CglmpResult",
-    "CurvePoint",
     "witness_bound",
     "certified_dimension_from_witness",
     "visibility_from_counts",
@@ -51,7 +41,6 @@ __all__ = [
     "eof_certified_dimension",
     "cglmp_weights",
     "cglmp",
-    "violation_curve",
 ]
 
 LOCAL_BOUND = 2.0
@@ -143,13 +132,12 @@ def visibility_from_counts(records, corrected: bool = False) -> Visibility:
     propagation.  A non-positive denominator (possible after accidental
     subtraction) yields a flagged zero.
     """
-    estimator = subtract_accidentals if corrected else raw_count
     values, variances = {}, {}
     for rec in records:
         key = (rec.outcome_s, rec.outcome_i)
         if key in values:
             raise ValidationError(f"duplicate outcome cell {key}")
-        est = estimator(rec)
+        est = estimate(rec, corrected)
         values[key] = est.value
         variances[key] = est.std_error**2
     needed = {(1, 1), (1, -1), (-1, 1), (-1, -1)}
@@ -302,12 +290,11 @@ def _normalized_diag(table: CoincidenceTable, space: str, num_modes: int, correc
             f"setting {naming.diag_setting(space)!r} must cover all "
             f"{num_modes}x{num_modes} outcome cells ({len(cells)} present)"
         )
-    estimator = subtract_accidentals if corrected else raw_count
     values = np.zeros((num_modes, num_modes))
     for (a, b), rec in cells.items():
         if not (0 <= a < num_modes and 0 <= b < num_modes):
             raise ValidationError(f"outcome ({a},{b}) outside the {num_modes}-mode range")
-        values[a, b] = estimator(rec).value
+        values[a, b] = estimate(rec, corrected).value
     total = values.sum()
     if total <= 0:
         raise ComputationError("diagonal coincidence table has no net counts")
@@ -349,7 +336,8 @@ def eof_bound(
     as weight * (V_x + V_y) / 4 from that pair's visibility settings, which
     matches the direct element whenever the pair coherence is real (it is a
     safe underestimate otherwise).  Count-path errors come from a seeded
-    Poisson bootstrap.
+    Poisson bootstrap (``counting.bootstrap_std``): NaN when fewer than two
+    replicas survive.
     """
     naming.require_space(space)
     if isinstance(data, DensityOperator):
@@ -362,23 +350,15 @@ def eof_bound(
         if d == 0:
             raise ValidationError("num_modes required (no D in table metadata)")
         pairs = tuple(pair_set) if pair_set is not None else tuple(_witness_pairs(d))
-        needed = {naming.diag_setting(space)} | {
+        data = data.restricted([naming.diag_setting(space)] + [
             naming.witness_setting(space, j, k, ax) for j, k in pairs for ax in ("x", "y")
-        }
-        data = CoincidenceTable(
-            records=tuple(r for r in data.records if r.setting in needed),
-            metadata=dict(data.metadata),
-        )
+        ])
         coherences, cross_terms = _eof_count_terms(data, space, d, pairs, corrected)
-        resampled = []
-        for b in range(n_bootstrap):
-            boot = bootstrap_table(data, seed=seed + b)
-            try:
-                co, cr = _eof_count_terms(boot, space, d, pairs, corrected)
-            except ComputationError:
-                continue
-            resampled.append(_b_from_terms(co, cr, pairs))
-        b_err = float(np.std(resampled, ddof=1)) if len(resampled) > 1 else 0.0
+        b_err = bootstrap_std(
+            data,
+            lambda boot: _b_from_terms(*_eof_count_terms(boot, space, d, pairs, corrected), pairs),
+            n_bootstrap, seed,
+        )
     else:
         raise ValidationError("eof_bound expects a DensityOperator or a CoincidenceTable")
 
@@ -483,7 +463,6 @@ def _cglmp_exact(rho: DensityOperator, d: int, margin: float) -> CglmpResult:
 
 def _cglmp_counts(table: CoincidenceTable, d: int, corrected: bool, margin: float) -> CglmpResult:
     weights = cglmp_weights(d)
-    estimator = subtract_accidentals if corrected else raw_count
     tables = {}
     value = 0.0
     variance = 0.0
@@ -500,7 +479,7 @@ def _cglmp_counts(table: CoincidenceTable, d: int, corrected: bool, margin: floa
             for (a, b), rec in cells.items():
                 if not (0 <= a < d and 0 <= b < d):
                     raise ValidationError(f"outcome ({a},{b}) outside 0..{d - 1} in {name!r}")
-                est = estimator(rec)
+                est = estimate(rec, corrected)
                 vals[a, b] = est.value
                 var[a, b] = est.std_error**2
             total = vals.sum()
@@ -528,74 +507,3 @@ def cglmp(data, d: int, corrected: bool = False, margin: float = 1.0) -> CglmpRe
     if isinstance(data, CoincidenceTable):
         return _cglmp_counts(data, d, corrected, margin)
     raise ValidationError("cglmp expects a DensityOperator or a CoincidenceTable")
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    d: int
-    variant: str  # exact | raw | corrected
-    bell_parameter: float
-    bell_parameter_err: float
-    violated: bool
-
-
-def violation_curve(
-    cfg: SourceConfig,
-    d_range=range(2, 11),
-    path: str = "exact",
-    params: CountingParams | None = None,
-    trials: int | None = None,
-    seed: int = 0,
-    margin: float = 1.0,
-    noise_channel: str = "counting",
-) -> list[CurvePoint]:
-    """Bell parameter versus dimension, exact or sampled.
-
-    Measurements for every d are embedded in the full mode space: the source
-    always runs all modes, and a d-outcome measurement post-selects the first
-    d of them.  On the sampled path the isotropic noise fraction is realized
-    through the accidental channel (``noise_channel="counting"``), so the
-    uncorrected curve carries the noise and the subtracted curve estimates
-    the noise-free values; ``noise_channel="state"`` samples the mixed state
-    directly instead.  Sampled output carries both raw and corrected points.
-    """
-    d_list = sorted(set(int(d) for d in d_range))
-    if not d_list:
-        raise ValidationError("empty dimension range")
-    if d_list[0] < 2 or d_list[-1] > cfg.num_modes:
-        raise ValidationError(f"dimensions must lie in 2..{cfg.num_modes}")
-    points: list[CurvePoint] = []
-    if path == "exact":
-        rho = noisy_state(cfg)
-        for d in d_list:
-            res = _cglmp_exact(rho, d, margin)
-            points.append(CurvePoint(d, "exact", res.bell_parameter, 0.0, res.violated))
-        return points
-    if path != "sampled":
-        raise ValidationError(f"path must be 'exact' or 'sampled', got {path!r}")
-    if params is None or trials is None:
-        raise ValidationError("sampled curves need counting params and a trial count")
-    if noise_channel == "counting":
-        rho_sample = density_from_ket(ideal_state(cfg))
-        eff_params = with_accidental_noise(params, cfg.noise_fraction)
-    elif noise_channel == "state":
-        rho_sample = noisy_state(cfg)
-        eff_params = params
-    else:
-        raise ValidationError(f"unknown noise channel {noise_channel!r}")
-    for d in d_list:
-        records = []
-        for s in (0, 1):
-            basis_s = bases.cglmp_basis("signal", s, d, embed_dim=cfg.num_modes)
-            for i in (0, 1):
-                basis_i = bases.cglmp_basis("idler", i, d, embed_dim=cfg.num_modes)
-                records.extend(simulate_setting(
-                    rho_sample, basis_s, basis_i, trials, eff_params, seed,
-                    setting_name=naming.bell_setting(d, s, i),
-                ))
-        tab = CoincidenceTable(records=tuple(records))
-        for variant, corrected in (("raw", False), ("corrected", True)):
-            res = _cglmp_counts(tab, d, corrected, margin)
-            points.append(CurvePoint(d, variant, res.bell_parameter,
-                                     res.bell_parameter_err, res.violated))
-    return points

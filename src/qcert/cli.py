@@ -18,13 +18,15 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
+from . import __version__ as VERSION
 from .errors import ComputationError, QcertError, ValidationError
 from .counting import load_table, save_table
-from .certify import cglmp, eof_bound, violation_curve, witness, witness_bound
+from .certify import cglmp, eof_bound, witness, witness_bound
 from . import naming
 from .pipeline import (
     DEFAULT_SEED,
@@ -33,17 +35,11 @@ from .pipeline import (
     SimulationConfig,
     preset,
     run_simulation,
+    violation_curve,
 )
 from .tomo import reconstruct
 
 SEED_ENV = "QCERT_SEED"
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    VERSION = _pkg_version("qcert")
-except Exception:  # pragma: no cover - not installed
-    VERSION = "0.1.0"
 
 
 def _sha256_file(path: Path) -> str:
@@ -205,13 +201,6 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def _parse_d_range(text: str) -> list[int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
-
-
 def cmd_bell(args) -> int:
     rows = []
     seed = _default_seed(args)
@@ -226,7 +215,7 @@ def cmd_bell(args) -> int:
             parsed[0] for parsed in map(naming.parse_bell_setting, table.settings())
             if parsed is not None
         })
-        wanted = _parse_d_range(args.d_range) if args.d_range else available
+        wanted = args.d_range or available
         variants = [("raw", False)]
         if args.subtract_accidentals:
             variants.append(("corrected", True))
@@ -237,7 +226,7 @@ def cmd_bell(args) -> int:
                              res.bell_parameter_err, res.violated))
     else:
         cfg = _load_config(args, "calibrated-bell")
-        wanted = _parse_d_range(args.d_range) if args.d_range else list(cfg.bell_dimensions)
+        wanted = args.d_range or list(cfg.bell_dimensions)
         if args.exact:
             points = violation_curve(cfg.source, wanted, path="exact", margin=args.margin)
         else:
@@ -272,7 +261,7 @@ def cmd_bell(args) -> int:
 
 def cmd_tomo(args) -> int:
     table = load_table(Path(args.counts))
-    j, k = (int(tok) for tok in args.pair.split(","))
+    j, k = args.pair
     seed = _default_seed(args)
     out_obj = {"schema_version": SCHEMA_VERSION, "pair": [j, k], "space": args.space}
     for variant, corrected in (("raw", False), ("corrected", True)):
@@ -298,22 +287,11 @@ def cmd_tomo(args) -> int:
     return 0
 
 
-def _parse_grid(text: str) -> list[float]:
-    if ":" in text:
-        start, stop, steps = text.split(":")
-        n = int(steps)
-        if n < 2:
-            raise ValidationError("grid needs at least two points")
-        lo, hi = float(start), float(stop)
-        return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-    return [float(tok) for tok in text.split(",") if tok]
-
-
 def cmd_sweep(args) -> int:
     cfg = _load_config(args, "ideal")
     if args.param != "noise_fraction":
         raise ValidationError(f"unsupported sweep parameter {args.param!r}")
-    grid = _parse_grid(args.grid)
+    grid = args.grid
     from .source import noisy_state
 
     out = Path(args.out) if args.out else Path("sweep.csv")
@@ -349,6 +327,69 @@ def cmd_sweep(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _pair(text: str) -> tuple[int, int]:
+    """Mode pair 'j,k'."""
+    try:
+        j, k = (int(tok) for tok in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a mode pair j,k, got {text!r}") from None
+    return j, k
+
+
+def _d_range(text: str) -> list[int]:
+    """Dimension range 'lo:hi' (inclusive) or comma list."""
+    lo, colon, hi = text.partition(":")
+    try:
+        dims = (list(range(int(lo), int(hi) + 1)) if colon
+                else [int(tok) for tok in text.split(",") if tok])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected lo:hi or a comma list of integers, got {text!r}") from None
+    if not dims:
+        raise argparse.ArgumentTypeError(f"empty dimension range {text!r}")
+    return dims
+
+
+def _grid(text: str) -> list[float]:
+    """Grid 'start:stop:steps' (at least two points) or comma list."""
+    try:
+        if ":" in text:
+            start, stop, steps = text.split(":")
+            lo, hi, n = float(start), float(stop), int(steps)
+            if n < 2:
+                raise argparse.ArgumentTypeError("grid needs at least two points")
+            return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+        grid = [float(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected start:stop:steps or a comma list of numbers, got {text!r}") from None
+    if not grid:
+        raise argparse.ArgumentTypeError(f"empty grid {text!r}")
+    return grid
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _at_least(lowest: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+    return parse
+
+
 def _add_common(parser, seed=True, timestamp=True):
     if seed:
         parser.add_argument("--seed", type=int, default=None,
@@ -372,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=PRESET_NAMES, default=None,
                    help="named operating point (default: calibrated-witness)")
     p.add_argument("--out-dir", "-o", default="run", help="output directory")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers")
+    p.add_argument("--workers", type=_at_least(1), default=1, help="parallel workers")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 
@@ -380,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", required=True, help="counts CSV")
     p.add_argument("--space", choices=["X", "K"], default="X")
     p.add_argument("--subtract-accidentals", action="store_true")
-    p.add_argument("--margin", type=float, default=1.0,
+    p.add_argument("--margin", type=_finite, default=1.0,
                    help="certification margin in standard errors")
     p.add_argument("--out", help="report JSON path")
     _add_common(p)
@@ -391,21 +432,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="simulation config JSON")
     p.add_argument("--preset", choices=PRESET_NAMES, default=None,
                    help="named operating point (default: calibrated-bell)")
-    p.add_argument("--d-range", default=None, help="e.g. 2:10 or 2,4,6")
+    p.add_argument("--d-range", type=_d_range, default=None, help="e.g. 2:10 or 2,4,6")
     p.add_argument("--subtract-accidentals", action="store_true",
                    help="also emit accidental-subtracted rows (counts input)")
     p.add_argument("--exact", action="store_true",
                    help="exact probabilities instead of sampled counts")
-    p.add_argument("--margin", type=float, default=1.0)
+    p.add_argument("--margin", type=_finite, default=1.0)
     p.add_argument("--out", help="output CSV path")
     _add_common(p)
     p.set_defaults(func=cmd_bell)
 
     p = sub.add_parser("tomo", help="pair tomography from counts")
     p.add_argument("--counts", required=True)
-    p.add_argument("--pair", default="0,5", help="mode pair, e.g. 0,5")
+    p.add_argument("--pair", type=_pair, default=(0, 5), help="mode pair, e.g. 0,5")
     p.add_argument("--space", choices=["X", "K"], default="X")
-    p.add_argument("--bootstrap", type=int, default=100)
+    p.add_argument("--bootstrap", type=_at_least(2), default=100,
+                   help="bootstrap replicas for the fidelity error (at least 2)")
     p.add_argument("--out", help="result JSON path")
     _add_common(p)
     p.set_defaults(func=cmd_tomo)
@@ -415,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=PRESET_NAMES, default=None,
                    help="named operating point (default: ideal)")
     p.add_argument("--param", default="noise_fraction")
-    p.add_argument("--grid", required=True, help="start:stop:steps or comma list")
-    p.add_argument("--margin", type=float, default=1.0)
+    p.add_argument("--grid", type=_grid, required=True, help="start:stop:steps or comma list")
+    p.add_argument("--margin", type=_finite, default=1.0)
     p.add_argument("--out", help="output CSV path")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ComputationError, ValidationError
 from .linalg import DensityOperator
 from .bases import MeasurementBasis, joint_probability_table
 
@@ -43,12 +43,13 @@ __all__ = [
     "setting_means",
     "simulate_setting",
     "subtract_accidentals",
-    "raw_count",
+    "estimate",
     "with_accidental_noise",
     "outcome_stream",
     "save_table",
     "load_table",
     "bootstrap_table",
+    "bootstrap_std",
     "CSV_HEADER",
 ]
 
@@ -149,8 +150,11 @@ def subtract_accidentals(record: CountRecord) -> CorrectedCount:
     return CorrectedCount(value=c - acc, std_error=math.sqrt(var))
 
 
-def raw_count(record: CountRecord) -> CorrectedCount:
-    """Uncorrected coincidence count with its Poisson standard error."""
+def estimate(record: CountRecord, corrected: bool) -> CorrectedCount:
+    """A cell's coincidence estimate: accidental-subtracted when ``corrected``,
+    otherwise the raw count with its Poisson standard error."""
+    if corrected:
+        return subtract_accidentals(record)
     return CorrectedCount(value=float(record.coincidences),
                           std_error=math.sqrt(record.coincidences))
 
@@ -259,29 +263,40 @@ def simulate_setting(
 
 @dataclass(frozen=True)
 class CoincidenceTable:
-    """An immutable collection of count records plus run metadata."""
+    """An immutable collection of count records plus run metadata.
+
+    Records are indexed once by setting, in first-appearance order, so
+    per-setting lookups do not rescan the table.
+    """
 
     records: tuple[CountRecord, ...]
     metadata: dict = field(default_factory=dict)
+    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
-        seen = set()
+        index: dict[str, dict[tuple[int, int], CountRecord]] = {}
         for rec in self.records:
-            if rec.key in seen:
+            cells = index.setdefault(rec.setting, {})
+            cell = (rec.outcome_s, rec.outcome_i)
+            if cell in cells:
                 raise ValidationError(f"duplicate record key {rec.key}")
-            seen.add(rec.key)
+            cells[cell] = rec
+        object.__setattr__(self, "_index", index)
 
     def settings(self) -> list[str]:
-        out, seen = [], set()
-        for rec in self.records:
-            if rec.setting not in seen:
-                seen.add(rec.setting)
-                out.append(rec.setting)
-        return out
+        return list(self._index)
 
     def by_setting(self, setting: str) -> dict[tuple[int, int], CountRecord]:
-        return {(r.outcome_s, r.outcome_i): r for r in self.records if r.setting == setting}
+        return dict(self._index.get(setting, {}))
+
+    def restricted(self, settings) -> "CoincidenceTable":
+        """The records of the given settings only, in table order."""
+        wanted = set(settings)
+        return CoincidenceTable(
+            records=tuple(r for r in self.records if r.setting in wanted),
+            metadata=dict(self.metadata),
+        )
 
     def merged(self, other: "CoincidenceTable") -> "CoincidenceTable":
         """Cell-wise merge of two tables from identically configured runs."""
@@ -354,16 +369,20 @@ def load_table(path) -> CoincidenceTable:
             except (ValueError, ValidationError) as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from None
             records.append(rec)
-    try:
-        table = CoincidenceTable(records=tuple(records))
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
     meta = _meta_path(path)
     metadata = {}
     if meta.exists():
         with open(meta, "r", encoding="utf-8") as fh:
-            metadata = json.load(fh)
-    return CoincidenceTable(records=table.records, metadata=metadata)
+            try:
+                metadata = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{meta}: not valid JSON ({exc})") from None
+        if not isinstance(metadata, dict):
+            raise ValidationError(f"{meta}: expected a JSON object")
+    try:
+        return CoincidenceTable(records=tuple(records), metadata=metadata)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def bootstrap_table(table: CoincidenceTable, seed: int) -> CoincidenceTable:
@@ -380,3 +399,21 @@ def bootstrap_table(table: CoincidenceTable, seed: int) -> CoincidenceTable:
             trials=rec.trials,
         ))
     return CoincidenceTable(records=tuple(records), metadata=dict(table.metadata))
+
+
+def bootstrap_std(table: CoincidenceTable, statistic, n_bootstrap: int, seed: int) -> float:
+    """Bootstrap standard error (ddof = 1) of ``statistic(table)``.
+
+    Replica b is ``bootstrap_table(table, seed + b)``.  A replica whose
+    statistic raises ComputationError or ValidationError is dropped; with
+    fewer than two survivors the error is NaN, never a silent zero.
+    """
+    if n_bootstrap < 2:
+        raise ValidationError(f"a bootstrap error needs at least 2 replicas, got {n_bootstrap}")
+    values = []
+    for b in range(n_bootstrap):
+        try:
+            values.append(statistic(bootstrap_table(table, seed=seed + b)))
+        except (ComputationError, ValidationError):
+            continue
+    return float(np.std(values, ddof=1)) if len(values) > 1 else math.nan

@@ -27,7 +27,6 @@ __all__ = [
     "PairRestriction",
     "tensor",
     "density_from_ket",
-    "joint_probability",
     "outcome_probabilities",
     "matrix_element",
     "fidelity_to_pure",
@@ -179,22 +178,6 @@ def _check_real(value: complex, what: str) -> float:
     return float(value.real)
 
 
-def joint_probability(rho: DensityOperator, p_s: Projector, p_i: Projector) -> float:
-    """Tr(rho (P_s x P_i)) clamped to [0, 1].
-
-    An imaginary residue above 1e-10 raises, since for valid Hermitian inputs
-    the expectation of a projector pair is real.
-    """
-    if p_s.dim != rho.dim_signal or p_i.dim != rho.dim_idler:
-        raise ValidationError(
-            f"projector dims ({p_s.dim}, {p_i.dim}) do not match state "
-            f"dims ({rho.dim_signal}, {rho.dim_idler})"
-        )
-    vec = tensor(p_s.vector, p_i.vector)
-    val = _check_real(complex(vec.conj() @ rho.matrix @ vec), "joint probability")
-    return float(min(max(val, 0.0), 1.0))
-
-
 def outcome_probabilities(rho: DensityOperator, vectors_s, vectors_i) -> np.ndarray:
     """Joint outcome probabilities for two sets of measurement kets.
 
@@ -209,8 +192,11 @@ def outcome_probabilities(rho: DensityOperator, vectors_s, vectors_i) -> np.ndar
     table = np.einsum(
         "ax,by,xyzw,az,bw->ab", v_s.conj(), v_i.conj(), r4, v_s, v_i, optimize=True
     )
-    if np.max(np.abs(table.imag)) > ATOL_IMAG:
-        raise ComputationError("probability table has a non-real entry")
+    residue = np.max(np.abs(table.imag))
+    if residue > ATOL_IMAG:
+        raise ComputationError(
+            f"probability table has imaginary residue {residue:.3e}; inputs are inconsistent"
+        )
     return np.clip(table.real, 0.0, 1.0)
 
 

@@ -1,4 +1,4 @@
-"""Simulation driver: planned setting lists, noise mapping, presets.
+"""Simulation pipeline: planned setting lists, noise mapping, presets, fits, curves.
 
 A run simulates every setting the certification commands consume: the
 visibility settings of both spaces, one full-basis coincidence scan per
@@ -29,18 +29,21 @@ from .linalg import DensityOperator, StateVector, density_from_ket, fidelity_to_
 from . import bases
 from .bases import AXES, MeasurementBasis
 from .counting import CoincidenceTable, CountingParams, simulate_setting, with_accidental_noise
-from .certify import eof_bound
+from .certify import cglmp, eof_bound
 from . import naming
-from .source import SourceConfig, fit_noise_to_visibility, ideal_state, noisy_state
+from .source import SourceConfig, ideal_state, mean_pair_visibility, noisy_state
 from .tomo import tomo_settings
 
 __all__ = [
     "SimulationConfig",
     "PlannedSetting",
+    "CurvePoint",
     "preset",
     "PRESET_NAMES",
     "build_settings",
     "run_simulation",
+    "violation_curve",
+    "fit_noise_to_visibility",
     "fit_noise_to_pair_fidelity",
     "fit_noise_to_eof",
 ]
@@ -160,6 +163,22 @@ def _bisect_noise(objective, target: float, tol: float = 1e-9) -> float:
     return (lo + hi) / 2
 
 
+def fit_noise_to_visibility(target_mean_visibility: float, cfg: SourceConfig) -> float:
+    """Noise fraction whose mean spatial-pair visibility matches the target.
+
+    Solved by bisection to 1e-6; the mean visibility is strictly decreasing
+    in the noise fraction, from its p=0 ceiling down to 0 at p=1.  Targets
+    above the ceiling (or non-positive) are unreachable and raise.
+    """
+    if not (0.0 < target_mean_visibility <= 1.0):
+        raise ValidationError("target mean visibility must lie in (0, 1]")
+
+    def objective(p: float) -> float:
+        return mean_pair_visibility(noisy_state(cfg.with_noise(p)))
+
+    return _bisect_noise(objective, target_mean_visibility, tol=1e-6)
+
+
 def fit_noise_to_pair_fidelity(target: float, cfg: SourceConfig, pair: tuple[int, int]) -> float:
     """Noise fraction at which the post-selected pair fidelity hits the target."""
     j, k = pair
@@ -238,6 +257,20 @@ class PlannedSetting:
     basis_i: MeasurementBasis
 
 
+def _bell_settings(cfg: SimulationConfig) -> list[PlannedSetting]:
+    """The four Bell-test settings of each requested dimension, embedded in
+    the full mode space."""
+    d = cfg.source.num_modes
+    plan = []
+    for dim in cfg.bell_dimensions:
+        for s in (0, 1):
+            basis_s = bases.cglmp_basis("signal", s, dim, embed_dim=d)
+            for i in (0, 1):
+                basis_i = bases.cglmp_basis("idler", i, dim, embed_dim=d)
+                plan.append(PlannedSetting(naming.bell_setting(dim, s, i), basis_s, basis_i))
+    return plan
+
+
 def build_settings(cfg: SimulationConfig) -> list[PlannedSetting]:
     """Every setting a full run simulates, in canonical order."""
     d = cfg.source.num_modes
@@ -255,12 +288,7 @@ def build_settings(cfg: SimulationConfig) -> list[PlannedSetting]:
         full_i = (bases.x_basis(d, side="idler") if space == "X"
                   else bases.k_basis(d, side="idler"))
         plan.append(PlannedSetting(naming.diag_setting(space), full_s, full_i))
-    for dim in cfg.bell_dimensions:
-        for s in (0, 1):
-            basis_s = bases.cglmp_basis("signal", s, dim, embed_dim=d)
-            for i in (0, 1):
-                basis_i = bases.cglmp_basis("idler", i, dim, embed_dim=d)
-                plan.append(PlannedSetting(naming.bell_setting(dim, s, i), basis_s, basis_i))
+    plan.extend(_bell_settings(cfg))
     j, k = cfg.tomo_pair
     for st in tomo_settings(j, k, space="X", num_modes=d):
         plan.append(PlannedSetting(st.name, st.basis_s, st.basis_i))
@@ -279,11 +307,10 @@ def effective_params(cfg: SimulationConfig) -> CountingParams:
     return cfg.counting
 
 
-def run_simulation(cfg: SimulationConfig, workers: int = 1) -> CoincidenceTable:
-    """Simulate every planned setting; output independent of worker count."""
+def _simulate(cfg: SimulationConfig, plan: list[PlannedSetting], workers: int = 1) -> tuple:
+    """Count records of the planned settings, in plan order."""
     rho = sampling_state(cfg)
     params = effective_params(cfg)
-    plan = build_settings(cfg)
 
     def one(setting: PlannedSetting):
         return simulate_setting(
@@ -296,7 +323,12 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> CoincidenceTable:
             chunks = list(pool.map(one, plan))
     else:
         chunks = [one(s) for s in plan]
-    records = [rec for chunk in chunks for rec in chunk]
+    return tuple(rec for chunk in chunks for rec in chunk)
+
+
+def run_simulation(cfg: SimulationConfig, workers: int = 1) -> CoincidenceTable:
+    """Simulate every planned setting; output independent of worker count."""
+    records = _simulate(cfg, build_settings(cfg), workers)
     metadata = {
         "seed": cfg.seed,
         "P_S": cfg.counting.P_S,
@@ -309,4 +341,64 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> CoincidenceTable:
         "trials_per_setting": cfg.trials_per_setting,
         "schema_version": SCHEMA_VERSION,
     }
-    return CoincidenceTable(records=tuple(records), metadata=metadata)
+    return CoincidenceTable(records=records, metadata=metadata)
+
+
+# ---------------------------------------------------------------------------
+# Bell violation curve
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CurvePoint:
+    d: int
+    variant: str  # exact | raw | corrected
+    bell_parameter: float
+    bell_parameter_err: float
+    violated: bool
+
+
+def violation_curve(
+    cfg: SourceConfig,
+    d_range=range(2, 11),
+    path: str = "exact",
+    params: CountingParams | None = None,
+    trials: int | None = None,
+    seed: int = 0,
+    margin: float = 1.0,
+    noise_channel: str = "counting",
+) -> list[CurvePoint]:
+    """Bell parameter versus dimension, exact or sampled.
+
+    Measurements for every d are embedded in the full mode space: the source
+    always runs all modes, and a d-outcome measurement post-selects the first
+    d of them.  The sampled path simulates the Bell settings exactly as
+    ``run_simulation`` does for the same source, counting parameters, trials,
+    seed and noise channel, and carries both raw and corrected points.
+    """
+    d_list = sorted(set(int(d) for d in d_range))
+    if not d_list:
+        raise ValidationError("empty dimension range")
+    if d_list[0] < 2 or d_list[-1] > cfg.num_modes:
+        raise ValidationError(f"dimensions must lie in 2..{cfg.num_modes}")
+    points: list[CurvePoint] = []
+    if path == "exact":
+        rho = noisy_state(cfg)
+        for d in d_list:
+            res = cglmp(rho, d, margin=margin)
+            points.append(CurvePoint(d, "exact", res.bell_parameter, 0.0, res.violated))
+        return points
+    if path != "sampled":
+        raise ValidationError(f"path must be 'exact' or 'sampled', got {path!r}")
+    if params is None or trials is None:
+        raise ValidationError("sampled curves need counting params and a trial count")
+    # only the Bell settings are simulated, so no space and any valid tomo pair
+    sim = SimulationConfig(source=cfg, counting=params, trials_per_setting=trials, seed=seed,
+                           spaces=(), bell_dimensions=tuple(d_list), tomo_pair=(0, 1),
+                           noise_channel=noise_channel)
+    table = CoincidenceTable(records=_simulate(sim, _bell_settings(sim)))
+    for d in d_list:
+        for variant, corrected in (("raw", False), ("corrected", True)):
+            res = cglmp(table, d, corrected=corrected, margin=margin)
+            points.append(CurvePoint(d, variant, res.bell_parameter,
+                                     res.bell_parameter_err, res.violated))
+    return points

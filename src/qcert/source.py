@@ -22,18 +22,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import DensityOperator, StateVector, outcome_probabilities
-from . import bases
+from .linalg import DensityOperator, StateVector
+from .certify import witness
 
 __all__ = [
     "SourceConfig",
     "ideal_state",
     "noisy_state",
-    "fit_noise_to_visibility",
     "mean_pair_visibility",
 ]
-
-NOISE_FIT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -158,52 +155,10 @@ def noisy_state(cfg: SourceConfig) -> DensityOperator:
     return DensityOperator(d, d, mat)
 
 
-def _pair_visibility_sum(rho: DensityOperator, j: int, k: int) -> float:
-    """V_x + V_y + V_z for one spatial mode pair (zero if the pair is dark)."""
-    total = 0.0
-    for axis in bases.AXES:
-        b_s = bases.pair_basis("X", j, k, axis, rho.dim_signal, side="signal")
-        b_i = bases.pair_basis("X", j, k, axis, rho.dim_idler, side="idler")
-        table = outcome_probabilities(rho, b_s.vector_matrix, b_i.vector_matrix)
-        denom = table.sum()
-        if denom < 1e-14:
-            continue
-        total += abs(table[0, 0] + table[1, 1] - table[0, 1] - table[1, 0]) / denom
-    return total
-
-
 def mean_pair_visibility(rho: DensityOperator) -> float:
-    """Mean over all spatial mode pairs of the per-pair visibility sum, / 3."""
+    """Mean over all spatial mode pairs of the per-pair visibility sum, / 3:
+    the exact X-space witness total divided by 3 * (number of pairs)."""
     d = min(rho.dim_signal, rho.dim_idler)
-    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
-    sums = [_pair_visibility_sum(rho, j, k) for j, k in pairs]
-    return float(np.mean(sums)) / 3.0
-
-
-def fit_noise_to_visibility(target_mean_visibility: float, cfg: SourceConfig) -> float:
-    """Noise fraction whose mean spatial-pair visibility matches the target.
-
-    Solved by bisection to 1e-6; the mean visibility is strictly decreasing
-    in the noise fraction, from its p=0 ceiling down to 0 at p=1.  Targets
-    above the ceiling (or non-positive) are unreachable and raise.
-    """
-    if not (0.0 < target_mean_visibility <= 1.0):
-        raise ValidationError("target mean visibility must lie in (0, 1]")
-
-    def mean_vis(p: float) -> float:
-        return mean_pair_visibility(noisy_state(cfg.with_noise(p)))
-
-    ceiling = mean_vis(0.0)
-    if target_mean_visibility > ceiling + 1e-12:
-        raise ValidationError(
-            f"target visibility {target_mean_visibility} exceeds the noise-free "
-            f"ceiling {ceiling:.6f} for this source"
-        )
-    lo, hi = 0.0, 1.0  # mean_vis(lo) >= target >= mean_vis(hi)
-    while hi - lo > NOISE_FIT_TOL:
-        mid = (lo + hi) / 2
-        if mean_vis(mid) >= target_mean_visibility:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    if d < 2:
+        raise ValidationError("mean pair visibility needs at least two modes")
+    return witness(rho, space="X").total / (3 * (d * (d - 1) // 2))

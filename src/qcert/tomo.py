@@ -20,7 +20,7 @@ from .errors import ComputationError, ValidationError
 from .linalg import DensityOperator, restrict_to_pair
 from . import bases
 from .bases import AXES, MeasurementBasis
-from .counting import CoincidenceTable, outcome_stream, raw_count, subtract_accidentals
+from .counting import CoincidenceTable, bootstrap_std, estimate
 from . import naming
 
 __all__ = [
@@ -117,7 +117,6 @@ def _project_simplex(values: np.ndarray) -> np.ndarray:
 
 def _cells_from_table(table: CoincidenceTable, j: int, k: int, space: str,
                       corrected: bool) -> dict:
-    estimator = subtract_accidentals if corrected else raw_count
     cells = {}
     missing = []
     for ax_s in AXES:
@@ -128,7 +127,7 @@ def _cells_from_table(table: CoincidenceTable, j: int, k: int, space: str,
                 missing.append(name)
                 continue
             for (a, b), rec in recs.items():
-                cells[(ax_s, ax_i, a, b)] = estimator(rec).value
+                cells[(ax_s, ax_i, a, b)] = estimate(rec, corrected).value
     if missing:
         raise ValidationError(f"tomography settings missing or incomplete: {missing}")
     return cells
@@ -219,36 +218,19 @@ def reconstruct(
 ) -> TomoResult:
     """Reconstruction from a count table, with a bootstrap fidelity error.
 
-    The bootstrap resamples every cell Poisson around its observed raw count
-    (re-applying the accidental correction when requested) and reports the
-    standard deviation of the refitted fidelities.
+    The error is the bootstrap standard deviation (``counting.bootstrap_std``)
+    of the refitted fidelity over Poisson replicas of the nine tomography
+    settings, re-applying the accidental correction when requested.
     """
     j, k = pair
     cells = _cells_from_table(table, j, k, space, corrected)
-    source_recs = {}
-    for ax_s in AXES:
-        for ax_i in AXES:
-            name = naming.tomo_setting(space, j, k, ax_s, ax_i)
-            for (a, o), rec in table.by_setting(name).items():
-                source_recs[(ax_s, ax_i, a, o)] = rec
-    fids = []
-    for b in range(n_bootstrap):
-        resampled = {}
-        for key in cells:
-            ax_s, ax_i, a, o = key
-            name = naming.tomo_setting(space, j, k, ax_s, ax_i)
-            rec = source_recs[key]
-            rng = outcome_stream(seed + b, name, "tomo-boot", a, o)
-            c = int(rng.poisson(rec.coincidences))
-            s = c + int(rng.poisson(max(rec.singles_s - rec.coincidences, 0)))
-            i = c + int(rng.poisson(max(rec.singles_i - rec.coincidences, 0)))
-            if corrected and s > 0 and i > 0:
-                resampled[key] = c - s * i / rec.trials
-            else:
-                resampled[key] = float(c)
-        try:
-            fids.append(_result_from_cells(resampled, 0.0, None).fidelity)
-        except (ComputationError, ValidationError):
-            continue
-    err = float(np.std(fids, ddof=1)) if len(fids) > 1 else 0.0
+    tomo_table = table.restricted(
+        naming.tomo_setting(space, j, k, ax_s, ax_i) for ax_s in AXES for ax_i in AXES
+    )
+    err = bootstrap_std(
+        tomo_table,
+        lambda boot: _result_from_cells(
+            _cells_from_table(boot, j, k, space, corrected), 0.0, None).fidelity,
+        n_bootstrap, seed,
+    )
     return _result_from_cells(cells, fidelity_err=err, weight=None)

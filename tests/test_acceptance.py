@@ -27,7 +27,7 @@ from qcert import (
     witness_bound,
     x_basis,
 )
-from qcert.bases import cglmp_basis, mub_pair_basis
+from qcert.bases import cglmp_basis, pair_basis
 from qcert import naming
 from qcert.pipeline import SimulationConfig, preset
 from qcert.tomo import reconstruct_exact
@@ -71,8 +71,8 @@ def test_criterion_3_calibrated_witness_operating_point():
             for ax in ("x", "y", "z"):
                 plan.append((
                     naming.witness_setting("X", j, k, ax),
-                    mub_pair_basis(j, k, ax, 10, side="signal"),
-                    mub_pair_basis(j, k, ax, 10, side="idler"),
+                    pair_basis("X", j, k, ax, 10, side="signal"),
+                    pair_basis("X", j, k, ax, 10, side="idler"),
                 ))
     raw_ok = increase_ok = 0
     errs = []

@@ -12,7 +12,6 @@ from qcert import (
     joint_probability_table,
     k_basis,
     ket_from_tone_program,
-    mub_pair_basis,
     pair_basis,
     rf_tone_program,
     x_basis,
@@ -84,27 +83,27 @@ class TestKBasis:
 
 class TestPairBases:
     def test_z_axis_is_computational(self):
-        b = mub_pair_basis(0, 1, "z", 2)
+        b = pair_basis("X", 0, 1, "z", 2)
         assert_allclose(b.vector_matrix, np.eye(2), atol=1e-15)
         assert b.labels == (1, -1)
 
     def test_x_axis_eigenvectors(self):
-        b = mub_pair_basis(0, 1, "x", 2)
+        b = pair_basis("X", 0, 1, "x", 2)
         assert_allclose(b.projectors[0].vector, np.array([1, 1]) / np.sqrt(2), atol=1e-12)
 
     def test_pairwise_unbiasedness(self):
         for ax_a, ax_b in [("x", "y"), ("y", "z"), ("z", "x")]:
-            a = mub_pair_basis(2, 7, ax_a, 10)
-            b = mub_pair_basis(2, 7, ax_b, 10)
+            a = pair_basis("X", 2, 7, ax_a, 10)
+            b = pair_basis("X", 2, 7, ax_b, 10)
             overlaps = np.abs(a.vector_matrix.conj() @ b.vector_matrix.T) ** 2
             assert_allclose(overlaps, np.full((2, 2), 0.5), atol=1e-12)
 
     def test_same_mode_rejected(self):
         with pytest.raises(ValidationError):
-            mub_pair_basis(3, 3, "z", 10)
+            pair_basis("X", 3, 3, "z", 10)
 
     def test_embedded_in_full_space(self):
-        b = mub_pair_basis(0, 5, "y", 10)
+        b = pair_basis("X", 0, 5, "y", 10)
         assert b.dim == 10
         assert not b.complete
         assert_allclose(gram(b), np.eye(2), atol=1e-12)
@@ -115,7 +114,7 @@ class TestPairBases:
 
     def test_lost_weight_models_postselection(self):
         rho = density_from_ket(ideal_state(SourceConfig.uniform(10)))
-        b = mub_pair_basis(0, 5, "x", 10, side="signal")
+        b = pair_basis("X", 0, 5, "x", 10, side="signal")
         assert b.lost_weight(rho) == pytest.approx(0.8, abs=1e-10)
         full = x_basis(10, side="idler")
         assert full.lost_weight(rho) == pytest.approx(0.0, abs=1e-10)
@@ -176,7 +175,7 @@ class TestToneProgram:
         assert abs(phases[1]) == pytest.approx(np.pi, abs=1e-12)
 
     def test_zero_amplitude_modes_omitted(self):
-        prog = rf_tone_program(mub_pair_basis(0, 5, "z", 10).projectors[0])
+        prog = rf_tone_program(pair_basis("X", 0, 5, "z", 10).projectors[0])
         assert len(prog.tones) == 1
         assert prog.tones[0][0] == 0.0
 

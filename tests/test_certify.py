@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,16 +19,18 @@ from qcert import (
     ideal_state,
     noisy_state,
     restrict_to_pair,
+    run_simulation,
     simulate_setting,
     violation_curve,
     visibility_from_counts,
     witness,
     witness_bound,
 )
-from qcert.bases import cglmp_basis, mub_pair_basis, x_basis
+from qcert.bases import cglmp_basis, pair_basis, x_basis
 from qcert.certify import certified_dimension_from_witness, _ebits_from_b
 from qcert.errors import ComputationError
-from qcert import naming
+from qcert import counting, naming
+from qcert.pipeline import SimulationConfig
 
 
 def uniform_rho(d, noise=0.0):
@@ -150,8 +153,8 @@ class TestWitnessCounts:
             for ax in ("x", "y", "z"):
                 records.extend(simulate_setting(
                     rho,
-                    mub_pair_basis(j, k, ax, d, side="signal"),
-                    mub_pair_basis(j, k, ax, d, side="idler"),
+                    pair_basis("X", j, k, ax, d, side="signal"),
+                    pair_basis("X", j, k, ax, d, side="idler"),
                     trials, params, seed,
                     setting_name=naming.witness_setting("X", j, k, ax),
                 ))
@@ -241,8 +244,8 @@ class TestEofCounts:
                 for ax in ("x", "y", "z"):
                     records.extend(simulate_setting(
                         rho,
-                        mub_pair_basis(j, k, ax, d, side="signal"),
-                        mub_pair_basis(j, k, ax, d, side="idler"),
+                        pair_basis("X", j, k, ax, d, side="signal"),
+                        pair_basis("X", j, k, ax, d, side="idler"),
                         trials, params, seed,
                         setting_name=naming.witness_setting("X", j, k, ax)))
         return CoincidenceTable(records=tuple(records), metadata={"D": d})
@@ -286,6 +289,27 @@ class TestEofCounts:
         res = eof_bound(table, corrected=False, n_bootstrap=20, seed=5)
         assert res.ebits_err > 0
         assert res.coherence_sum_err > 0
+
+    @pytest.mark.parametrize("n_bootstrap", [0, 1])
+    def test_fewer_than_two_replicas_rejected(self, n_bootstrap):
+        table = self.build_table(0.2, trials=10**5, seed=1)
+        with pytest.raises(ValidationError, match="at least 2"):
+            eof_bound(table, n_bootstrap=n_bootstrap)
+
+    def test_error_is_nan_when_no_replica_survives(self, monkeypatch):
+        # replicas without counts refuse the bound; the error must not read 0
+        def empty_replica(table, seed):
+            return CoincidenceTable(
+                records=tuple(replace(r, coincidences=0, singles_s=0, singles_i=0)
+                              for r in table.records),
+                metadata=table.metadata)
+
+        table = self.build_table(0.2, trials=10**6, seed=1)
+        monkeypatch.setattr(counting, "bootstrap_table", empty_replica)
+        res = eof_bound(table, n_bootstrap=5, seed=5)
+        assert res.ebits > 0
+        assert math.isnan(res.coherence_sum_err)
+        assert math.isnan(res.ebits_err)
 
 
 class TestCglmpWeights:
@@ -433,6 +457,24 @@ class TestViolationCurve:
         variants = {(p.d, p.variant) for p in points}
         assert variants == {(2, "raw"), (2, "corrected"), (6, "raw"), (6, "corrected"),
                             (7, "raw"), (7, "corrected")}
+
+    @pytest.mark.parametrize("channel", ["counting", "state"])
+    def test_sampled_points_match_simulated_bell_cells(self, channel):
+        cfg = SimulationConfig(
+            source=SourceConfig.uniform(4, noise_fraction=0.3),
+            counting=CountingParams(P_S=0.006, eta_r=0.1, P_bg_idler=0.0005),
+            trials_per_setting=300_000, seed=17, spaces=(), bell_dimensions=(2, 3, 4),
+            tomo_pair=(0, 1), noise_channel=channel,
+        )
+        table = run_simulation(cfg)
+        points = violation_curve(cfg.source, cfg.bell_dimensions, path="sampled",
+                                 params=cfg.counting, trials=cfg.trials_per_setting,
+                                 seed=cfg.seed, noise_channel=channel)
+        assert len(points) == 6
+        for p in points:
+            res = cglmp(table, p.d, corrected=p.variant == "corrected")
+            assert (p.bell_parameter, p.bell_parameter_err, p.violated) == (
+                res.bell_parameter, res.bell_parameter_err, res.violated)
 
     def test_bad_range_rejected(self):
         with pytest.raises(ValidationError):

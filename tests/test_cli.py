@@ -2,10 +2,12 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcert
 from qcert import CountingParams, SourceConfig
 from qcert.pipeline import SimulationConfig
 
@@ -214,3 +216,36 @@ class TestSweep:
         res = run_cli("sweep", "--config", str(small_config), "--param", "eta_r",
                       "--grid", "0:1:2", cwd=small_config.parent)
         assert res.returncode == 2
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize("args", [
+        ["tomo", "--counts", "counts.csv", "--pair", "a,b"],
+        ["tomo", "--counts", "counts.csv", "--pair", "0"],
+        ["tomo", "--counts", "counts.csv", "--bootstrap", "0"],
+        ["tomo", "--counts", "counts.csv", "--bootstrap", "1"],
+        ["bell", "--d-range", "x"],
+        ["sweep", "--grid", "0:1:x"],
+        ["certify", "--counts", "counts.csv", "--margin", "nan"],
+        ["simulate", "--workers", "0"],
+        ["certify", "--counts", "counts.csv"],  # corrupt counts.meta.json
+    ])
+    def test_exits_2_without_traceback(self, tmp_path, args):
+        (tmp_path / "counts.csv").write_text(
+            "setting,outcome_s,outcome_i,coincidences,singles_s,singles_i,trials\n")
+        (tmp_path / "counts.meta.json").write_text("{not json")
+        res = run_cli(*args, cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "error" in res.stderr
+
+
+def test_version_matches_pyproject(tmp_path):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(qcert.__file__).resolve().parents[2] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert qcert.__version__ == version
+    res = run_cli("--version", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == f"qcert {version}"

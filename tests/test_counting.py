@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qcert import (
@@ -13,8 +16,8 @@ from qcert import (
     ideal_state,
     joint_probability_table,
     load_table,
-    mub_pair_basis,
     noisy_state,
+    pair_basis,
     save_table,
     setting_means,
     simulate_setting,
@@ -23,6 +26,8 @@ from qcert import (
     x_basis,
 )
 from qcert.bases import MeasurementBasis
+from qcert.counting import bootstrap_std, estimate
+from qcert.errors import ComputationError
 
 
 def rho2():
@@ -85,8 +90,8 @@ class TestSettingMeans:
         # to the exact probabilities of the isotropic mixed state
         p = 0.37
         cfg = SourceConfig.uniform(10)
-        basis_s = mub_pair_basis(1, 6, "x", 10, side="signal")
-        basis_i = mub_pair_basis(1, 6, "x", 10, side="idler")
+        basis_s = pair_basis("X", 1, 6, "x", 10, side="signal")
+        basis_i = pair_basis("X", 1, 6, "x", 10, side="idler")
         # pick the background so the total is exactly P_I = eta_r * p / (1 - p)
         mapped = CountingParams(P_S=0.006, eta_r=0.1,
                                 P_bg_idler=0.1 * (p / (1 - p) - 0.006))
@@ -197,6 +202,13 @@ class TestSubtractAccidentals:
         sigma_mean = np.sqrt(np.mean(variances) / len(vals))
         assert abs(np.mean(vals)) < 3 * sigma_mean
 
+    def test_estimate_selects_raw_or_subtracted(self):
+        rec = make_record(20, 600, 300, n=10**5)
+        assert estimate(rec, corrected=True) == subtract_accidentals(rec)
+        raw = estimate(rec, corrected=False)
+        assert raw.value == 20.0
+        assert raw.std_error == pytest.approx(math.sqrt(20), abs=1e-12)
+
     def test_subtraction_commutes_with_merging_on_means(self):
         # identical-rate runs: corrected means add exactly under a merge
         params = CountingParams(P_S=0.01, eta_r=0.2, P_bg_idler=0.002)
@@ -287,3 +299,115 @@ class TestTables(object):
         b = bootstrap_table(t, seed=11)
         assert a.records == b.records
         assert a.records != bootstrap_table(t, seed=12).records
+
+    def test_restricted_keeps_only_named_settings(self):
+        t = self.make_table()
+        other = CoincidenceTable(records=t.records + (make_record(1, 5, 5, setting="other"),),
+                                 metadata=t.metadata)
+        part = other.restricted(["diagX"])
+        assert part.records == t.records
+        assert part.metadata == t.metadata
+
+    def test_corrupt_sidecar_names_the_file(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        save_table(self.make_table(), path)
+        (tmp_path / "counts.meta.json").write_text("{not json")
+        with pytest.raises(ValidationError, match="counts.meta.json"):
+            load_table(path)
+
+
+class TestBootstrapStd:
+    def make_table(self):
+        return TestTables().make_table()
+
+    @staticmethod
+    def total(table):
+        return float(sum(r.coincidences for r in table.records))
+
+    def test_is_the_ddof1_spread_over_bootstrap_replicas(self):
+        t = self.make_table()
+        values = [self.total(bootstrap_table(t, seed=40 + b)) for b in range(12)]
+        expected = float(np.std(values, ddof=1))
+        assert bootstrap_std(t, self.total, 12, seed=40) == pytest.approx(expected, rel=1e-12)
+
+    def test_failed_replicas_are_dropped(self):
+        t = self.make_table()
+        calls = []
+
+        def statistic(boot):
+            calls.append(boot)
+            if len(calls) == 1:
+                raise ComputationError("replica refused")
+            return self.total(boot)
+
+        kept = [self.total(bootstrap_table(t, seed=7 + b)) for b in range(1, 10)]
+        assert bootstrap_std(t, statistic, 10, seed=7) == pytest.approx(
+            float(np.std(kept, ddof=1)), rel=1e-12)
+
+    @pytest.mark.parametrize("n_bootstrap", [0, 1])
+    def test_fewer_than_two_replicas_rejected(self, n_bootstrap):
+        with pytest.raises(ValidationError, match="at least 2"):
+            bootstrap_std(self.make_table(), self.total, n_bootstrap, seed=0)
+
+    @pytest.mark.parametrize("survivors", [0, 1])
+    def test_fewer_than_two_survivors_give_nan(self, survivors):
+        calls = []
+
+        def statistic(boot):
+            calls.append(boot)
+            if len(calls) > survivors:
+                raise ValidationError("replica refused")
+            return self.total(boot)
+
+        assert math.isnan(bootstrap_std(self.make_table(), statistic, 5, seed=0))
+        assert len(calls) == 5
+
+
+# random tables: up to 30 cells over three settings, counts consistent with 200 trials
+table_rows = st.lists(
+    st.tuples(st.sampled_from(["a", "b", "c"]), st.integers(-1, 2), st.integers(-1, 2),
+              st.integers(0, 50), st.integers(0, 50), st.integers(0, 50)),
+    unique_by=lambda row: row[:3], max_size=30,
+)
+
+
+def table_from_rows(rows) -> CoincidenceTable:
+    return CoincidenceTable(records=tuple(
+        CountRecord(setting=name, outcome_s=a, outcome_i=b, coincidences=c,
+                    singles_s=c + extra_s, singles_i=c + extra_i, trials=200)
+        for name, a, b, c, extra_s, extra_i in rows
+    ))
+
+
+class TestTableProperties:
+    @settings(deadline=None, max_examples=60)
+    @given(table_rows)
+    def test_index_matches_record_scan(self, rows):
+        table = table_from_rows(rows)
+        assert table.settings() == list(dict.fromkeys(r.setting for r in table.records))
+        for name in ("a", "b", "c", "absent"):
+            scan = {(r.outcome_s, r.outcome_i): r for r in table.records if r.setting == name}
+            assert table.by_setting(name) == scan
+            assert list(table.by_setting(name)) == list(scan)
+
+    @settings(deadline=None, max_examples=60)
+    @given(table_rows.filter(bool), st.data())
+    def test_duplicate_keys_rejected(self, rows, data):
+        records = list(table_from_rows(rows).records)
+        duplicate = data.draw(st.sampled_from(records))
+        records.insert(data.draw(st.integers(0, len(records))), duplicate)
+        with pytest.raises(ValidationError, match="duplicate"):
+            CoincidenceTable(records=tuple(records))
+
+    @settings(deadline=None, max_examples=60)
+    @given(table_rows, table_rows)
+    def test_merged_is_additive(self, rows_a, rows_b):
+        a, b = table_from_rows(rows_a), table_from_rows(rows_b)
+        merged = a.merged(b)
+        fields = ("coincidences", "singles_s", "singles_i", "trials")
+        expected = {}
+        for rec in a.records + b.records:
+            prev = expected.get(rec.key, (0, 0, 0, 0))
+            expected[rec.key] = tuple(p + getattr(rec, f) for p, f in zip(prev, fields))
+        assert {r.key: tuple(getattr(r, f) for f in fields) for r in merged.records} == expected
+        assert set(merged.settings()) == set(a.settings()) | set(b.settings())

@@ -4,12 +4,11 @@ from numpy.testing import assert_allclose
 
 from qcert import (
     DensityOperator,
-    Projector,
     StateVector,
     ValidationError,
     density_from_ket,
     fidelity_to_pure,
-    joint_probability,
+    outcome_probabilities,
     restrict_to_pair,
     tensor,
 )
@@ -124,14 +123,14 @@ class TestDensityOperatorInvariants:
 class TestJointProbability:
     def test_bell_correlated_outcome(self):
         rho = density_from_ket(bell_state())
-        p0 = Projector([1, 0], 0)
-        assert joint_probability(rho, p0, p0) == pytest.approx(0.5, abs=1e-12)
+        p0 = [1, 0]
+        assert outcome_probabilities(rho, [p0], [p0])[0, 0] == pytest.approx(0.5, abs=1e-12)
 
     def test_bell_anticorrelated_outcome(self):
         rho = density_from_ket(bell_state())
-        p0 = Projector([1, 0], 0)
-        p1 = Projector([0, 1], 1)
-        assert joint_probability(rho, p0, p1) == pytest.approx(0.0, abs=1e-12)
+        p0 = [1, 0]
+        p1 = [0, 1]
+        assert outcome_probabilities(rho, [p0], [p1])[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_maximally_mixed_uniform(self):
         rho = maximally_mixed(3)
@@ -139,14 +138,14 @@ class TestJointProbability:
         for _ in range(5):
             u = rng.normal(size=3) + 1j * rng.normal(size=3)
             v = rng.normal(size=3) + 1j * rng.normal(size=3)
-            pu = Projector(u / np.linalg.norm(u), "u")
-            pv = Projector(v / np.linalg.norm(v), "v")
-            assert joint_probability(rho, pu, pv) == pytest.approx(1 / 9, abs=1e-12)
+            pu = u / np.linalg.norm(u)
+            pv = v / np.linalg.norm(v)
+            assert outcome_probabilities(rho, [pu], [pv])[0, 0] == pytest.approx(1 / 9, abs=1e-12)
 
     def test_dimension_mismatch(self):
         rho = density_from_ket(bell_state())
         with pytest.raises(ValidationError):
-            joint_probability(rho, Projector([1, 0, 0], 0), Projector([1, 0], 0))
+            outcome_probabilities(rho, [[1, 0, 0]], [[1, 0]])
 
     def test_complete_basis_sums_to_one(self):
         rng = np.random.default_rng(13)
@@ -154,7 +153,7 @@ class TestJointProbability:
         raw = g @ g.conj().T
         rho = DensityOperator(3, 3, raw / np.trace(raw).real)
         total = sum(
-            joint_probability(rho, Projector(np.eye(3)[a], a), Projector(np.eye(3)[b], b))
+            outcome_probabilities(rho, [np.eye(3)[a]], [np.eye(3)[b]])[0, 0]
             for a in range(3)
             for b in range(3)
         )
@@ -169,8 +168,8 @@ class TestJointProbability:
         mat[0, 3] += 1e-6j
         bad.matrix = mat
         with pytest.raises(ComputationError, match="imaginary"):
-            joint_probability(bad, Projector(np.array([1, 1]) / np.sqrt(2), 0),
-                              Projector(np.array([1, 1]) / np.sqrt(2), 0))
+            outcome_probabilities(bad, [np.array([1, 1]) / np.sqrt(2)],
+                                  [np.array([1, 1]) / np.sqrt(2)])
 
 
 class TestFidelityToPure:
@@ -224,7 +223,7 @@ class TestRestrictToPair:
         res = restrict_to_pair(rho, 1, 3)
         basis = np.eye(4)
         total = sum(
-            joint_probability(rho, Projector(basis[a], a), Projector(basis[b], b))
+            outcome_probabilities(rho, [basis[a]], [basis[b]])[0, 0]
             for a in (1, 3)
             for b in (1, 3)
         )

@@ -3,15 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcert import (
-    Projector,
     SourceConfig,
     ValidationError,
     density_from_ket,
     fidelity_to_pure,
     fit_noise_to_visibility,
     ideal_state,
-    joint_probability,
     mean_pair_visibility,
+    outcome_probabilities,
     noisy_state,
     restrict_to_pair,
     witness,
@@ -55,7 +54,7 @@ class TestNoisyState:
     def test_full_noise_is_flat(self):
         rho = noisy_state(SourceConfig.uniform(3, noise_fraction=1.0))
         assert_allclose(rho.matrix, np.eye(9) / 9, atol=1e-12)
-        p = joint_probability(rho, Projector([1, 0, 0], 0), Projector([0, 1, 0], 1))
+        p = outcome_probabilities(rho, [[1, 0, 0]], [[0, 1, 0]])[0, 0]
         assert p == pytest.approx(1 / 9, abs=1e-12)
 
     def test_fidelity_at_twenty_percent_noise(self):
@@ -90,8 +89,8 @@ class TestNoisyState:
         basis = np.eye(3)
         for xs in range(3):
             for xi in range(3):
-                pa = joint_probability(a, Projector(basis[xs], xs), Projector(basis[xi], xi))
-                pb = joint_probability(b, Projector(basis[xs], xs), Projector(basis[xi], xi))
+                pa = outcome_probabilities(a, [basis[xs]], [basis[xi]])[0, 0]
+                pb = outcome_probabilities(b, [basis[xs]], [basis[xi]])[0, 0]
                 assert pa == pytest.approx(pb, abs=1e-12)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from qcert import (
     DensityOperator,
     SourceConfig,
     ValidationError,
+    bootstrap_table,
     density_from_ket,
     ideal_state,
     noisy_state,
     restrict_to_pair,
     simulate_setting,
 )
+from qcert import counting
 from qcert.errors import ComputationError
 from qcert.pipeline import fit_noise_to_pair_fidelity
 from qcert.tomo import (
@@ -182,3 +185,33 @@ class TestCountReconstruction:
         table = CoincidenceTable(records=tuple(records))
         with pytest.raises(ComputationError):
             reconstruct(table, (0, 5), n_bootstrap=2)
+
+    def test_fidelity_err_is_bootstrap_spread_of_tomography_settings(self):
+        rho = noisy_state(SourceConfig.uniform(10, noise_fraction=0.25))
+        table = self.build_table(rho, trials=10**6, seed=4)
+        tomo_table = table.restricted(st.name for st in tomo_settings(0, 5))
+        fids = [reconstruct(bootstrap_table(tomo_table, seed=9 + b), (0, 5),
+                            corrected=True, n_bootstrap=2).fidelity for b in range(8)]
+        res = reconstruct(table, (0, 5), corrected=True, n_bootstrap=8, seed=9)
+        assert res.fidelity_err == pytest.approx(float(np.std(fids, ddof=1)), rel=1e-12)
+
+    @pytest.mark.parametrize("n_bootstrap", [0, 1])
+    def test_fewer_than_two_replicas_rejected(self, n_bootstrap):
+        rho = density_from_ket(ideal_state(SourceConfig.uniform(10)))
+        table = self.build_table(rho, trials=10**5, seed=0)
+        with pytest.raises(ValidationError, match="at least 2"):
+            reconstruct(table, (0, 5), n_bootstrap=n_bootstrap)
+
+    def test_error_is_nan_when_no_replica_survives(self, monkeypatch):
+        def empty_replica(table, seed):
+            return CoincidenceTable(
+                records=tuple(replace(r, coincidences=0, singles_s=0, singles_i=0)
+                              for r in table.records),
+                metadata=table.metadata)
+
+        rho = density_from_ket(ideal_state(SourceConfig.uniform(10)))
+        table = self.build_table(rho, trials=10**5, seed=0)
+        monkeypatch.setattr(counting, "bootstrap_table", empty_replica)
+        res = reconstruct(table, (0, 5), n_bootstrap=5)
+        assert res.fidelity > 0.5
+        assert math.isnan(res.fidelity_err)
