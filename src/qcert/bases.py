@@ -19,7 +19,7 @@ phase of the ket component on mode x at frequency offset x * tone spacing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,23 +62,22 @@ class MeasurementBasis:
     side: str
     dim: int
     projectors: tuple[Projector, ...]
+    # outcome kets stacked as rows, shape (n_outcomes, dim); built once, read-only
+    vector_matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.side not in ("signal", "idler"):
             raise ValidationError(f"side must be 'signal' or 'idler', got {self.side!r}")
         if not self.projectors:
             raise ValidationError("a basis needs at least one outcome")
-        mat = self.vector_matrix
+        mat = np.array([p.vector for p in self.projectors])
+        mat.setflags(write=False)
+        object.__setattr__(self, "vector_matrix", mat)
         if mat.shape[1] != self.dim:
             raise ValidationError("projector vectors do not match the basis dimension")
         gram = mat.conj() @ mat.T
         if np.max(np.abs(gram - np.eye(len(self.projectors)))) > 1e-10:
             raise ValidationError(f"basis {self.name!r} is not orthonormal within 1e-10")
-
-    @property
-    def vector_matrix(self) -> np.ndarray:
-        """Outcome kets stacked as rows, shape (n_outcomes, dim)."""
-        return np.array([p.vector for p in self.projectors])
 
     @property
     def labels(self) -> tuple:

@@ -72,24 +72,32 @@ def _manifest(command: str, seed, inputs: dict, extra: dict) -> dict:
     return body
 
 
-def _default_seed(args) -> int:
+def _requested_seed(args) -> int | None:
+    """--seed, else a non-empty $QCERT_SEED (a non-negative integer), else None."""
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get(SEED_ENV)
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return None
+    try:
+        return _at_least(0)(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValidationError(f"${SEED_ENV}: {exc}") from None
+
+
+def _default_seed(args) -> int:
+    seed = _requested_seed(args)
+    return DEFAULT_SEED if seed is None else seed
 
 
 def _load_config(args, default_preset: str) -> SimulationConfig:
+    seed = _requested_seed(args)
     if getattr(args, "config", None):
         cfg = SimulationConfig.load(args.config)
     else:
         cfg = preset(args.preset or default_preset)
-    if getattr(args, "seed", None) is not None:
-        cfg = SimulationConfig.from_json_dict({**cfg.to_json_dict(), "seed": args.seed})
-    elif os.environ.get(SEED_ENV):
-        cfg = SimulationConfig.from_json_dict(
-            {**cfg.to_json_dict(), "seed": int(os.environ[SEED_ENV])}
-        )
+    if seed is not None:
+        cfg = SimulationConfig.from_json_dict({**cfg.to_json_dict(), "seed": seed})
     return cfg
 
 
@@ -392,7 +400,7 @@ def _at_least(lowest: int):
 
 def _add_common(parser, seed=True, timestamp=True):
     if seed:
-        parser.add_argument("--seed", type=int, default=None,
+        parser.add_argument("--seed", type=_at_least(0), default=None,
                             help=f"random seed (default: ${SEED_ENV} or {DEFAULT_SEED})")
     if timestamp:
         parser.add_argument("--no-timestamp", dest="timestamp", action="store_false",

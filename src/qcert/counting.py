@@ -16,12 +16,16 @@ C' = C_SI - C_S C_I / N removes it without bias, cell by cell.
 
 Counts are drawn Poisson from deterministic per-outcome random streams keyed
 by (master seed, setting name, outcome key), so tables are reproducible
-regardless of execution order, thread count, or outcome ordering.
+regardless of execution order, thread count, or outcome ordering.  Each
+stream is the one numpy's SeedSequence([seed, key word]) -> PCG64 gives; the
+streams of a setting (simulation) or of a table (bootstrap replica) are
+seeded together in one vectorized pass, bit-identical to that construction.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -199,12 +203,135 @@ def setting_means(
     )
 
 
-def outcome_stream(seed: int, setting: str, *key_parts) -> np.random.Generator:
-    """Deterministic random stream for one (seed, setting, outcome key)."""
+# numpy's SeedSequence entropy mixing (numpy/random/bit_generator.pyx): a
+# pool of four uint32 words, hashmix constants INIT_A/MULT_A, mix
+# multipliers MIX_MULT_L/MIX_MULT_R, output constants INIT_B/MULT_B.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG_DEFAULT_MULTIPLIER_128
+
+
+def _key_word(setting: str, *key_parts) -> int:
+    """The 64-bit entropy word of one outcome key (independent of the seed)."""
     text = "\x1f".join([setting, *map(str, key_parts)])
     digest = hashlib.sha256(text.encode("utf-8")).digest()
-    word = int.from_bytes(digest[:8], "little")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), word])))
+    return int.from_bytes(digest[:8], "little")
+
+
+@functools.lru_cache(maxsize=1 << 12, typed=True)
+def _bootstrap_word(setting: str, outcome_s, outcome_i) -> int:
+    """A record's bootstrap key word, memoized: every replica of a table
+    reuses it.  A simulation uses each of its keys once, so those are not
+    cached."""
+    return _key_word(setting, "bootstrap", outcome_s, outcome_i)
+
+
+def _uint32_words(n: int) -> list[int]:
+    """SeedSequence's little-endian uint32 split of a non-negative int."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _mix_pool(entropy: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence's entropy pool, one row per (N, L) uint32 entropy row."""
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> _XSHIFT)
+
+    length = entropy.shape[1]
+    # entropy shorter than the pool is hashed as if padded with zero words
+    pool = [hashmix(entropy[:, i] if i < length else np.zeros(len(entropy), np.uint32))
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, length):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    return pool
+
+
+def _generate_state(pool: list[np.ndarray]) -> np.ndarray:
+    """SeedSequence.generate_state(4, np.uint64) from each row of a pool."""
+    const = _INIT_B
+    halves = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        halves.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(halves[::2], halves[1::2])],
+                    axis=1)
+
+
+def _seed_states(seed: int, words) -> np.ndarray:
+    """Row i is ``np.random.SeedSequence([seed, words[i]]).generate_state(4, np.uint64)``.
+
+    The entropy of a row is the uint32 words of the seed followed by those of
+    the key word: one word below 2**32, else two.  Rows are mixed in groups of
+    equal entropy length, so seeds of any size stay exact.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    words = np.asarray(words, dtype=np.uint64).reshape(-1)
+    lo = (words & np.uint64(_MASK32)).astype(np.uint32)
+    hi = (words >> np.uint64(32)).astype(np.uint32)
+    seed_words = _uint32_words(seed)
+    states = np.empty((len(words), 4), dtype=np.uint64)
+    one_word = hi == 0
+    for rows, tail in ((one_word, (lo,)), (~one_word, (lo, hi))):
+        if rows.any():
+            entropy = np.empty((int(rows.sum()), len(seed_words) + len(tail)), np.uint32)
+            entropy[:, :len(seed_words)] = seed_words
+            for col, part in enumerate(tail, start=len(seed_words)):
+                entropy[:, col] = part[rows]
+            states[rows] = _generate_state(_mix_pool(entropy))
+    return states
+
+
+def _keyed_streams(seed: int, words):
+    """Yield, per key word, a generator at the start of the stream that
+    ``np.random.PCG64(np.random.SeedSequence([seed, word]))`` would give.
+
+    One Generator serves the whole batch: each step loads the next stream's
+    PCG64 state (``pcg_setseq_128_srandom_r`` applied to the seed state), so
+    draw from it before advancing.
+    """
+    states = _seed_states(seed, words)
+    # each stream loads its own state before its first draw; seed 0 is never used
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    for row in states:
+        s_hi, s_lo, i_hi, i_lo = row.tolist()
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                        "has_uint32": 0, "uinteger": 0}
+        yield rng
+
+
+def outcome_stream(seed: int, setting: str, *key_parts) -> np.random.Generator:
+    """Deterministic random stream for one (seed, setting, outcome key)."""
+    return next(_keyed_streams(seed, [_key_word(setting, *key_parts)]))
 
 
 def simulate_setting(
@@ -219,8 +346,9 @@ def simulate_setting(
     """Draw one setting's count table from the detection model.
 
     Every outcome cell and every singles counter draws from its own keyed
-    stream.  Singles are built as the sum of the cell's coincidences plus an
-    independent top-up, which keeps C_SI <= min(C_S, C_I) record by record.
+    stream; the setting's streams are seeded in one batch.  Singles are
+    built as the sum of the cell's coincidences plus an independent top-up,
+    which keeps C_SI <= min(C_S, C_I) record by record.
     """
     name = setting_name or f"{basis_s.name}|{basis_i.name}"
     means = setting_means(rho, basis_s, basis_i, trials, params)
@@ -228,23 +356,25 @@ def simulate_setting(
     labels_i = basis_i.labels
     n_s, n_i = means.coincidences.shape
 
+    words = ([_key_word(name, "cell", lab_a, lab_b) for lab_a in labels_s for lab_b in labels_i]
+             + [_key_word(name, "singles_s", lab_a) for lab_a in labels_s]
+             + [_key_word(name, "singles_i", lab_b) for lab_b in labels_i])
+    streams = _keyed_streams(seed, words)
+
     cells = np.zeros((n_s, n_i), dtype=np.int64)
-    for a, lab_a in enumerate(labels_s):
-        for b, lab_b in enumerate(labels_i):
-            rng = outcome_stream(seed, name, "cell", lab_a, lab_b)
-            cells[a, b] = rng.poisson(means.coincidences[a, b])
+    for a in range(n_s):
+        for b in range(n_i):
+            cells[a, b] = next(streams).poisson(means.coincidences[a, b])
 
     singles_s = np.zeros(n_s, dtype=np.int64)
-    for a, lab_a in enumerate(labels_s):
-        rng = outcome_stream(seed, name, "singles_s", lab_a)
+    for a in range(n_s):
         topup = max(means.singles_s[a] - means.coincidences[a, :].sum(), 0.0)
-        singles_s[a] = cells[a, :].sum() + rng.poisson(topup)
+        singles_s[a] = cells[a, :].sum() + next(streams).poisson(topup)
 
     singles_i = np.zeros(n_i, dtype=np.int64)
-    for b, lab_b in enumerate(labels_i):
-        rng = outcome_stream(seed, name, "singles_i", lab_b)
+    for b in range(n_i):
         topup = max(means.singles_i[b] - means.coincidences[:, b].sum(), 0.0)
-        singles_i[b] = cells[:, b].sum() + rng.poisson(topup)
+        singles_i[b] = cells[:, b].sum() + next(streams).poisson(topup)
 
     records = []
     for a, lab_a in enumerate(labels_s):
@@ -379,6 +509,9 @@ def load_table(path) -> CoincidenceTable:
                 raise ValidationError(f"{meta}: not valid JSON ({exc})") from None
         if not isinstance(metadata, dict):
             raise ValidationError(f"{meta}: expected a JSON object")
+        dim = metadata.get("D")
+        if "D" in metadata and (type(dim) is not int or dim < 2):
+            raise ValidationError(f"{meta}: D must be an integer of at least 2, got {dim!r}")
     try:
         return CoincidenceTable(records=tuple(records), metadata=metadata)
     except ValidationError as exc:
@@ -387,9 +520,10 @@ def load_table(path) -> CoincidenceTable:
 
 def bootstrap_table(table: CoincidenceTable, seed: int) -> CoincidenceTable:
     """Poisson-resample every record; the cross-check error estimator."""
+    words = [_bootstrap_word(rec.setting, rec.outcome_s, rec.outcome_i)
+             for rec in table.records]
     records = []
-    for rec in table.records:
-        rng = outcome_stream(seed, rec.setting, "bootstrap", rec.outcome_s, rec.outcome_i)
+    for rec, rng in zip(table.records, _keyed_streams(seed, words)):
         c = int(rng.poisson(rec.coincidences))
         s = c + int(rng.poisson(max(rec.singles_s - rec.coincidences, 0)))
         i = c + int(rng.poisson(max(rec.singles_i - rec.coincidences, 0)))

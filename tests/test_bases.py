@@ -42,6 +42,12 @@ class TestXBasis:
         with pytest.raises(ValidationError):
             x_basis(11)
 
+    def test_vector_matrix_built_once_read_only(self):
+        b = k_basis(4)
+        assert b.vector_matrix is b.vector_matrix
+        assert not b.vector_matrix.flags.writeable
+        assert np.array_equal(b.vector_matrix, np.array([p.vector for p in b.projectors]))
+
 
 class TestKBasis:
     def test_qubit_vectors(self):

@@ -14,10 +14,10 @@ from qcert.pipeline import SimulationConfig
 from conftest import cli_env
 
 
-def run_cli(*args, cwd):
+def run_cli(*args, cwd, env=None):
     return subprocess.run(
         [sys.executable, "-m", "qcert.cli", *args],
-        cwd=cwd, capture_output=True, text=True, env=cli_env(),
+        cwd=cwd, capture_output=True, text=True, env=env or cli_env(),
     )
 
 
@@ -229,6 +229,7 @@ class TestInvalidInput:
         ["certify", "--counts", "counts.csv", "--margin", "nan"],
         ["simulate", "--workers", "0"],
         ["certify", "--counts", "counts.csv"],  # corrupt counts.meta.json
+        ["simulate", "--preset", "ideal", "--seed", "-5"],
     ])
     def test_exits_2_without_traceback(self, tmp_path, args):
         (tmp_path / "counts.csv").write_text(
@@ -238,6 +239,34 @@ class TestInvalidInput:
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr
         assert "error" in res.stderr
+
+    @pytest.mark.parametrize("command", ["certify", "tomo"])
+    def test_negative_seed_exits_2(self, sim_run, tmp_path, command):
+        res = run_cli(command, "--counts", str(sim_run / "counts.csv"), "--seed", "-1",
+                      "--out", str(tmp_path / "out.json"), cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "--seed" in res.stderr
+
+    @pytest.mark.parametrize("seed_env, args", [
+        ("abc", ["bell", "--exact", "--d-range", "2:3"]),
+        ("-1", ["bell", "--exact", "--d-range", "2:3"]),
+        ("-1", ["simulate", "--preset", "ideal"]),
+    ])
+    def test_bad_seed_env_exits_2(self, tmp_path, seed_env, args):
+        res = run_cli(*args, cwd=tmp_path, env={**cli_env(), "QCERT_SEED": seed_env})
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "QCERT_SEED" in res.stderr
+
+    def test_non_integer_sidecar_dimension_exits_2(self, tmp_path):
+        (tmp_path / "counts.csv").write_text(
+            "setting,outcome_s,outcome_i,coincidences,singles_s,singles_i,trials\n")
+        (tmp_path / "counts.meta.json").write_text('{"D": "x"}')
+        res = run_cli("certify", "--counts", "counts.csv", cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "counts.meta.json" in res.stderr
 
 
 def test_version_matches_pyproject(tmp_path):

@@ -1,8 +1,10 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qcert import (
@@ -15,6 +17,7 @@ from qcert import (
     density_from_ket,
     ideal_state,
     joint_probability_table,
+    k_basis,
     load_table,
     noisy_state,
     pair_basis,
@@ -26,7 +29,16 @@ from qcert import (
     x_basis,
 )
 from qcert.bases import MeasurementBasis
-from qcert.counting import bootstrap_std, estimate
+from qcert.counting import CSV_HEADER
+from qcert.counting import (
+    _bootstrap_word,
+    _key_word,
+    _keyed_streams,
+    _seed_states,
+    bootstrap_std,
+    estimate,
+    outcome_stream,
+)
 from qcert.errors import ComputationError
 
 
@@ -315,6 +327,19 @@ class TestTables(object):
         with pytest.raises(ValidationError, match="counts.meta.json"):
             load_table(path)
 
+    @pytest.mark.parametrize("dim", ["x", "10", 1, 0, -3, 2.5, 10.0, True, None, [4]])
+    @pytest.mark.parametrize("simulated", [False, True])
+    def test_sidecar_dimension_must_be_an_integer_of_at_least_2(self, tmp_path, dim,
+                                                                  simulated):
+        path = tmp_path / "counts.csv"
+        if simulated:
+            save_table(self.make_table(), path)
+        else:
+            path.write_text(",".join(CSV_HEADER) + "\n")
+        (tmp_path / "counts.meta.json").write_text(json.dumps({"D": dim}))
+        with pytest.raises(ValidationError, match="counts.meta.json.*D must be"):
+            load_table(path)
+
 
 class TestBootstrapStd:
     def make_table(self):
@@ -411,3 +436,118 @@ class TestTableProperties:
             expected[rec.key] = tuple(p + getattr(rec, f) for p, f in zip(prev, fields))
         assert {r.key: tuple(getattr(r, f) for f in fields) for r in merged.records} == expected
         assert set(merged.settings()) == set(a.settings()) | set(b.settings())
+
+
+# Keyed streams: the batched seeding must reproduce numpy's
+# SeedSequence([seed, word]) -> PCG64 construction exactly.
+EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 1)
+EDGE_WORDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+key_words = st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1)),
+                     min_size=1, max_size=12)
+
+
+def oracle_stream(seed, setting, *key_parts):
+    """A keyed stream built with numpy's own constructors."""
+    text = "\x1f".join([setting, *map(str, key_parts)])
+    word = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "little")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), word])))
+
+
+def oracle_simulate(rho, basis_s, basis_i, trials, params, seed, name):
+    """simulate_setting with one numpy-constructed stream per draw, in table order."""
+    means = setting_means(rho, basis_s, basis_i, trials, params)
+    labels_s, labels_i = basis_s.labels, basis_i.labels
+    cells = np.zeros(means.coincidences.shape, dtype=np.int64)
+    for a, lab_a in enumerate(labels_s):
+        for b, lab_b in enumerate(labels_i):
+            rng = oracle_stream(seed, name, "cell", lab_a, lab_b)
+            cells[a, b] = rng.poisson(means.coincidences[a, b])
+    singles_s = np.zeros(len(labels_s), dtype=np.int64)
+    for a, lab_a in enumerate(labels_s):
+        rng = oracle_stream(seed, name, "singles_s", lab_a)
+        topup = max(means.singles_s[a] - means.coincidences[a, :].sum(), 0.0)
+        singles_s[a] = cells[a, :].sum() + rng.poisson(topup)
+    singles_i = np.zeros(len(labels_i), dtype=np.int64)
+    for b, lab_b in enumerate(labels_i):
+        rng = oracle_stream(seed, name, "singles_i", lab_b)
+        topup = max(means.singles_i[b] - means.coincidences[:, b].sum(), 0.0)
+        singles_i[b] = cells[:, b].sum() + rng.poisson(topup)
+    return [CountRecord(setting=name, outcome_s=lab_a, outcome_i=lab_b,
+                        coincidences=int(cells[a, b]), singles_s=int(singles_s[a]),
+                        singles_i=int(singles_i[b]), trials=trials)
+            for a, lab_a in enumerate(labels_s) for b, lab_b in enumerate(labels_i)]
+
+
+def oracle_bootstrap(table, seed):
+    records = []
+    for rec in table.records:
+        rng = oracle_stream(seed, rec.setting, "bootstrap", rec.outcome_s, rec.outcome_i)
+        c = int(rng.poisson(rec.coincidences))
+        s = c + int(rng.poisson(max(rec.singles_s - rec.coincidences, 0)))
+        i = c + int(rng.poisson(max(rec.singles_i - rec.coincidences, 0)))
+        records.append(CountRecord(
+            setting=rec.setting, outcome_s=rec.outcome_s, outcome_i=rec.outcome_i,
+            coincidences=c, singles_s=min(s, rec.trials), singles_i=min(i, rec.trials),
+            trials=rec.trials))
+    return records
+
+
+class TestKeyedStreams:
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(0, 2**70 - 1), key_words)
+    @example(EDGE_SEEDS[0], EDGE_WORDS)
+    @example(EDGE_SEEDS[1], EDGE_WORDS)
+    @example(EDGE_SEEDS[2], EDGE_WORDS)
+    @example(EDGE_SEEDS[3], EDGE_WORDS)
+    @example(EDGE_SEEDS[4], EDGE_WORDS)
+    def test_seed_states_match_seed_sequence(self, seed, words):
+        expected = [np.random.SeedSequence([seed, w]).generate_state(4, np.uint64)
+                    for w in words]
+        got = _seed_states(seed, words)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, np.array(expected))
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**70 - 1)), key_words)
+    def test_loaded_state_matches_pcg64(self, seed, words):
+        states = [rng.bit_generator.state for rng in _keyed_streams(seed, words)]
+        assert states == [np.random.PCG64(np.random.SeedSequence([seed, w])).state
+                          for w in words]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 1])
+    def test_outcome_stream_draws_like_numpy(self, seed):
+        got = outcome_stream(seed, "X|K", "cell", 3, -1)
+        ref = oracle_stream(seed, "X|K", "cell", 3, -1)
+        assert got.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(got.poisson(37.5, 20), ref.poisson(37.5, 20))
+
+    def test_key_words_are_the_sha256_words(self):
+        def sha_word(text):
+            return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "little")
+
+        assert _key_word("s", "cell", 1, -1) == sha_word("s\x1fcell\x1f1\x1f-1")
+        assert _bootstrap_word("s", 1, -1) == sha_word("s\x1fbootstrap\x1f1\x1f-1")
+        # typed cache: 1 and 1.0 hash alike but spell different keys
+        assert _bootstrap_word("s", 1.0, -1) == sha_word("s\x1fbootstrap\x1f1.0\x1f-1")
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**32, 2**64 + 1])
+    def test_simulate_setting_matches_oracle(self, seed):
+        params = CountingParams(P_S=0.02, eta_r=0.3, P_bg_idler=0.002)
+        rho = noisy_state(SourceConfig.uniform(3, noise_fraction=0.2))
+        b_s, b_i = x_basis(3, side="signal"), k_basis(3, side="idler")
+        got = simulate_setting(rho, b_s, b_i, 10**5, params, seed=seed)
+        assert got == oracle_simulate(rho, b_s, b_i, 10**5, params, seed, "X3|K3")
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**64 + 1])
+    def test_bootstrap_table_matches_oracle(self, seed):
+        table = TestTables().make_table()
+        assert list(bootstrap_table(table, seed).records) == oracle_bootstrap(table, seed)
+
+    @pytest.mark.parametrize("draw", [
+        lambda: outcome_stream(-1, "s", "cell", 0, 0),
+        lambda: simulate_setting(rho2(), *full_bases(), 100, CountingParams(), seed=-1),
+        lambda: bootstrap_table(TestTables().make_table(), seed=-5),
+    ])
+    def test_negative_seed_rejected(self, draw):
+        with pytest.raises(ValidationError, match="non-negative"):
+            draw()
