@@ -15,7 +15,8 @@ import numpy as np
 from qcert import noisy_state
 from qcert.counting import CoincidenceTable, simulate_setting
 from qcert.pipeline import effective_params, preset, sampling_state
-from qcert.tomo import reconstruct, reconstruct_exact, tomo_settings
+from qcert.bases import tomo_settings
+from qcert.tomo import reconstruct, reconstruct_exact
 
 OUT = Path(__file__).parent / "output"
 

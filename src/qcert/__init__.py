@@ -26,6 +26,7 @@ from .bases import (
     mode_vector,
     pair_basis,
     rf_tone_program,
+    tomo_settings,
     x_basis,
 )
 from .counting import (
@@ -52,7 +53,7 @@ from .certify import (
     witness,
     witness_bound,
 )
-from .tomo import TomoResult, project_to_physical, reconstruct, reconstruct_exact, tomo_settings
+from .tomo import TomoResult, project_to_physical, reconstruct, reconstruct_exact
 from .pipeline import (
     CurvePoint,
     SimulationConfig,

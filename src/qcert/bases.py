@@ -15,16 +15,22 @@ Conventions used throughout the toolkit:
 Each synthesized basis also has a hardware realization as a multi-tone RF
 program for an acousto-optic deflector: tone x carries the amplitude and
 phase of the ket component on mode x at frequency offset x * tone spacing.
+
+The setting plans at the end (witness pairs, full-basis scans, Bell tests,
+tomography) fix which settings each quantity measures, their names and
+their bases; simulation and every estimator read them from here.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
 from .linalg import DensityOperator, Projector, outcome_probabilities
+from . import naming
 
 MAX_MODES = 10
 TONE_SPACING_MHZ = 0.8
@@ -44,7 +50,13 @@ __all__ = [
     "rf_tone_program",
     "ket_from_tone_program",
     "joint_probability_table",
+    "PlannedSetting",
+    "witness_settings",
+    "scan_setting",
+    "bell_settings",
+    "tomo_settings",
     "AXES",
+    "MAX_MODES",
 ]
 
 
@@ -283,3 +295,71 @@ def joint_probability_table(
 ) -> np.ndarray:
     """Outcome-pair probabilities Tr(rho (P_a x P_b)), shape (n_s, n_i)."""
     return outcome_probabilities(rho, basis_s.vector_matrix, basis_i.vector_matrix)
+
+
+# ---------------------------------------------------------------------------
+# setting plans: which settings a quantity measures, their names and bases
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class PlannedSetting:
+    """One named setting: a signal basis and an idler basis.
+
+    ``cells`` holds the (outcome_s, outcome_i) keys of its outcome cells, one
+    row per signal label, in basis label order; built once, read by every
+    count-table lookup of the setting.
+    """
+
+    name: str
+    basis_s: MeasurementBasis
+    basis_i: MeasurementBasis
+    cells: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cells", tuple(
+            tuple((a, b) for b in self.basis_i.labels) for a in self.basis_s.labels))
+
+
+# Bases are immutable, so each plan is built once per argument tuple; with
+# at most MAX_MODES modes the caches stay small.
+
+@functools.lru_cache(maxsize=None)
+def witness_settings(space: str, j: int, k: int, num_modes: int) -> tuple[PlannedSetting, ...]:
+    """The x, y and z visibility settings of mode pair (j, k)."""
+    return tuple(
+        PlannedSetting(naming.witness_setting(space, j, k, axis),
+                       pair_basis(space, j, k, axis, num_modes, side="signal"),
+                       pair_basis(space, j, k, axis, num_modes, side="idler"))
+        for axis in AXES
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def scan_setting(space: str, num_modes: int) -> PlannedSetting:
+    """The full-basis coincidence scan of one space (X or K on both sides)."""
+    naming.require_space(space)
+    full = x_basis if space == "X" else k_basis
+    return PlannedSetting(naming.diag_setting(space),
+                          full(num_modes, side="signal"), full(num_modes, side="idler"))
+
+
+@functools.lru_cache(maxsize=None)
+def bell_settings(d: int, num_modes: int) -> tuple[PlannedSetting, ...]:
+    """The four Bell-test settings of dimension d, in (s, i) order
+    (0,0), (0,1), (1,0), (1,1), embedded in the full mode space."""
+    signal = [cglmp_basis("signal", s, d, embed_dim=num_modes) for s in (0, 1)]
+    idler = [cglmp_basis("idler", i, d, embed_dim=num_modes) for i in (0, 1)]
+    return tuple(PlannedSetting(naming.bell_setting(d, s, i), signal[s], idler[i])
+                 for s in (0, 1) for i in (0, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def tomo_settings(j: int, k: int, space: str = "X",
+                  num_modes: int = MAX_MODES) -> tuple[PlannedSetting, ...]:
+    """The nine axis-pair tomography settings of modes (j, k), signal axis
+    major, both in AXES order."""
+    signal = {ax: pair_basis(space, j, k, ax, num_modes, side="signal") for ax in AXES}
+    idler = {ax: pair_basis(space, j, k, ax, num_modes, side="idler") for ax in AXES}
+    return tuple(PlannedSetting(naming.tomo_setting(space, j, k, ax_s, ax_i),
+                                signal[ax_s], idler[ax_i])
+                 for ax_s in AXES for ax_i in AXES)

@@ -1,7 +1,10 @@
 """Certification quantities: dimension witness, formation bound, Bell parameter.
 
 All three accept either a DensityOperator (exact probabilities) or a
-CoincidenceTable (finite counts, optionally accidental-subtracted):
+CoincidenceTable (finite counts, optionally accidental-subtracted), and
+read each setting of their ``bases`` plan through the one cell reader
+``counting.setting_cells`` (the exact formation bound excepted, which reads
+matrix elements of rho):
 
 * ``witness``: sums the three pair visibilities over every mode pair and
   compares against the Schmidt-number bound f(d) = 3D(D-1)/2 - D(D-d).
@@ -21,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .linalg import DensityOperator, matrix_element, outcome_probabilities
+from .linalg import DensityOperator, matrix_element
 from . import bases
-from .bases import AXES
-from .counting import CoincidenceTable, bootstrap_std, estimate
+from .counting import CoincidenceTable, bootstrap_std, estimate, plan_modes, setting_cells
 from . import naming
 
 __all__ = [
@@ -44,6 +46,24 @@ __all__ = [
 ]
 
 LOCAL_BOUND = 2.0
+
+
+def _no_support(total: float, exact: bool) -> bool:
+    """A setting's cell total with nothing to normalise: below 1e-14 for
+    exact probabilities, non-positive for (possibly subtracted) counts."""
+    return total < 1e-14 if exact else total <= 0
+
+
+def _modes(data, num_modes: int | None) -> tuple[int, int]:
+    """(d, dim): the d analysed modes (``num_modes``, else all of them) and
+    the dim-mode space the setting plans of ``data`` are built in."""
+    if isinstance(data, CoincidenceTable) and not (num_modes or data.metadata.get("D")):
+        raise ValidationError("num_modes required (no D in table metadata)")
+    dim = plan_modes(data, num_modes)
+    d = int(num_modes or dim)
+    if not 1 <= d <= dim:
+        raise ValidationError(f"{d} modes do not fit the {dim}-mode data")
+    return d, dim
 
 
 # ---------------------------------------------------------------------------
@@ -107,19 +127,20 @@ class WitnessResult:
         return witness_bound(self.num_modes, d)
 
 
-def _visibility_from_values(values, variances) -> Visibility:
-    """values/variances keyed by (outcome_s, outcome_i) in {+1, -1}^2."""
-    n1 = values[(1, 1)] + values[(-1, -1)]
-    n2 = values[(1, -1)] + values[(-1, 1)]
+def _visibility_from_cells(values, variances, exact: bool = False) -> Visibility:
+    """V and its propagated error from one setting's 2 x 2 cell values and
+    variances, rows (signal) and columns (idler) in label order +1, -1."""
+    n1 = values[0][0] + values[1][1]
+    n2 = values[0][1] + values[1][0]
     total = n1 + n2
-    if total <= 0:
+    if _no_support(total, exact):
         return Visibility(0.0, 0.0, status="no-counts")
     vis = abs(n1 - n2) / total
     d_n1 = 2 * n2 / total**2
     d_n2 = 2 * n1 / total**2
-    var = (d_n1**2) * (variances[(1, 1)] + variances[(-1, -1)]) + (
+    var = (d_n1**2) * (variances[0][0] + variances[1][1]) + (
         d_n2**2
-    ) * (variances[(1, -1)] + variances[(-1, 1)])
+    ) * (variances[0][1] + variances[1][0])
     if vis > 1.0:
         return Visibility(1.0, math.sqrt(var), status="clamped")
     return Visibility(float(vis), math.sqrt(var), status="ok")
@@ -132,34 +153,22 @@ def visibility_from_counts(records, corrected: bool = False) -> Visibility:
     propagation.  A non-positive denominator (possible after accidental
     subtraction) yields a flagged zero.
     """
-    values, variances = {}, {}
+    estimates = {}
     for rec in records:
         key = (rec.outcome_s, rec.outcome_i)
-        if key in values:
+        if key in estimates:
             raise ValidationError(f"duplicate outcome cell {key}")
-        est = estimate(rec, corrected)
-        values[key] = est.value
-        variances[key] = est.std_error**2
-    needed = {(1, 1), (1, -1), (-1, 1), (-1, -1)}
-    if set(values) != needed:
-        raise ValidationError(f"expected the four +-1 outcome cells, got {sorted(values)}")
-    return _visibility_from_values(values, variances)
+        estimates[key] = estimate(rec, corrected)
+    if set(estimates) != {(1, 1), (1, -1), (-1, 1), (-1, -1)}:
+        raise ValidationError(f"expected the four +-1 outcome cells, got {sorted(estimates)}")
+    rows = [[estimates[(a, b)] for b in (1, -1)] for a in (1, -1)]
+    return _visibility_from_cells([[est.value for est in row] for row in rows],
+                                  [[est.std_error**2 for est in row] for row in rows])
 
 
-def _exact_pair_visibility(rho: DensityOperator, space: str, j: int, k: int, axis: str) -> Visibility:
-    b_s = bases.pair_basis(space, j, k, axis, rho.dim_signal, side="signal")
-    b_i = bases.pair_basis(space, j, k, axis, rho.dim_idler, side="idler")
-    table = outcome_probabilities(rho, b_s.vector_matrix, b_i.vector_matrix)
-    values = {
-        (1, 1): table[0, 0],
-        (1, -1): table[0, 1],
-        (-1, 1): table[1, 0],
-        (-1, -1): table[1, 1],
-    }
-    zeros = {key: 0.0 for key in values}
-    if sum(values.values()) < 1e-14:
-        return Visibility(0.0, 0.0, status="no-counts")
-    return _visibility_from_values(values, zeros)
+def _pair_visibility(data, setting: bases.PlannedSetting, corrected: bool) -> Visibility:
+    values, variances = setting_cells(data, setting, corrected)
+    return _visibility_from_cells(values, variances, isinstance(data, DensityOperator))
 
 
 def _witness_pairs(num_modes: int):
@@ -175,42 +184,29 @@ def witness(
 ) -> WitnessResult:
     """Visibility-sum dimension witness over all mode pairs of one space."""
     naming.require_space(space)
+    if isinstance(data, CoincidenceTable) and not (num_modes or data.metadata.get("D")):
+        modes = [
+            max(parsed[1], parsed[2])
+            for parsed in map(naming.parse_witness_setting, data.settings())
+            if parsed is not None and parsed[0] == space
+        ]
+        if not modes:
+            raise ValidationError(f"no witness settings for space {space} in the table")
+        num_modes = max(modes) + 1
+    d, dim = _modes(data, num_modes)
     per_pair = {}
-    if isinstance(data, DensityOperator):
-        d = num_modes or min(data.dim_signal, data.dim_idler)
-        for j, k in _witness_pairs(d):
+    missing = []
+    for j, k in _witness_pairs(d):
+        settings = bases.witness_settings(space, j, k, dim)
+        try:
             per_pair[(j, k)] = PairVisibilities(
-                *(_exact_pair_visibility(data, space, j, k, ax) for ax in AXES)
-            )
-    elif isinstance(data, CoincidenceTable):
-        d = num_modes or data.metadata.get("D")
-        if d is None:
-            modes = [
-                max(parsed[1], parsed[2])
-                for parsed in map(naming.parse_witness_setting, data.settings())
-                if parsed is not None and parsed[0] == space
-            ]
-            if not modes:
-                raise ValidationError(f"no witness settings for space {space} in the table")
-            d = max(modes) + 1
-        d = int(d)
-        missing = []
-        for j, k in _witness_pairs(d):
-            vis = {}
-            for ax in AXES:
-                cells = data.by_setting(naming.witness_setting(space, j, k, ax))
-                if len(cells) != 4:
-                    missing.append((j, k))
-                    break
-                vis[ax] = visibility_from_counts(cells.values(), corrected=corrected)
-            else:
-                per_pair[(j, k)] = PairVisibilities(vis["x"], vis["y"], vis["z"])
-        if missing:
-            raise ValidationError(
-                f"witness data incomplete for space {space}; missing pairs: {missing}"
-            )
-    else:
-        raise ValidationError("witness expects a DensityOperator or a CoincidenceTable")
+                *(_pair_visibility(data, st, corrected) for st in settings))
+        except ValidationError:
+            missing.append((j, k))
+    if missing:
+        raise ValidationError(
+            f"witness data incomplete for space {space}; missing pairs: {missing}"
+        )
 
     total = float(sum(pv.total for pv in per_pair.values()))
     total_err = math.sqrt(sum(pv.total_var for pv in per_pair.values()))
@@ -283,39 +279,25 @@ def _eof_exact_terms(rho: DensityOperator, space: str, pair_set):
     return coherences, cross_terms
 
 
-def _normalized_diag(table: CoincidenceTable, space: str, num_modes: int, corrected: bool):
-    cells = table.by_setting(naming.diag_setting(space))
-    if len(cells) != num_modes * num_modes:
-        raise ValidationError(
-            f"setting {naming.diag_setting(space)!r} must cover all "
-            f"{num_modes}x{num_modes} outcome cells ({len(cells)} present)"
-        )
-    values = np.zeros((num_modes, num_modes))
-    for (a, b), rec in cells.items():
-        if not (0 <= a < num_modes and 0 <= b < num_modes):
-            raise ValidationError(f"outcome ({a},{b}) outside the {num_modes}-mode range")
-        values[a, b] = estimate(rec, corrected).value
+def _scan_probabilities(table: CoincidenceTable, scan: bases.PlannedSetting,
+                        corrected: bool) -> np.ndarray:
+    values = np.asarray(setting_cells(table, scan, corrected)[0])
     total = values.sum()
-    if total <= 0:
+    if _no_support(total, exact=False):
         raise ComputationError("diagonal coincidence table has no net counts")
     return values / total
 
 
-def _eof_count_terms(table: CoincidenceTable, space: str, num_modes: int,
-                     pair_set, corrected: bool):
-    probs = _normalized_diag(table, space, num_modes, corrected)
+def _eof_count_terms(table: CoincidenceTable, scan: bases.PlannedSetting,
+                     pair_settings, corrected: bool):
+    """pair_settings: ((j, k), (x setting, y setting)) per pair."""
+    probs = _scan_probabilities(table, scan, corrected)
     coherences, cross_terms = {}, {}
-    for j, k in pair_set:
+    for (j, k), (st_x, st_y) in pair_settings:
         weight = probs[j, j] + probs[j, k] + probs[k, j] + probs[k, k]
-        vis = {}
-        for ax in ("x", "y"):
-            cells = table.by_setting(naming.witness_setting(space, j, k, ax))
-            if len(cells) != 4:
-                raise ValidationError(
-                    f"missing visibility setting for pair ({j},{k}) axis {ax} in space {space}"
-                )
-            vis[ax] = visibility_from_counts(cells.values(), corrected=corrected)
-        coherences[(j, k)] = weight * (vis["x"].value + vis["y"].value) / 4.0
+        v_x = _pair_visibility(table, st_x, corrected).value
+        v_y = _pair_visibility(table, st_y, corrected).value
+        coherences[(j, k)] = weight * (v_x + v_y) / 4.0
         cross_terms[(j, k)] = math.sqrt(max(probs[j, k], 0.0) * max(probs[k, j], 0.0))
     return coherences, cross_terms
 
@@ -337,30 +319,31 @@ def eof_bound(
     matches the direct element whenever the pair coherence is real (it is a
     safe underestimate otherwise).  Count-path errors come from a seeded
     Poisson bootstrap (``counting.bootstrap_std``): NaN when fewer than two
-    replicas survive.
+    replicas survive.  ``num_modes`` must fit the data and every pair of
+    ``pair_set`` must name two different modes below it.
     """
     naming.require_space(space)
+    d, dim = _modes(data, num_modes)
+    pairs = tuple(pair_set) if pair_set is not None else tuple(_witness_pairs(d))
+    bad = [(j, k) for j, k in pairs if j == k or not (0 <= j < d and 0 <= k < d)]
+    if bad:
+        raise ValidationError(f"pair_set needs two different modes in 0..{d - 1}; got {bad}")
     if isinstance(data, DensityOperator):
-        d = num_modes or min(data.dim_signal, data.dim_idler)
-        pairs = tuple(pair_set) if pair_set is not None else tuple(_witness_pairs(d))
         coherences, cross_terms = _eof_exact_terms(data, space, pairs)
         b_err = 0.0
-    elif isinstance(data, CoincidenceTable):
-        d = int(num_modes or data.metadata.get("D") or 0)
-        if d == 0:
-            raise ValidationError("num_modes required (no D in table metadata)")
-        pairs = tuple(pair_set) if pair_set is not None else tuple(_witness_pairs(d))
-        data = data.restricted([naming.diag_setting(space)] + [
-            naming.witness_setting(space, j, k, ax) for j, k in pairs for ax in ("x", "y")
-        ])
-        coherences, cross_terms = _eof_count_terms(data, space, d, pairs, corrected)
+    else:
+        scan = bases.scan_setting(space, dim)
+        pair_settings = tuple(((j, k), bases.witness_settings(space, j, k, dim)[:2])
+                              for j, k in pairs)
+        data = data.restricted([scan.name] + [
+            st.name for _, settings in pair_settings for st in settings])
+        coherences, cross_terms = _eof_count_terms(data, scan, pair_settings, corrected)
         b_err = bootstrap_std(
             data,
-            lambda boot: _b_from_terms(*_eof_count_terms(boot, space, d, pairs, corrected), pairs),
+            lambda boot: _b_from_terms(
+                *_eof_count_terms(boot, scan, pair_settings, corrected), pairs),
             n_bootstrap, seed,
         )
-    else:
-        raise ValidationError("eof_bound expects a DensityOperator or a CoincidenceTable")
 
     b_value = _b_from_terms(coherences, cross_terms, pairs)
     ebits = _ebits_from_b(b_value)
@@ -440,70 +423,32 @@ class CglmpResult:
         return self.bell_parameter - self.margin * self.bell_parameter_err > LOCAL_BOUND
 
 
-def _cglmp_exact(rho: DensityOperator, d: int, margin: float) -> CglmpResult:
-    dim = min(rho.dim_signal, rho.dim_idler)
-    if d > dim:
-        raise ValidationError(f"d={d} exceeds the state's {dim} modes")
-    weights = cglmp_weights(d)
-    tables = {}
-    value = 0.0
-    for s in (0, 1):
-        basis_s = bases.cglmp_basis("signal", s, d, embed_dim=rho.dim_signal)
-        for i in (0, 1):
-            basis_i = bases.cglmp_basis("idler", i, d, embed_dim=rho.dim_idler)
-            table = outcome_probabilities(rho, basis_s.vector_matrix, basis_i.vector_matrix)
-            total = table.sum()
-            if total < 1e-14:
-                raise ComputationError(f"setting ({s},{i}) has no support on the first {d} modes")
-            tables[(s, i)] = table / total
-            value += float(np.sum(weights[s, i] * tables[(s, i)]))
-    return CglmpResult(d=d, bell_parameter=value, bell_parameter_err=0.0,
-                       tables=tables, margin=margin)
-
-
-def _cglmp_counts(table: CoincidenceTable, d: int, corrected: bool, margin: float) -> CglmpResult:
-    weights = cglmp_weights(d)
-    tables = {}
-    value = 0.0
-    variance = 0.0
-    for s in (0, 1):
-        for i in (0, 1):
-            name = naming.bell_setting(d, s, i)
-            cells = table.by_setting(name)
-            if len(cells) != d * d:
-                raise ValidationError(
-                    f"setting {name!r} missing or incomplete ({len(cells)} of {d*d} cells)"
-                )
-            vals = np.zeros((d, d))
-            var = np.zeros((d, d))
-            for (a, b), rec in cells.items():
-                if not (0 <= a < d and 0 <= b < d):
-                    raise ValidationError(f"outcome ({a},{b}) outside 0..{d - 1} in {name!r}")
-                est = estimate(rec, corrected)
-                vals[a, b] = est.value
-                var[a, b] = est.std_error**2
-            total = vals.sum()
-            if total <= 0:
-                raise ComputationError(f"setting {name!r} has no net counts")
-            probs = vals / total
-            contribution = float(np.sum(weights[s, i] * probs))
-            value += contribution
-            grad = (weights[s, i] - contribution) / total
-            variance += float(np.sum(grad * grad * var))
-            tables[(s, i)] = probs
-    return CglmpResult(d=d, bell_parameter=value, bell_parameter_err=math.sqrt(variance),
-                       tables=tables, margin=margin)
-
-
 def cglmp(data, d: int, corrected: bool = False, margin: float = 1.0) -> CglmpResult:
     """Bell parameter for dimension d from exact probabilities or counts.
 
     Each of the four settings' d x d cell table is renormalized to a
     probability table; the count path propagates Poisson errors through the
-    normalization.
+    normalization (exact cells carry zero variance, so their error is 0).
     """
-    if isinstance(data, DensityOperator):
-        return _cglmp_exact(data, d, margin)
-    if isinstance(data, CoincidenceTable):
-        return _cglmp_counts(data, d, corrected, margin)
-    raise ValidationError("cglmp expects a DensityOperator or a CoincidenceTable")
+    weights = cglmp_weights(d)
+    _, dim = _modes(data, d)
+    exact = isinstance(data, DensityOperator)
+    tables = {}
+    value = 0.0
+    variance = 0.0
+    for (s, i), setting in zip([(s, i) for s in (0, 1) for i in (0, 1)],
+                               bases.bell_settings(d, dim)):
+        vals, var = setting_cells(data, setting, corrected)
+        vals = np.asarray(vals)
+        total = vals.sum()
+        if _no_support(total, exact):
+            raise ComputationError(f"setting {setting.name!r} has no support "
+                                   f"(cell total {total:.3g})")
+        probs = vals / total
+        contribution = float(np.sum(weights[s, i] * probs))
+        value += contribution
+        grad = (weights[s, i] - contribution) / total
+        variance += float(np.sum(grad * grad * np.asarray(var)))
+        tables[(s, i)] = probs
+    return CglmpResult(d=d, bell_parameter=value, bell_parameter_err=math.sqrt(variance),
+                       tables=tables, margin=margin)

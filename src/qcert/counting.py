@@ -36,13 +36,15 @@ import numpy as np
 
 from .errors import ComputationError, ValidationError
 from .linalg import DensityOperator
-from .bases import MeasurementBasis, joint_probability_table
+from .bases import MAX_MODES, MeasurementBasis, PlannedSetting, joint_probability_table
 
 __all__ = [
     "CountingParams",
     "CountRecord",
     "CorrectedCount",
     "CoincidenceTable",
+    "plan_modes",
+    "setting_cells",
     "SettingMeans",
     "setting_means",
     "simulate_setting",
@@ -449,6 +451,48 @@ class CoincidenceTable:
         return CoincidenceTable(records=tuple(merged.values()), metadata=dict(self.metadata))
 
 
+def plan_modes(data, fallback: int | None = None) -> int:
+    """The mode count the setting plans of ``data`` are built in: a state's
+    (signal and idler must agree), else a table's D, else ``fallback``."""
+    if isinstance(data, DensityOperator):
+        if data.dim_signal != data.dim_idler:
+            raise ValidationError("setting plans need equal signal and idler mode counts")
+        return data.dim_signal
+    if isinstance(data, CoincidenceTable):
+        return int(data.metadata.get("D") or fallback)
+    raise ValidationError("expected a DensityOperator or a CoincidenceTable")
+
+
+def setting_cells(data, setting: PlannedSetting, corrected: bool = False):
+    """One setting's cell values and variances, one row per signal label and
+    one column per idler label, in basis label order.
+
+    From a DensityOperator: the exact probability table, with zero variance.
+    From a CoincidenceTable: each cell's ``estimate`` (raw, or
+    accidental-subtracted when ``corrected``) and its squared standard
+    error, as lists of floats.  A setting whose cells are missing,
+    incomplete or labelled otherwise raises one ValidationError naming it.
+    """
+    if isinstance(data, DensityOperator):
+        table = joint_probability_table(data, setting.basis_s, setting.basis_i)
+        return table, np.zeros(table.shape)
+    if not isinstance(data, CoincidenceTable):
+        raise ValidationError("expected a DensityOperator or a CoincidenceTable")
+    recs = data._index.get(setting.name, {})
+    try:
+        ests = [[estimate(recs[key], corrected) for key in row] for row in setting.cells]
+    except KeyError:
+        ests = None
+    if ests is None or len(recs) != sum(map(len, ests)):
+        present = sum(key in recs for row in setting.cells for key in row)
+        raise ValidationError(
+            f"setting {setting.name!r} missing, incomplete or mislabelled: {present} of "
+            f"its {sum(map(len, setting.cells))} outcome cells among {len(recs)} records"
+        )
+    return ([[est.value for est in row] for row in ests],
+            [[est.std_error**2 for est in row] for row in ests])
+
+
 def _meta_path(path: Path) -> Path:
     return path.with_name(path.stem + ".meta.json")
 
@@ -510,8 +554,9 @@ def load_table(path) -> CoincidenceTable:
         if not isinstance(metadata, dict):
             raise ValidationError(f"{meta}: expected a JSON object")
         dim = metadata.get("D")
-        if "D" in metadata and (type(dim) is not int or dim < 2):
-            raise ValidationError(f"{meta}: D must be an integer of at least 2, got {dim!r}")
+        if "D" in metadata and (type(dim) is not int or not 2 <= dim <= MAX_MODES):
+            raise ValidationError(
+                f"{meta}: D must be an integer from 2 to {MAX_MODES}, got {dim!r}")
     try:
         return CoincidenceTable(records=tuple(records), metadata=metadata)
     except ValidationError as exc:

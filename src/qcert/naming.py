@@ -15,9 +15,7 @@ import re
 from .errors import ValidationError
 
 _WITNESS = re.compile(r"^wit(X|K):(\d+)-(\d+):([xyz])$")
-_DIAG = re.compile(r"^diag(X|K)$")
 _BELL = re.compile(r"^bell:d(\d+):s([01])i([01])$")
-_TOMO = re.compile(r"^tomo(X|K):(\d+)-(\d+):([xyz])([xyz])$")
 
 
 def witness_setting(space: str, j: int, k: int, axis: str) -> str:
@@ -48,13 +46,6 @@ def parse_bell_setting(name: str):
     if not m:
         return None
     return int(m.group(1)), int(m.group(2)), int(m.group(3))
-
-
-def parse_tomo_setting(name: str):
-    m = _TOMO.match(name)
-    if not m:
-        return None
-    return m.group(1), int(m.group(2)), int(m.group(3)), m.group(4), m.group(5)
 
 
 def require_space(space: str) -> str:

@@ -27,16 +27,14 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import DensityOperator, StateVector, density_from_ket, fidelity_to_pure, restrict_to_pair
 from . import bases
-from .bases import AXES, MeasurementBasis
+from .bases import PlannedSetting
 from .counting import CoincidenceTable, CountingParams, simulate_setting, with_accidental_noise
 from .certify import cglmp, eof_bound
 from . import naming
 from .source import SourceConfig, ideal_state, mean_pair_visibility, noisy_state
-from .tomo import tomo_settings
 
 __all__ = [
     "SimulationConfig",
-    "PlannedSetting",
     "CurvePoint",
     "preset",
     "PRESET_NAMES",
@@ -250,27 +248,6 @@ def preset(name: str) -> SimulationConfig:
 # simulation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlannedSetting:
-    name: str
-    basis_s: MeasurementBasis
-    basis_i: MeasurementBasis
-
-
-def _bell_settings(cfg: SimulationConfig) -> list[PlannedSetting]:
-    """The four Bell-test settings of each requested dimension, embedded in
-    the full mode space."""
-    d = cfg.source.num_modes
-    plan = []
-    for dim in cfg.bell_dimensions:
-        for s in (0, 1):
-            basis_s = bases.cglmp_basis("signal", s, dim, embed_dim=d)
-            for i in (0, 1):
-                basis_i = bases.cglmp_basis("idler", i, dim, embed_dim=d)
-                plan.append(PlannedSetting(naming.bell_setting(dim, s, i), basis_s, basis_i))
-    return plan
-
-
 def build_settings(cfg: SimulationConfig) -> list[PlannedSetting]:
     """Every setting a full run simulates, in canonical order."""
     d = cfg.source.num_modes
@@ -278,20 +255,11 @@ def build_settings(cfg: SimulationConfig) -> list[PlannedSetting]:
     for space in cfg.spaces:
         for j in range(d):
             for k in range(j + 1, d):
-                for axis in AXES:
-                    plan.append(PlannedSetting(
-                        name=naming.witness_setting(space, j, k, axis),
-                        basis_s=bases.pair_basis(space, j, k, axis, d, side="signal"),
-                        basis_i=bases.pair_basis(space, j, k, axis, d, side="idler"),
-                    ))
-        full_s = bases.x_basis(d) if space == "X" else bases.k_basis(d, side="signal")
-        full_i = (bases.x_basis(d, side="idler") if space == "X"
-                  else bases.k_basis(d, side="idler"))
-        plan.append(PlannedSetting(naming.diag_setting(space), full_s, full_i))
-    plan.extend(_bell_settings(cfg))
-    j, k = cfg.tomo_pair
-    for st in tomo_settings(j, k, space="X", num_modes=d):
-        plan.append(PlannedSetting(st.name, st.basis_s, st.basis_i))
+                plan.extend(bases.witness_settings(space, j, k, d))
+        plan.append(bases.scan_setting(space, d))
+    for dim in cfg.bell_dimensions:
+        plan.extend(bases.bell_settings(dim, d))
+    plan.extend(bases.tomo_settings(*cfg.tomo_pair, space="X", num_modes=d))
     return plan
 
 
@@ -395,7 +363,8 @@ def violation_curve(
     sim = SimulationConfig(source=cfg, counting=params, trials_per_setting=trials, seed=seed,
                            spaces=(), bell_dimensions=tuple(d_list), tomo_pair=(0, 1),
                            noise_channel=noise_channel)
-    table = CoincidenceTable(records=_simulate(sim, _bell_settings(sim)))
+    plan = [st for d in d_list for st in bases.bell_settings(d, cfg.num_modes)]
+    table = CoincidenceTable(records=_simulate(sim, plan))
     for d in d_list:
         for variant, corrected in (("raw", False), ("corrected", True)):
             res = cglmp(table, d, corrected=corrected, margin=margin)

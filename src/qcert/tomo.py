@@ -16,17 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputationError, ValidationError
+from .errors import ComputationError
 from .linalg import DensityOperator, restrict_to_pair
-from . import bases
-from .bases import AXES, MeasurementBasis
-from .counting import CoincidenceTable, bootstrap_std, estimate
-from . import naming
+from .bases import AXES, tomo_settings
+from .counting import CoincidenceTable, bootstrap_std, plan_modes, setting_cells
 
 __all__ = [
-    "TomoSetting",
     "TomoResult",
-    "tomo_settings",
     "exact_cells",
     "reconstruct",
     "reconstruct_exact",
@@ -42,15 +38,6 @@ BELL_TARGET = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
 @dataclass(frozen=True)
-class TomoSetting:
-    name: str
-    axis_s: str
-    axis_i: str
-    basis_s: MeasurementBasis
-    basis_i: MeasurementBasis
-
-
-@dataclass(frozen=True)
 class TomoResult:
     operator: DensityOperator          # 2x2 qubit pair, basis order jj, jk, kj, kk
     fidelity: float
@@ -59,37 +46,28 @@ class TomoResult:
     postselection_weight: float | None
 
 
-def tomo_settings(j: int, k: int, space: str = "X", num_modes: int = 10) -> list[TomoSetting]:
-    """The nine axis-pair settings for tomography on modes (j, k)."""
-    if j == k:
-        raise ValidationError("pair modes must differ")
-    naming.require_space(space)
-    settings = []
-    for ax_s in AXES:
-        basis_s = bases.pair_basis(space, j, k, ax_s, num_modes, side="signal")
-        for ax_i in AXES:
-            basis_i = bases.pair_basis(space, j, k, ax_i, num_modes, side="idler")
-            settings.append(TomoSetting(
-                name=naming.tomo_setting(space, j, k, ax_s, ax_i),
-                axis_s=ax_s,
-                axis_i=ax_i,
-                basis_s=basis_s,
-                basis_i=basis_i,
-            ))
-    return settings
+def _plan(data, j: int, k: int, space: str):
+    """The nine settings of pair (j, k); a table without D gets the smallest
+    mode space that holds the pair (the cell labels do not depend on it)."""
+    return tomo_settings(j, k, space=space, num_modes=plan_modes(data, max(j, k) + 1))
+
+
+def _cells(data, plan, corrected: bool = False) -> dict:
+    """The 36 cells of a tomography plan, keyed (axis_s, axis_i, outcome_s,
+    outcome_i): probabilities for a state, estimates for a count table."""
+    cells = {}
+    axis_pairs = [(ax_s, ax_i) for ax_s in AXES for ax_i in AXES]
+    for (ax_s, ax_i), setting in zip(axis_pairs, plan):
+        values, _ = setting_cells(data, setting, corrected)
+        for a, row in zip(setting.basis_s.labels, values):
+            for b, value in zip(setting.basis_i.labels, row):
+                cells[(ax_s, ax_i, a, b)] = float(value)
+    return cells
 
 
 def exact_cells(rho: DensityOperator, j: int, k: int, space: str = "X") -> dict:
     """Exact outcome probabilities for the 36 tomography cells."""
-    from .linalg import outcome_probabilities
-
-    cells = {}
-    for st in tomo_settings(j, k, space=space, num_modes=min(rho.dim_signal, rho.dim_idler)):
-        table = outcome_probabilities(rho, st.basis_s.vector_matrix, st.basis_i.vector_matrix)
-        for a, lab_a in enumerate(st.basis_s.labels):
-            for b, lab_b in enumerate(st.basis_i.labels):
-                cells[(st.axis_s, st.axis_i, lab_a, lab_b)] = float(table[a, b])
-    return cells
+    return _cells(rho, _plan(rho, j, k, space))
 
 
 def project_to_physical(matrix: np.ndarray) -> np.ndarray:
@@ -113,24 +91,6 @@ def _project_simplex(values: np.ndarray) -> np.ndarray:
     k = int(ks[feasible][-1])
     shift = (1.0 - csum[k - 1]) / k
     return np.maximum(values + shift, 0.0)
-
-
-def _cells_from_table(table: CoincidenceTable, j: int, k: int, space: str,
-                      corrected: bool) -> dict:
-    cells = {}
-    missing = []
-    for ax_s in AXES:
-        for ax_i in AXES:
-            name = naming.tomo_setting(space, j, k, ax_s, ax_i)
-            recs = table.by_setting(name)
-            if set(recs) != {(1, 1), (1, -1), (-1, 1), (-1, -1)}:
-                missing.append(name)
-                continue
-            for (a, b), rec in recs.items():
-                cells[(ax_s, ax_i, a, b)] = estimate(rec, corrected).value
-    if missing:
-        raise ValidationError(f"tomography settings missing or incomplete: {missing}")
-    return cells
 
 
 def _invert_cells(cells: dict) -> np.ndarray:
@@ -222,15 +182,11 @@ def reconstruct(
     of the refitted fidelity over Poisson replicas of the nine tomography
     settings, re-applying the accidental correction when requested.
     """
-    j, k = pair
-    cells = _cells_from_table(table, j, k, space, corrected)
-    tomo_table = table.restricted(
-        naming.tomo_setting(space, j, k, ax_s, ax_i) for ax_s in AXES for ax_i in AXES
-    )
+    plan = _plan(table, *pair, space)
+    cells = _cells(table, plan, corrected)
     err = bootstrap_std(
-        tomo_table,
-        lambda boot: _result_from_cells(
-            _cells_from_table(boot, j, k, space, corrected), 0.0, None).fidelity,
+        table.restricted(setting.name for setting in plan),
+        lambda boot: _result_from_cells(_cells(boot, plan, corrected), 0.0, None).fidelity,
         n_bootstrap, seed,
     )
     return _result_from_cells(cells, fidelity_err=err, weight=None)

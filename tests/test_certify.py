@@ -26,11 +26,12 @@ from qcert import (
     witness,
     witness_bound,
 )
-from qcert.bases import cglmp_basis, pair_basis, x_basis
+from qcert.bases import cglmp_basis, joint_probability_table, pair_basis, x_basis
 from qcert.certify import certified_dimension_from_witness, _ebits_from_b
 from qcert.errors import ComputationError
 from qcert import counting, naming
-from qcert.pipeline import SimulationConfig
+from qcert.pipeline import SimulationConfig, build_settings
+from qcert.tomo import reconstruct, reconstruct_exact
 
 
 def uniform_rho(d, noise=0.0):
@@ -310,6 +311,100 @@ class TestEofCounts:
         assert res.ebits > 0
         assert math.isnan(res.coherence_sum_err)
         assert math.isnan(res.ebits_err)
+
+
+class TestEofValidation:
+    @pytest.fixture(scope="class", params=["exact", "counts"])
+    def ten_mode_data(self, request):
+        rho = uniform_rho(10, noise=0.2)
+        if request.param == "exact":
+            return rho
+        cfg = SimulationConfig(source=SourceConfig.uniform(10, noise_fraction=0.2),
+                               trials_per_setting=10**5, spaces=("X",), bell_dimensions=())
+        return run_simulation(cfg)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"pair_set": [(0, 12)]},
+        {"pair_set": [(0, 10)]},
+        {"pair_set": [(-1, 2)]},
+        {"pair_set": [(3, 3)]},
+        {"pair_set": [(0, 1), (3, 3)]},
+        {"num_modes": 12},
+        {"num_modes": 11},
+    ])
+    def test_bad_pairs_and_mode_counts_rejected(self, ten_mode_data, kwargs):
+        with pytest.raises(ValidationError):
+            eof_bound(ten_mode_data, n_bootstrap=2, **kwargs)
+
+    def test_edge_pair_accepted(self, ten_mode_data):
+        res = eof_bound(ten_mode_data, pair_set=[(0, 9)], n_bootstrap=2)
+        assert res.pair_set == ((0, 9),)
+        assert res.coherence_sum > 0
+
+
+class TestSharedCellReader:
+    """Exact and count paths read every setting's cells in the same label order."""
+
+    N = 10**12
+
+    @pytest.fixture(scope="class", params=[4, 10])
+    def paths(self, request):
+        d = request.param
+        rng = np.random.default_rng(d)
+        amps = SourceConfig.with_amplitude_spread(d, 0.3, seed=d).coefficients
+        source = SourceConfig(num_modes=d, coefficients=amps,
+                              phase_mismatch=rng.uniform(-np.pi, np.pi, d),
+                              noise_fraction=0.2)
+        rho = noisy_state(source)
+        cfg = SimulationConfig(source=source, bell_dimensions=tuple(range(2, d + 1)),
+                               tomo_pair=(1, d - 1))
+        records = []
+        for st in build_settings(cfg):
+            counts = np.rint(self.N * joint_probability_table(rho, st.basis_s, st.basis_i))
+            rows, cols = counts.sum(axis=1), counts.sum(axis=0)
+            for a, lab_a in enumerate(st.basis_s.labels):
+                for b, lab_b in enumerate(st.basis_i.labels):
+                    records.append(CountRecord(
+                        setting=st.name, outcome_s=int(lab_a), outcome_i=int(lab_b),
+                        coincidences=int(counts[a, b]), singles_s=int(rows[a]),
+                        singles_i=int(cols[b]), trials=self.N))
+        # table order must not matter: the reader looks cells up by label
+        order = rng.permutation(len(records))
+        table = CoincidenceTable(records=tuple(records[i] for i in order),
+                                 metadata={"D": d})
+        return d, rho, table
+
+    @pytest.mark.parametrize("space", ["X", "K"])
+    def test_witness(self, paths, space):
+        _, rho, table = paths
+        exact = witness(rho, space=space)
+        counted = witness(table, space=space)
+        # the total sums 3 visibilities per pair, each held to 1e-9
+        assert counted.total == pytest.approx(
+            exact.total, abs=1e-9 * 3 * len(exact.pair_visibilities))
+        for pair, pv in exact.pair_visibilities.items():
+            for axis in ("x", "y", "z"):
+                assert counted.pair_visibilities[pair].axis(axis).value == pytest.approx(
+                    pv.axis(axis).value, abs=1e-9)
+
+    def test_cglmp(self, paths):
+        d, rho, table = paths
+        for dim in range(2, d + 1):
+            exact, counted = cglmp(rho, dim), cglmp(table, dim)
+            assert counted.bell_parameter == pytest.approx(exact.bell_parameter, abs=1e-9)
+            for key, probs in exact.tables.items():
+                np.testing.assert_allclose(counted.tables[key], probs, atol=1e-9)
+
+    def test_tomography(self, paths):
+        # the noisy state is full rank, so the physical projection leaves the
+        # linear inversion of the 36 cells untouched: any cell read under the
+        # wrong label moves the reconstructed matrix
+        d, rho, table = paths
+        exact = reconstruct_exact(rho, 1, d - 1)
+        counted = reconstruct(table, (1, d - 1), n_bootstrap=2)
+        assert np.linalg.eigvalsh(exact.operator.matrix).min() > 1e-3
+        np.testing.assert_allclose(counted.operator.matrix, exact.operator.matrix, atol=1e-9)
+        assert counted.relative_phase_deg == pytest.approx(exact.relative_phase_deg, abs=1e-6)
 
 
 class TestCglmpWeights:

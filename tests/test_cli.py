@@ -269,6 +269,27 @@ class TestInvalidInput:
         assert "counts.meta.json" in res.stderr
 
 
+    def test_sidecar_dimension_above_mode_limit_exits_2(self, tmp_path):
+        # a complete hand-made 12-mode X table: refused at load, not analysed
+        rows = ["setting,outcome_s,outcome_i,coincidences,singles_s,singles_i,trials"]
+        for j in range(12):
+            for k in range(j + 1, 12):
+                for ax in "xyz":
+                    for a in (1, -1):
+                        for b in (1, -1):
+                            rows.append(f"witX:{j}-{k}:{ax},{a},{b},{10 if a == b else 1},"
+                                        "50,50,1000")
+        for a in range(12):
+            for b in range(12):
+                rows.append(f"diagX,{a},{b},{10 if a == b else 1},200,200,1000")
+        (tmp_path / "counts.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "counts.meta.json").write_text('{"D": 12}')
+        res = run_cli("certify", "--counts", "counts.csv", cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "counts.meta.json" in res.stderr
+
+
 def test_version_matches_pyproject(tmp_path):
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(qcert.__file__).resolve().parents[2] / "pyproject.toml"

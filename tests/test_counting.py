@@ -327,7 +327,7 @@ class TestTables(object):
         with pytest.raises(ValidationError, match="counts.meta.json"):
             load_table(path)
 
-    @pytest.mark.parametrize("dim", ["x", "10", 1, 0, -3, 2.5, 10.0, True, None, [4]])
+    @pytest.mark.parametrize("dim", ["x", "10", 1, 0, -3, 2.5, 10.0, True, None, [4], 11])
     @pytest.mark.parametrize("simulated", [False, True])
     def test_sidecar_dimension_must_be_an_integer_of_at_least_2(self, tmp_path, dim,
                                                                   simulated):

@@ -20,13 +20,13 @@ from qcert import (
 )
 from qcert import counting
 from qcert.errors import ComputationError
+from qcert.bases import tomo_settings
 from qcert.pipeline import fit_noise_to_pair_fidelity
 from qcert.tomo import (
     exact_cells,
     project_to_physical,
     reconstruct,
     reconstruct_exact,
-    tomo_settings,
 )
 
 
