@@ -10,10 +10,8 @@ from .linalg import (
     StateVector,
     density_from_ket,
     fidelity_to_pure,
-    matrix_element,
     outcome_probabilities,
     restrict_to_pair,
-    tensor,
 )
 from .source import SourceConfig, ideal_state, mean_pair_visibility, noisy_state
 from .bases import (

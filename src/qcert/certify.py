@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .linalg import DensityOperator, matrix_element
+from .linalg import DensityOperator
 from . import bases
 from .counting import CoincidenceTable, bootstrap_std, estimate, plan_modes, setting_cells
 from . import naming
@@ -184,15 +184,6 @@ def witness(
 ) -> WitnessResult:
     """Visibility-sum dimension witness over all mode pairs of one space."""
     naming.require_space(space)
-    if isinstance(data, CoincidenceTable) and not (num_modes or data.metadata.get("D")):
-        modes = [
-            max(parsed[1], parsed[2])
-            for parsed in map(naming.parse_witness_setting, data.settings())
-            if parsed is not None and parsed[0] == space
-        ]
-        if not modes:
-            raise ValidationError(f"no witness settings for space {space} in the table")
-        num_modes = max(modes) + 1
     d, dim = _modes(data, num_modes)
     per_pair = {}
     missing = []
@@ -265,16 +256,17 @@ def _b_from_terms(coherences, cross_terms, pair_set) -> float:
 
 
 def _eof_exact_terms(rho: DensityOperator, space: str, pair_set):
-    d = min(rho.dim_signal, rho.dim_idler)
-    vec_s = {m: bases.mode_vector(space, m, d, side="signal") for m in range(d)}
-    vec_i = {m: bases.mode_vector(space, m, d, side="idler") for m in range(d)}
+    """|<jj|rho|kk>| and sqrt(<jk|rho|jk><kj|rho|kj>) per pair, read off rho
+    rotated once into the product basis of the space's full-basis scan."""
+    scan = bases.scan_setting(space, rho.dim_signal)
+    kets = np.kron(scan.basis_s.vector_matrix, scan.basis_i.vector_matrix)
+    r = kets.conj() @ rho.matrix @ kets.T
+    n = rho.dim_idler
     coherences, cross_terms = {}, {}
     for j, k in pair_set:
-        coherences[(j, k)] = abs(
-            matrix_element(rho, vec_s[j], vec_i[j], vec_s[k], vec_i[k])
-        )
-        p_jk = matrix_element(rho, vec_s[j], vec_i[k], vec_s[j], vec_i[k]).real
-        p_kj = matrix_element(rho, vec_s[k], vec_i[j], vec_s[k], vec_i[j]).real
+        coherences[(j, k)] = float(abs(r[j * n + j, k * n + k]))
+        p_jk = r[j * n + k, j * n + k].real
+        p_kj = r[k * n + j, k * n + j].real
         cross_terms[(j, k)] = math.sqrt(max(p_jk, 0.0) * max(p_kj, 0.0))
     return coherences, cross_terms
 
@@ -333,8 +325,11 @@ def eof_bound(
         b_err = 0.0
     else:
         scan = bases.scan_setting(space, dim)
-        pair_settings = tuple(((j, k), bases.witness_settings(space, j, k, dim)[:2])
-                              for j, k in pairs)
+        # tables hold each pair's settings once, under j < k; (k, j) reads
+        # them too, and swapping both sides' +-1 labels leaves V_x, V_y alone
+        pair_settings = tuple(
+            ((j, k), bases.witness_settings(space, min(j, k), max(j, k), dim)[:2])
+            for j, k in pairs)
         data = data.restricted([scan.name] + [
             st.name for _, settings in pair_settings for st in settings])
         coherences, cross_terms = _eof_count_terms(data, scan, pair_settings, corrected)

@@ -109,7 +109,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args, "calibrated-witness")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table = run_simulation(cfg, workers=args.workers)
+    table = run_simulation(cfg)
 
     config_path = out_dir / "config.json"
     cfg.save(config_path)
@@ -421,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=PRESET_NAMES, default=None,
                    help="named operating point (default: calibrated-witness)")
     p.add_argument("--out-dir", "-o", default="run", help="output directory")
-    p.add_argument("--workers", type=_at_least(1), default=1, help="parallel workers")
+    p.add_argument("--workers", type=_at_least(1), default=1,
+                   help="accepted for compatibility; simulation runs on one thread")
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 

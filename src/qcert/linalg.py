@@ -3,7 +3,7 @@
 States live on a signal (x) idler mode space of dimension ds * di with the
 joint index flattened row-major as (signal, idler).  Everything here is a
 pure function over immutable values; arrays are frozen after construction
-so objects can be shared freely across workers.
+so objects can be shared and cached freely.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ __all__ = [
     "DensityOperator",
     "Projector",
     "PairRestriction",
-    "tensor",
     "density_from_ket",
     "outcome_probabilities",
-    "matrix_element",
     "fidelity_to_pure",
     "restrict_to_pair",
 ]
@@ -117,7 +115,7 @@ class DensityOperator:
         return self.dim_signal * self.dim_idler
 
     def reshaped(self) -> np.ndarray:
-        """View as a rank-4 tensor rho[x, i, y, j] over (signal, idler) pairs."""
+        """View as a rank-4 array rho[x, i, y, j] over (signal, idler) pairs."""
         d_s, d_i = self.dim_signal, self.dim_idler
         return self.matrix.reshape(d_s, d_i, d_s, d_i)
 
@@ -159,11 +157,6 @@ class PairRestriction:
         return self.operator is None
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with row-major block layout; dimensions multiply."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def density_from_ket(psi: StateVector) -> DensityOperator:
     """Rank-one density operator |psi><psi|."""
     outer = np.outer(psi.amplitudes, psi.amplitudes.conj())
@@ -198,13 +191,6 @@ def outcome_probabilities(rho: DensityOperator, vectors_s, vectors_i) -> np.ndar
             f"probability table has imaginary residue {residue:.3e}; inputs are inconsistent"
         )
     return np.clip(table.real, 0.0, 1.0)
-
-
-def matrix_element(rho: DensityOperator, bra_s, bra_i, ket_s, ket_i) -> complex:
-    """<u_s, u_i| rho |v_s, v_i> for product kets given as plain vectors."""
-    left = tensor(np.asarray(bra_s), np.asarray(bra_i))
-    right = tensor(np.asarray(ket_s), np.asarray(ket_i))
-    return complex(left.conj() @ rho.matrix @ right)
 
 
 def fidelity_to_pure(rho: DensityOperator, target: StateVector) -> float:

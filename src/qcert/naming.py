@@ -14,7 +14,6 @@ import re
 
 from .errors import ValidationError
 
-_WITNESS = re.compile(r"^wit(X|K):(\d+)-(\d+):([xyz])$")
 _BELL = re.compile(r"^bell:d(\d+):s([01])i([01])$")
 
 
@@ -32,13 +31,6 @@ def bell_setting(d: int, s: int, i: int) -> str:
 
 def tomo_setting(space: str, j: int, k: int, axis_s: str, axis_i: str) -> str:
     return f"tomo{space}:{j}-{k}:{axis_s}{axis_i}"
-
-
-def parse_witness_setting(name: str):
-    m = _WITNESS.match(name)
-    if not m:
-        return None
-    return m.group(1), int(m.group(2)), int(m.group(3)), m.group(4)
 
 
 def parse_bell_setting(name: str):

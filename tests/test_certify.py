@@ -26,7 +26,7 @@ from qcert import (
     witness,
     witness_bound,
 )
-from qcert.bases import cglmp_basis, joint_probability_table, pair_basis, x_basis
+from qcert.bases import cglmp_basis, joint_probability_table, mode_vector, pair_basis, x_basis
 from qcert.certify import certified_dimension_from_witness, _ebits_from_b
 from qcert.errors import ComputationError
 from qcert import counting, naming
@@ -36,6 +36,32 @@ from qcert.tomo import reconstruct, reconstruct_exact
 
 def uniform_rho(d, noise=0.0):
     return noisy_state(SourceConfig.uniform(d, noise_fraction=noise))
+
+
+def spread_state(d, seed):
+    """A diagonal source with seeded amplitude spread and phases, mixed with a
+    seeded full-rank state so that every cross population is non-zero."""
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(d * d, dtype=complex)
+    amps[np.arange(d) * (d + 1)] = (rng.uniform(0.3, 1.0, d)
+                                    * np.exp(2j * np.pi * rng.uniform(size=d)))
+    psi = StateVector(d, d, amps).amplitudes
+    g = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+    mixed = g @ g.conj().T
+    return DensityOperator(d, d, 0.8 * np.outer(psi, psi.conj())
+                           + 0.2 * mixed / np.trace(mixed).real)
+
+
+def kron_element(rho, space, bra, ket):
+    """<bra|rho|ket> for product mode kets given as (signal, idler) labels,
+    each built as one Kronecker product: the dense reference."""
+    d = rho.dim_signal
+
+    def product(m_s, m_i):
+        return np.kron(mode_vector(space, m_s, d, side="signal"),
+                       mode_vector(space, m_i, d, side="idler"))
+
+    return complex(product(*bra).conj() @ rho.matrix @ product(*ket))
 
 
 def vis_records(cpp, cmm, cpm, cmp_, setting="witX:0-1:x", trials=10**6):
@@ -227,6 +253,24 @@ class TestEofExact:
         assert res.ebits == 0.0
         assert res.certified_dimension == 1
 
+    @pytest.mark.parametrize("space", ["X", "K"])
+    @pytest.mark.parametrize("d", [2, 4, 7, 10])
+    def test_terms_match_kronecker_reference(self, d, space):
+        rho = spread_state(d, seed=d)
+        res = eof_bound(rho, space=space)
+        for j, k in res.pair_set:
+            coherence = abs(kron_element(rho, space, (j, j), (k, k)))
+            p_jk = kron_element(rho, space, (j, k), (j, k)).real
+            p_kj = kron_element(rho, space, (k, j), (k, j)).real
+            cross = math.sqrt(max(p_jk, 0.0) * max(p_kj, 0.0))
+            assert cross > 0
+            if space == "X":
+                assert res.coherences[(j, k)] == coherence
+                assert res.cross_terms[(j, k)] == cross
+            else:
+                assert res.coherences[(j, k)] == pytest.approx(coherence, abs=1e-12)
+                assert res.cross_terms[(j, k)] == pytest.approx(cross, abs=1e-12)
+
     def test_impossible_coherence_sum_rejected(self):
         with pytest.raises(ComputationError):
             _ebits_from_b(1.5)
@@ -285,6 +329,19 @@ class TestEofCounts:
         sigma_mean = np.mean(errs) / math.sqrt(len(vals))
         assert abs(np.mean(vals) - exact) < 4 * sigma_mean
 
+    @pytest.mark.parametrize("path", ["exact", "counts"])
+    def test_descending_pair_matches_ascending(self, path):
+        # tables hold witX:1-3 only; (3, 1) must read it with both +-1 labels
+        # swapped, which leaves every term unchanged
+        data = spread_state(4, seed=5) if path == "exact" else self.build_table(0.2, 10**5, 1)
+        down = eof_bound(data, pair_set=[(3, 1)], n_bootstrap=5, seed=2)
+        up = eof_bound(data, pair_set=[(1, 3)], n_bootstrap=5, seed=2)
+        assert down.pair_set == ((3, 1),)
+        assert down.coherences[(3, 1)] == pytest.approx(up.coherences[(1, 3)], abs=1e-15)
+        assert down.cross_terms[(3, 1)] == pytest.approx(up.cross_terms[(1, 3)], abs=1e-15)
+        assert (down.coherence_sum, down.coherence_sum_err) == pytest.approx(
+            (up.coherence_sum, up.coherence_sum_err), abs=1e-15)
+
     def test_bootstrap_errors_positive(self):
         table = self.build_table(0.2, trials=10**6, seed=1)
         res = eof_bound(table, corrected=False, n_bootstrap=20, seed=5)
@@ -340,6 +397,30 @@ class TestEofValidation:
         res = eof_bound(ten_mode_data, pair_set=[(0, 9)], n_bootstrap=2)
         assert res.pair_set == ((0, 9),)
         assert res.coherence_sum > 0
+
+
+class TestTableWithoutModeCount:
+    @pytest.fixture(scope="class")
+    def tables(self):
+        cfg = SimulationConfig(source=SourceConfig.uniform(4, noise_fraction=0.2),
+                               trials_per_setting=10**5, spaces=("X",), bell_dimensions=(),
+                               tomo_pair=(0, 1))
+        table = run_simulation(cfg)
+        return table, CoincidenceTable(records=table.records, metadata={})
+
+    def test_witness_and_eof_refuse_alike(self, tables):
+        messages = []
+        for estimator in (witness, eof_bound):
+            with pytest.raises(ValidationError, match="num_modes required") as info:
+                estimator(tables[1])
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_num_modes_stands_in_for_d(self, tables):
+        with_d, without_d = tables
+        assert witness(without_d, num_modes=4) == witness(with_d)
+        assert eof_bound(without_d, num_modes=4, n_bootstrap=5) == eof_bound(
+            with_d, n_bootstrap=5)
 
 
 class TestSharedCellReader:

@@ -218,6 +218,16 @@ class TestSweep:
         assert res.returncode == 2
 
 
+# config fields that must be rejected (exit 2), not truncated or crashed on
+BAD_CONFIG_FIELDS = {
+    "bell_dimensions": [2.5],
+    "tomo_pair": [0, 1.5],
+    "trials_per_setting": 1000.7,
+    "seed": 2.5,
+    "counting": [],
+}
+
+
 class TestInvalidInput:
     @pytest.mark.parametrize("args", [
         ["tomo", "--counts", "counts.csv", "--pair", "a,b"],
@@ -230,11 +240,25 @@ class TestInvalidInput:
         ["simulate", "--workers", "0"],
         ["certify", "--counts", "counts.csv"],  # corrupt counts.meta.json
         ["simulate", "--preset", "ideal", "--seed", "-5"],
+        ["simulate", "--config", "bell_dimensions.json"],
+        ["bell", "--config", "bell_dimensions.json"],
+        ["simulate", "--config", "tomo_pair.json"],
+        ["simulate", "--config", "trials_per_setting.json"],
+        ["simulate", "--config", "seed.json"],
+        ["simulate", "--config", "counting.json"],
+        ["simulate", "--config", "list.json"],
+        ["sweep", "--config", "list.json", "--grid", "0,0.1"],
     ])
     def test_exits_2_without_traceback(self, tmp_path, args):
         (tmp_path / "counts.csv").write_text(
             "setting,outcome_s,outcome_i,coincidences,singles_s,singles_i,trials\n")
         (tmp_path / "counts.meta.json").write_text("{not json")
+        base = SimulationConfig(source=SourceConfig.uniform(4), trials_per_setting=1000,
+                                spaces=("X",), bell_dimensions=(2,), tomo_pair=(0, 1))
+        for field, value in BAD_CONFIG_FIELDS.items():
+            (tmp_path / f"{field}.json").write_text(
+                json.dumps({**base.to_json_dict(), field: value}))
+        (tmp_path / "list.json").write_text(json.dumps([base.to_json_dict()]))
         res = run_cli(*args, cwd=tmp_path)
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr

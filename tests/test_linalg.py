@@ -10,7 +10,6 @@ from qcert import (
     fidelity_to_pure,
     outcome_probabilities,
     restrict_to_pair,
-    tensor,
 )
 from qcert.errors import ComputationError
 
@@ -27,28 +26,6 @@ def uniform_state(d: int) -> StateVector:
 
 def maximally_mixed(d: int) -> DensityOperator:
     return DensityOperator(d, d, np.eye(d * d) / (d * d))
-
-
-class TestTensor:
-    def test_identity(self):
-        assert_allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_basis_bookkeeping(self):
-        out = tensor(np.diag([1, 0]), np.diag([0, 1]))
-        assert_allclose(out, np.diag([0, 1, 0, 0]))
-
-    def test_matches_bruteforce_definition(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        got = tensor(a, b)
-        expected = np.zeros((9, 9), dtype=complex)
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    for l in range(3):
-                        expected[3 * i + k, 3 * j + l] = a[i, j] * b[k, l]
-        assert_allclose(got, expected)
 
 
 class TestStateVector:
