@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import DensityOperator, Projector, outcome_probabilities
+from .linalg import DensityOperator, Projector, marginal_probabilities, outcome_probabilities
 from . import naming
 
 MAX_MODES = 10
@@ -101,12 +101,8 @@ class MeasurementBasis:
 
     def lost_weight(self, rho: DensityOperator) -> float:
         """Probability routed to the no-click complement outcome."""
-        mat = self.vector_matrix
-        if self.side == "signal":
-            marg = np.einsum("ax,xiyi,ay->a", mat.conj(), rho.reshaped(), mat)
-        else:
-            marg = np.einsum("ax,ixiy,ay->a", mat.conj(), rho.reshaped(), mat)
-        return float(max(0.0, 1.0 - marg.real.sum()))
+        marg = marginal_probabilities(rho, self.vector_matrix, self.side)
+        return float(max(0.0, 1.0 - marg.sum()))
 
     def to_json_dict(self) -> dict:
         mat = self.vector_matrix

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .linalg import DensityOperator
+from .linalg import DensityOperator, marginal_probabilities
 from .bases import MAX_MODES, MeasurementBasis, PlannedSetting, joint_probability_table
 
 __all__ = [
@@ -185,13 +185,8 @@ def setting_means(
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     table = joint_probability_table(rho, basis_s, basis_i)
-    r4 = rho.reshaped()
-    v_s = basis_s.vector_matrix
-    v_i = basis_i.vector_matrix
-    marg_s = np.einsum("ax,xiyi,ay->a", v_s.conj(), r4, v_s, optimize=True).real
-    marg_i = np.einsum("bx,ixiy,by->b", v_i.conj(), r4, v_i, optimize=True).real
-    marg_s = np.clip(marg_s, 0.0, 1.0)
-    marg_i = np.clip(marg_i, 0.0, 1.0)
+    marg_s = marginal_probabilities(rho, basis_s.vector_matrix, "signal")
+    marg_i = marginal_probabilities(rho, basis_i.vector_matrix, "idler")
     for total, what in ((table.sum(), "joint"), (marg_s.sum(), "signal"), (marg_i.sum(), "idler")):
         if total > 1.0 + 1e-9:
             raise ValidationError(f"{what} probability table sums to {total}, above 1")

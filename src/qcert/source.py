@@ -124,7 +124,9 @@ class SourceConfig:
     @classmethod
     def from_json_dict(cls, data: dict) -> "SourceConfig":
         try:
-            num_modes = int(data["D"])
+            num_modes = data["D"]
+            if type(num_modes) is not int:
+                raise ValidationError(f"source config: D must be an integer, got {num_modes!r}")
             coeffs = np.asarray(data["coefficients_re"], dtype=float) + 1j * np.asarray(
                 data["coefficients_im"], dtype=float
             )

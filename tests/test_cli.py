@@ -247,6 +247,7 @@ class TestInvalidInput:
         ["simulate", "--config", "seed.json"],
         ["simulate", "--config", "counting.json"],
         ["simulate", "--config", "list.json"],
+        ["simulate", "--config", "source_D.json"],
         ["sweep", "--config", "list.json", "--grid", "0,0.1"],
     ])
     def test_exits_2_without_traceback(self, tmp_path, args):
@@ -259,6 +260,9 @@ class TestInvalidInput:
             (tmp_path / f"{field}.json").write_text(
                 json.dumps({**base.to_json_dict(), field: value}))
         (tmp_path / "list.json").write_text(json.dumps([base.to_json_dict()]))
+        cfg = base.to_json_dict()
+        (tmp_path / "source_D.json").write_text(
+            json.dumps({**cfg, "source": {**cfg["source"], "D": 4.7}}))
         res = run_cli(*args, cwd=tmp_path)
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr

@@ -25,10 +25,11 @@ from qcert import (
     setting_means,
     simulate_setting,
     subtract_accidentals,
+    witness,
     with_accidental_noise,
     x_basis,
 )
-from qcert.bases import MeasurementBasis
+from qcert.bases import MeasurementBasis, scan_setting
 from qcert.counting import CSV_HEADER
 from qcert.counting import (
     _bootstrap_word,
@@ -40,6 +41,8 @@ from qcert.counting import (
     outcome_stream,
 )
 from qcert.errors import ComputationError
+
+from conftest import einsum_marginals, einsum_table, oracle_bases, oracle_states
 
 
 def rho2():
@@ -126,6 +129,47 @@ class TestSettingMeans:
         rho = DensityOperator(2, 2, rng_state)
         means = setting_means(rho, bad, good, 100, CountingParams())
         assert means.coincidences.sum() <= 100  # sanity: completeness holds here
+
+
+class TestSettingMeansOracle:
+    @pytest.mark.parametrize("d_s, d_i", [(2, 2), (3, 3), (7, 7), (10, 10), (3, 2)])
+    def test_means_match_planned_einsum(self, d_s, d_i):
+        params = CountingParams(P_S=0.006, eta_r=0.1, P_bg_idler=0.0014)
+        n = 10**6
+        for rho in oracle_states(d_s, d_i, seed=300 + d_s * d_i):
+            for basis_s, basis_i in oracle_bases(d_s, d_i, seed=400 + d_s * d_i):
+                v_s, v_i = basis_s.vector_matrix, basis_i.vector_matrix
+                means = setting_means(rho, basis_s, basis_i, n, params)
+                marg_s, marg_i = einsum_marginals(rho, v_s, v_i)
+                expected = (n * params.P_S * params.eta_r * einsum_table(rho, v_s, v_i)
+                            + n * params.P_S * params.P_I * np.outer(marg_s, marg_i))
+                # means reach 6e3 counts here: 1e-12 relative to the trial count
+                assert_allclose(means.coincidences, expected, rtol=0, atol=1e-12 * n)
+                assert_allclose(means.singles_s, n * params.P_S * marg_s, rtol=0,
+                                atol=1e-12 * n)
+                assert_allclose(means.singles_i, n * params.P_I * marg_i, rtol=0,
+                                atol=1e-12 * n)
+                assert basis_s.lost_weight(rho) == pytest.approx(1.0 - marg_s.sum(), abs=1e-12)
+                assert basis_i.lost_weight(rho) == pytest.approx(1.0 - marg_i.sum(), abs=1e-12)
+
+
+class TestNoPlannedEinsum:
+    def test_exact_witness_and_k_scan_simulation_never_plan(self, monkeypatch):
+        optimize_args = []
+        original = np.einsum
+
+        def guarded(*operands, **kwargs):
+            optimize_args.append(kwargs.get("optimize", False))
+            return original(*operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", guarded)
+        rho = noisy_state(SourceConfig.uniform(10).with_noise(0.2))
+        witness(rho, space="K")
+        scan = scan_setting("K", 10)
+        simulate_setting(rho, scan.basis_s, scan.basis_i, 10**5, CountingParams(), seed=3,
+                         setting_name=scan.name)
+        assert optimize_args, "no einsum call was observed"
+        assert not any(optimize_args)
 
 
 class TestSimulateSetting:

@@ -12,6 +12,9 @@ from qcert import (
     restrict_to_pair,
 )
 from qcert.errors import ComputationError
+from qcert.linalg import marginal_probabilities
+
+from conftest import einsum_marginals, einsum_table, oracle_bases, oracle_states
 
 
 def bell_state() -> StateVector:
@@ -147,6 +150,49 @@ class TestJointProbability:
         with pytest.raises(ComputationError, match="imaginary"):
             outcome_probabilities(bad, [np.array([1, 1]) / np.sqrt(2)],
                                   [np.array([1, 1]) / np.sqrt(2)])
+
+    @pytest.mark.parametrize("vectors_s, vectors_i", [
+        ([1, 0], [[1, 0]]),
+        ([[1, 0]], [0, 1]),
+        ([[[1, 0]]], [[1, 0]]),
+        (np.zeros((0, 2)), [[1, 0]]),
+    ])
+    def test_kets_must_be_rows(self, vectors_s, vectors_i):
+        rho = density_from_ket(bell_state())
+        with pytest.raises(ValidationError, match="2-D"):
+            outcome_probabilities(rho, vectors_s, vectors_i)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_kets_rejected(self, bad):
+        rho = density_from_ket(bell_state())
+        with pytest.raises(ValidationError, match="finite"):
+            outcome_probabilities(rho, [[bad, 0]], [[1, 0]])
+        with pytest.raises(ValidationError, match="finite"):
+            outcome_probabilities(rho, [[1, 0]], [[0, 1], [bad, 1]])
+
+
+class TestProductKetOracle:
+    @pytest.mark.parametrize("d_s, d_i", [(2, 2), (3, 3), (7, 7), (10, 10), (3, 2)])
+    def test_tables_and_marginals_match_planned_einsum(self, d_s, d_i):
+        for rho in oracle_states(d_s, d_i, seed=100 + d_s * d_i):
+            for basis_s, basis_i in oracle_bases(d_s, d_i, seed=200 + d_s * d_i):
+                v_s, v_i = basis_s.vector_matrix, basis_i.vector_matrix
+                table = outcome_probabilities(rho, v_s, v_i)
+                assert table.shape == (len(v_s), len(v_i))
+                assert_allclose(table, einsum_table(rho, v_s, v_i), rtol=0, atol=1e-12)
+                marg_s, marg_i = einsum_marginals(rho, v_s, v_i)
+                assert_allclose(marginal_probabilities(rho, v_s, "signal"), marg_s,
+                                rtol=0, atol=1e-12)
+                assert_allclose(marginal_probabilities(rho, v_i, "idler"), marg_i,
+                                rtol=0, atol=1e-12)
+
+    def test_marginal_side_checked(self):
+        rho = maximally_mixed(2)
+        with pytest.raises(ValidationError, match="side"):
+            marginal_probabilities(rho, np.eye(2), "both")
+        with pytest.raises(ValidationError):
+            marginal_probabilities(DensityOperator(3, 2, np.eye(6) / 6), np.eye(2), "signal")
 
 
 class TestFidelityToPure:

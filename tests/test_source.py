@@ -121,6 +121,12 @@ class TestSourceConfigValidation:
         assert_allclose(back.coefficients, cfg.coefficients, atol=1e-15)
         assert_allclose(back.phase_mismatch, cfg.phase_mismatch, atol=1e-15)
 
+    @pytest.mark.parametrize("dim", [4.7, 4.0, True, "4"])
+    def test_json_non_integer_mode_count_rejected(self, dim):
+        data = {**SourceConfig.uniform(4).to_json_dict(), "D": dim}
+        with pytest.raises(ValidationError, match="D must be an integer"):
+            SourceConfig.from_json_dict(data)
+
     def test_truncated_renormalizes(self):
         cfg = SourceConfig.uniform(10).truncated(4)
         assert cfg.num_modes == 4
