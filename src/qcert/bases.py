@@ -88,7 +88,7 @@ class MeasurementBasis:
         if mat.shape[1] != self.dim:
             raise ValidationError("projector vectors do not match the basis dimension")
         gram = mat.conj() @ mat.T
-        if np.max(np.abs(gram - np.eye(len(self.projectors)))) > 1e-10:
+        if not np.max(np.abs(gram - np.eye(len(self.projectors)))) <= 1e-10:
             raise ValidationError(f"basis {self.name!r} is not orthonormal within 1e-10")
 
     @property
@@ -137,8 +137,10 @@ class RfToneProgram:
     def __post_init__(self) -> None:
         if not self.tones:
             raise ValidationError("a tone program needs at least one tone")
+        if not np.all(np.isfinite([*np.ravel(self.tones), self.tone_spacing_mhz])):
+            raise ValidationError("tone values and the tone spacing must be finite")
         power = sum(a * a for _, a, _ in self.tones)
-        if abs(power - 1.0) > 1e-10:
+        if not abs(power - 1.0) <= 1e-10:
             raise ValidationError(f"tone power {power!r} is not normalized within 1e-10")
         for f, _, _ in self.tones:
             steps = f / self.tone_spacing_mhz

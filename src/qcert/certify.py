@@ -2,9 +2,10 @@
 
 All three accept either a DensityOperator (exact probabilities) or a
 CoincidenceTable (finite counts, optionally accidental-subtracted), and
-read each setting of their ``bases`` plan through the one cell reader
+read their ``bases`` plan as one stacked array through the cell reader
 ``counting.setting_cells`` (the exact formation bound excepted, which reads
-matrix elements of rho):
+matrix elements of rho).  The count-path formation terms also run over a
+bootstrap ``ReplicaStack``, where a refused replica reads NaN:
 
 * ``witness``: sums the three pair visibilities over every mode pair and
   compares against the Schmidt-number bound f(d) = 3D(D-1)/2 - D(D-d).
@@ -26,7 +27,8 @@ import numpy as np
 from .errors import ComputationError, ValidationError
 from .linalg import DensityOperator
 from . import bases
-from .counting import CoincidenceTable, bootstrap_std, estimate, plan_modes, setting_cells
+from .counting import (CoincidenceTable, bootstrap_std, cell_estimates, plan_modes,
+                       setting_cells)
 from . import naming
 
 __all__ = [
@@ -108,10 +110,6 @@ class PairVisibilities:
     def total(self) -> float:
         return self.x.value + self.y.value + self.z.value
 
-    @property
-    def total_var(self) -> float:
-        return self.x.std_error**2 + self.y.std_error**2 + self.z.std_error**2
-
 
 @dataclass(frozen=True)
 class WitnessResult:
@@ -127,23 +125,24 @@ class WitnessResult:
         return witness_bound(self.num_modes, d)
 
 
-def _visibility_from_cells(values, variances, exact: bool = False) -> Visibility:
-    """V and its propagated error from one setting's 2 x 2 cell values and
-    variances, rows (signal) and columns (idler) in label order +1, -1."""
-    n1 = values[0][0] + values[1][1]
-    n2 = values[0][1] + values[1][0]
+def _visibilities(values, variances, exact: bool = False):
+    """V, its propagated variance and its status for each setting of
+    (..., 2, 2) cell values and variances, rows (signal) and columns (idler)
+    in label order +1, -1.  A setting with nothing to normalise reads 0
+    ("no-counts"); V above 1 (possible after subtraction) reads 1 ("clamped").
+    """
+    n1 = values[..., 0, 0] + values[..., 1, 1]
+    n2 = values[..., 0, 1] + values[..., 1, 0]
     total = n1 + n2
-    if _no_support(total, exact):
-        return Visibility(0.0, 0.0, status="no-counts")
-    vis = abs(n1 - n2) / total
-    d_n1 = 2 * n2 / total**2
-    d_n2 = 2 * n1 / total**2
-    var = (d_n1**2) * (variances[0][0] + variances[1][1]) + (
-        d_n2**2
-    ) * (variances[0][1] + variances[1][0])
-    if vis > 1.0:
-        return Visibility(1.0, math.sqrt(var), status="clamped")
-    return Visibility(float(vis), math.sqrt(var), status="ok")
+    empty = _no_support(total, exact)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vis = abs(n1 - n2) / total
+        d_n1 = 2 * n2 / total**2
+        d_n2 = 2 * n1 / total**2
+        var = (d_n1**2 * (variances[..., 0, 0] + variances[..., 1, 1])
+               + d_n2**2 * (variances[..., 0, 1] + variances[..., 1, 0]))
+    status = np.where(empty, "no-counts", np.where(vis > 1.0, "clamped", "ok"))
+    return np.where(empty, 0.0, np.minimum(vis, 1.0)), np.where(empty, 0.0, var), status
 
 
 def visibility_from_counts(records, corrected: bool = False) -> Visibility:
@@ -153,22 +152,17 @@ def visibility_from_counts(records, corrected: bool = False) -> Visibility:
     propagation.  A non-positive denominator (possible after accidental
     subtraction) yields a flagged zero.
     """
-    estimates = {}
+    counts = {}
     for rec in records:
         key = (rec.outcome_s, rec.outcome_i)
-        if key in estimates:
+        if key in counts:
             raise ValidationError(f"duplicate outcome cell {key}")
-        estimates[key] = estimate(rec, corrected)
-    if set(estimates) != {(1, 1), (1, -1), (-1, 1), (-1, -1)}:
-        raise ValidationError(f"expected the four +-1 outcome cells, got {sorted(estimates)}")
-    rows = [[estimates[(a, b)] for b in (1, -1)] for a in (1, -1)]
-    return _visibility_from_cells([[est.value for est in row] for row in rows],
-                                  [[est.std_error**2 for est in row] for row in rows])
-
-
-def _pair_visibility(data, setting: bases.PlannedSetting, corrected: bool) -> Visibility:
-    values, variances = setting_cells(data, setting, corrected)
-    return _visibility_from_cells(values, variances, isinstance(data, DensityOperator))
+        counts[key] = (rec.coincidences, rec.singles_s, rec.singles_i, rec.trials)
+    if set(counts) != {(1, 1), (1, -1), (-1, 1), (-1, -1)}:
+        raise ValidationError(f"expected the four +-1 outcome cells, got {sorted(counts)}")
+    cells = np.array([[counts[(a, b)] for b in (1, -1)] for a in (1, -1)], dtype=float)
+    vis, var, status = _visibilities(*cell_estimates(np.moveaxis(cells, -1, 0), corrected))
+    return Visibility(float(vis), math.sqrt(var), str(status))
 
 
 def _witness_pairs(num_modes: int):
@@ -185,22 +179,29 @@ def witness(
     """Visibility-sum dimension witness over all mode pairs of one space."""
     naming.require_space(space)
     d, dim = _modes(data, num_modes)
-    per_pair = {}
-    missing = []
-    for j, k in _witness_pairs(d):
-        settings = bases.witness_settings(space, j, k, dim)
-        try:
-            per_pair[(j, k)] = PairVisibilities(
-                *(_pair_visibility(data, st, corrected) for st in settings))
-        except ValidationError:
-            missing.append((j, k))
-    if missing:
+    pairs = _witness_pairs(d)
+    plans = [bases.witness_settings(space, j, k, dim) for j, k in pairs]
+    try:
+        values, variances = setting_cells(data, [st for plan in plans for st in plan], corrected)
+    except ValidationError:
+        missing = []
+        for pair, plan in zip(pairs, plans):
+            try:
+                setting_cells(data, plan)
+            except ValidationError:
+                missing.append(pair)
         raise ValidationError(
             f"witness data incomplete for space {space}; missing pairs: {missing}"
-        )
-
-    total = float(sum(pv.total for pv in per_pair.values()))
-    total_err = math.sqrt(sum(pv.total_var for pv in per_pair.values()))
+        ) from None
+    vis, var, status = (a.reshape(-1, 3) for a in _visibilities(
+        values.reshape(-1, 2, 2), variances.reshape(-1, 2, 2), isinstance(data, DensityOperator)))
+    per_pair = {
+        pair: PairVisibilities(*(Visibility(float(v), math.sqrt(e), str(st))
+                                 for v, e, st in zip(*axes)))
+        for pair, axes in zip(pairs, zip(vis, var, status))
+    }
+    total = float(vis.sum())
+    total_err = math.sqrt(var.sum())
     certified = certified_dimension_from_witness(total, total_err, d, margin=margin)
     return WitnessResult(
         space=space,
@@ -248,49 +249,45 @@ def _ebits_from_b(b: float) -> float:
     return -math.log2(1.0 - b * b / 2.0) if b > 0 else 0.0
 
 
-def _b_from_terms(coherences, cross_terms, pair_set) -> float:
-    if not pair_set:
-        return 0.0
-    total = sum(coherences[p] - cross_terms[p] for p in pair_set)
-    return max(2.0 / math.sqrt(len(pair_set)) * total, 0.0)
+def _b_from_terms(coherences, cross_terms):
+    """The B functional over the last (pair) axis, clamped at 0."""
+    if not coherences.shape[-1]:
+        return np.zeros(coherences.shape[:-1])
+    total = (coherences - cross_terms).sum(axis=-1)
+    return np.maximum(2.0 / math.sqrt(coherences.shape[-1]) * total, 0.0)
 
 
-def _eof_exact_terms(rho: DensityOperator, space: str, pair_set):
+def _eof_exact_terms(rho: DensityOperator, space: str, j, k):
     """|<jj|rho|kk>| and sqrt(<jk|rho|jk><kj|rho|kj>) per pair, read off rho
     rotated once into the product basis of the space's full-basis scan."""
     scan = bases.scan_setting(space, rho.dim_signal)
     kets = np.kron(scan.basis_s.vector_matrix, scan.basis_i.vector_matrix)
     r = kets.conj() @ rho.matrix @ kets.T
     n = rho.dim_idler
-    coherences, cross_terms = {}, {}
-    for j, k in pair_set:
-        coherences[(j, k)] = float(abs(r[j * n + j, k * n + k]))
-        p_jk = r[j * n + k, j * n + k].real
-        p_kj = r[k * n + j, k * n + j].real
-        cross_terms[(j, k)] = math.sqrt(max(p_jk, 0.0) * max(p_kj, 0.0))
-    return coherences, cross_terms
+    p_jk = np.maximum(r[j * n + k, j * n + k].real, 0.0)
+    p_kj = np.maximum(r[k * n + j, k * n + j].real, 0.0)
+    coherences = r[j * n + j, k * n + k]
+    # hypot, as abs() of a Python complex: numpy's complex abs rounds otherwise
+    return np.hypot(coherences.real, coherences.imag), np.sqrt(p_jk * p_kj)
 
 
-def _scan_probabilities(table: CoincidenceTable, scan: bases.PlannedSetting,
-                        corrected: bool) -> np.ndarray:
-    values = np.asarray(setting_cells(table, scan, corrected)[0])
-    total = values.sum()
-    if _no_support(total, exact=False):
+def _eof_count_terms(data, scan: bases.PlannedSetting, pair_settings, j, k,
+                     corrected: bool):
+    """Coherences and cross terms of pairs (j, k), over the leading (replica)
+    axes of a table or stack; pair_settings: each pair's x and y settings.
+    A replica whose scan has no net counts reads NaN; a table raises."""
+    values = setting_cells(data, [scan], corrected)[0][..., 0, :, :]
+    total = values.sum(axis=(-2, -1), keepdims=True)
+    if isinstance(data, CoincidenceTable) and _no_support(total, exact=False).any():
         raise ComputationError("diagonal coincidence table has no net counts")
-    return values / total
-
-
-def _eof_count_terms(table: CoincidenceTable, scan: bases.PlannedSetting,
-                     pair_settings, corrected: bool):
-    """pair_settings: ((j, k), (x setting, y setting)) per pair."""
-    probs = _scan_probabilities(table, scan, corrected)
-    coherences, cross_terms = {}, {}
-    for (j, k), (st_x, st_y) in pair_settings:
-        weight = probs[j, j] + probs[j, k] + probs[k, j] + probs[k, k]
-        v_x = _pair_visibility(table, st_x, corrected).value
-        v_y = _pair_visibility(table, st_y, corrected).value
-        coherences[(j, k)] = weight * (v_x + v_y) / 4.0
-        cross_terms[(j, k)] = math.sqrt(max(probs[j, k], 0.0) * max(probs[k, j], 0.0))
+    probs = values / np.where(total > 0, total, np.nan)
+    cells, variances = setting_cells(data, pair_settings, corrected)
+    lead = values.shape[:-2]
+    vis = _visibilities(cells.reshape(lead + (-1, 2, 2)),
+                        variances.reshape(lead + (-1, 2, 2)))[0].reshape(lead + (-1, 2))
+    weight = probs[..., j, j] + probs[..., j, k] + probs[..., k, j] + probs[..., k, k]
+    coherences = weight * (vis[..., 0] + vis[..., 1]) / 4.0
+    cross_terms = np.sqrt(np.maximum(probs[..., j, k], 0.0) * np.maximum(probs[..., k, j], 0.0))
     return coherences, cross_terms
 
 
@@ -316,31 +313,30 @@ def eof_bound(
     """
     naming.require_space(space)
     d, dim = _modes(data, num_modes)
-    pairs = tuple(pair_set) if pair_set is not None else tuple(_witness_pairs(d))
+    pairs = tuple((j, k) for j, k in (_witness_pairs(d) if pair_set is None else pair_set))
     bad = [(j, k) for j, k in pairs if j == k or not (0 <= j < d and 0 <= k < d)]
     if bad:
         raise ValidationError(f"pair_set needs two different modes in 0..{d - 1}; got {bad}")
+    j, k = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     if isinstance(data, DensityOperator):
-        coherences, cross_terms = _eof_exact_terms(data, space, pairs)
+        coherences, cross_terms = _eof_exact_terms(data, space, j, k)
         b_err = 0.0
     else:
         scan = bases.scan_setting(space, dim)
         # tables hold each pair's settings once, under j < k; (k, j) reads
         # them too, and swapping both sides' +-1 labels leaves V_x, V_y alone
-        pair_settings = tuple(
-            ((j, k), bases.witness_settings(space, min(j, k), max(j, k), dim)[:2])
-            for j, k in pairs)
-        data = data.restricted([scan.name] + [
-            st.name for _, settings in pair_settings for st in settings])
-        coherences, cross_terms = _eof_count_terms(data, scan, pair_settings, corrected)
+        pair_settings = [st for a, b in pairs
+                         for st in bases.witness_settings(space, min(a, b), max(a, b), dim)[:2]]
+        data = data.restricted([scan.name] + [st.name for st in pair_settings])
+        coherences, cross_terms = _eof_count_terms(data, scan, pair_settings, j, k, corrected)
         b_err = bootstrap_std(
             data,
-            lambda boot: _b_from_terms(
-                *_eof_count_terms(boot, scan, pair_settings, corrected), pairs),
+            lambda stack: _b_from_terms(
+                *_eof_count_terms(stack, scan, pair_settings, j, k, corrected)),
             n_bootstrap, seed,
         )
 
-    b_value = _b_from_terms(coherences, cross_terms, pairs)
+    b_value = float(_b_from_terms(coherences, cross_terms))
     ebits = _ebits_from_b(b_value)
     # delta-method propagation; the bound diverges as the coherence sum
     # approaches sqrt(2), where any error bar becomes nominal anyway
@@ -350,16 +346,16 @@ def eof_bound(
         ebits_err = 0.0
     curve = []
     for n in range(2, d + 1):
-        subset = [p for p in pairs if p[0] < n and p[1] < n]
-        if not subset:
+        subset = (j < n) & (k < n)
+        if not subset.any():
             continue
-        b_n = _b_from_terms(coherences, cross_terms, subset)
+        b_n = float(_b_from_terms(coherences[subset], cross_terms[subset]))
         curve.append((n, b_n, _ebits_from_b(min(b_n, math.sqrt(2.0) - 1e-12))))
     return EofResult(
         space=space,
         pair_set=pairs,
-        coherences=coherences,
-        cross_terms=cross_terms,
+        coherences=dict(zip(pairs, coherences.tolist())),
+        cross_terms=dict(zip(pairs, cross_terms.tolist())),
         coherence_sum=b_value,
         coherence_sum_err=b_err,
         ebits=ebits,
@@ -421,29 +417,25 @@ class CglmpResult:
 def cglmp(data, d: int, corrected: bool = False, margin: float = 1.0) -> CglmpResult:
     """Bell parameter for dimension d from exact probabilities or counts.
 
-    Each of the four settings' d x d cell table is renormalized to a
-    probability table; the count path propagates Poisson errors through the
-    normalization (exact cells carry zero variance, so their error is 0).
+    The four settings' d x d cell tables, read as one (4, d, d) stack, are
+    each renormalized to a probability table; the count path propagates
+    Poisson errors through the normalization (exact cells carry zero
+    variance, so their error is 0).
     """
-    weights = cglmp_weights(d)
+    weights = cglmp_weights(d).reshape(4, d, d)
     _, dim = _modes(data, d)
-    exact = isinstance(data, DensityOperator)
-    tables = {}
-    value = 0.0
-    variance = 0.0
-    for (s, i), setting in zip([(s, i) for s in (0, 1) for i in (0, 1)],
-                               bases.bell_settings(d, dim)):
-        vals, var = setting_cells(data, setting, corrected)
-        vals = np.asarray(vals)
-        total = vals.sum()
-        if _no_support(total, exact):
-            raise ComputationError(f"setting {setting.name!r} has no support "
-                                   f"(cell total {total:.3g})")
-        probs = vals / total
-        contribution = float(np.sum(weights[s, i] * probs))
-        value += contribution
-        grad = (weights[s, i] - contribution) / total
-        variance += float(np.sum(grad * grad * np.asarray(var)))
-        tables[(s, i)] = probs
-    return CglmpResult(d=d, bell_parameter=value, bell_parameter_err=math.sqrt(variance),
-                       tables=tables, margin=margin)
+    settings = bases.bell_settings(d, dim)
+    vals, var = setting_cells(data, settings, corrected)
+    total = vals.sum(axis=(-2, -1))
+    empty = _no_support(total, isinstance(data, DensityOperator))
+    if empty.any():
+        first = int(np.argmax(empty))
+        raise ComputationError(f"setting {settings[first].name!r} has no support "
+                               f"(cell total {total[first]:.3g})")
+    probs = vals / total[..., None, None]
+    contributions = np.sum(weights * probs, axis=(-2, -1))
+    grad = (weights - contributions[..., None, None]) / total[..., None, None]
+    variance = float(np.sum(grad * grad * var))
+    tables = {(s, i): probs[2 * s + i] for s in (0, 1) for i in (0, 1)}
+    return CglmpResult(d=d, bell_parameter=float(contributions.sum()),
+                       bell_parameter_err=math.sqrt(variance), tables=tables, margin=margin)

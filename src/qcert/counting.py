@@ -20,12 +20,16 @@ regardless of execution order, thread count, or outcome ordering.  Each
 stream is the one numpy's SeedSequence([seed, key word]) -> PCG64 gives; the
 streams of a setting (simulation) or of a table (bootstrap replica) are
 seeded together in one vectorized pass, bit-identical to that construction.
+
+A table holds int64 columns C, S_s, S_i, N next to its records.  The
+bootstrap draws its replicas, a block at a time, into a ``ReplicaStack`` of
+such columns with a leading replica axis; ``setting_cells`` reads tables
+and stacks alike.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import json
 import math
@@ -34,22 +38,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ComputationError, ValidationError
+from .errors import ValidationError
 from .linalg import DensityOperator, marginal_probabilities
-from .bases import MAX_MODES, MeasurementBasis, PlannedSetting, joint_probability_table
+from .bases import MAX_MODES, MeasurementBasis, joint_probability_table
 
 __all__ = [
     "CountingParams",
     "CountRecord",
     "CorrectedCount",
     "CoincidenceTable",
+    "ReplicaStack",
     "plan_modes",
     "setting_cells",
     "SettingMeans",
     "setting_means",
     "simulate_setting",
     "subtract_accidentals",
-    "estimate",
+    "cell_estimates",
     "with_accidental_noise",
     "outcome_stream",
     "save_table",
@@ -140,29 +145,30 @@ class CorrectedCount:
     std_error: float
 
 
-def subtract_accidentals(record: CountRecord) -> CorrectedCount:
-    """C' = C_SI - C_S C_I / N with independent-Poisson error propagation.
-
-    The corrected value may be negative; it is kept as-is so downstream sums
-    stay unbiased.  With either singles count at zero the correction term
-    vanishes.  The standard error is
-    sqrt(C_SI + (C_S C_I / N)^2 (1/C_S + 1/C_I)).
+def cell_estimates(counts, corrected: bool):
+    """Coincidence estimates and their variances from a (4, ...) array of
+    C, S_s, S_i and N, keeping the axes after the first: the raw count with
+    its Poisson variance, or when ``corrected`` the accidental-subtracted
+    C' = C - S_s S_i / N with variance C + (S_s S_i / N)^2 (1/S_s + 1/S_i).
+    C' may be negative and is kept as-is, so downstream sums stay unbiased;
+    with either singles count at zero the correction term vanishes.
     """
-    c, s, i, n = record.coincidences, record.singles_s, record.singles_i, record.trials
-    if s == 0 or i == 0:
-        return CorrectedCount(value=float(c), std_error=math.sqrt(c))
-    acc = s * i / n
-    var = c + acc * acc * (1.0 / s + 1.0 / i)
-    return CorrectedCount(value=c - acc, std_error=math.sqrt(var))
+    c, s, i, n = np.asarray(counts, dtype=float)
+    if not corrected:
+        return c, c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        acc = s * i / n
+        value, var = c - acc, c + acc * acc * (1.0 / s + 1.0 / i)
+    no_singles = (s == 0) | (i == 0)
+    return np.where(no_singles, c, value), np.where(no_singles, c, var)
 
 
-def estimate(record: CountRecord, corrected: bool) -> CorrectedCount:
-    """A cell's coincidence estimate: accidental-subtracted when ``corrected``,
-    otherwise the raw count with its Poisson standard error."""
-    if corrected:
-        return subtract_accidentals(record)
-    return CorrectedCount(value=float(record.coincidences),
-                          std_error=math.sqrt(record.coincidences))
+def subtract_accidentals(record: CountRecord) -> CorrectedCount:
+    """One record's accidental-subtracted coincidences (``cell_estimates``)
+    with its independent-Poisson standard error."""
+    value, var = cell_estimates([record.coincidences, record.singles_s,
+                                 record.singles_i, record.trials], corrected=True)
+    return CorrectedCount(value=float(value), std_error=math.sqrt(var))
 
 
 @dataclass(frozen=True)
@@ -218,14 +224,6 @@ def _key_word(setting: str, *key_parts) -> int:
     text = "\x1f".join([setting, *map(str, key_parts)])
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-@functools.lru_cache(maxsize=1 << 12, typed=True)
-def _bootstrap_word(setting: str, outcome_s, outcome_i) -> int:
-    """A record's bootstrap key word, memoized: every replica of a table
-    reuses it.  A simulation uses each of its keys once, so those are not
-    cached."""
-    return _key_word(setting, "bootstrap", outcome_s, outcome_i)
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -349,73 +347,63 @@ def simulate_setting(
     """
     name = setting_name or f"{basis_s.name}|{basis_i.name}"
     means = setting_means(rho, basis_s, basis_i, trials, params)
-    labels_s = basis_s.labels
-    labels_i = basis_i.labels
-    n_s, n_i = means.coincidences.shape
+    labels_s, labels_i = basis_s.labels, basis_i.labels
+    lam = means.coincidences
+    n_s, n_i = lam.shape
 
     words = ([_key_word(name, "cell", lab_a, lab_b) for lab_a in labels_s for lab_b in labels_i]
              + [_key_word(name, "singles_s", lab_a) for lab_a in labels_s]
              + [_key_word(name, "singles_i", lab_b) for lab_b in labels_i])
     streams = _keyed_streams(seed, words)
-
-    cells = np.zeros((n_s, n_i), dtype=np.int64)
-    for a in range(n_s):
-        for b in range(n_i):
-            cells[a, b] = next(streams).poisson(means.coincidences[a, b])
-
-    singles_s = np.zeros(n_s, dtype=np.int64)
-    for a in range(n_s):
-        topup = max(means.singles_s[a] - means.coincidences[a, :].sum(), 0.0)
-        singles_s[a] = cells[a, :].sum() + next(streams).poisson(topup)
-
-    singles_i = np.zeros(n_i, dtype=np.int64)
-    for b in range(n_i):
-        topup = max(means.singles_i[b] - means.coincidences[:, b].sum(), 0.0)
-        singles_i[b] = cells[:, b].sum() + next(streams).poisson(topup)
-
-    records = []
-    for a, lab_a in enumerate(labels_s):
-        for b, lab_b in enumerate(labels_i):
-            records.append(CountRecord(
-                setting=name,
-                outcome_s=int(lab_a),
-                outcome_i=int(lab_b),
-                coincidences=int(cells[a, b]),
-                singles_s=int(singles_s[a]),
-                singles_i=int(singles_i[b]),
-                trials=int(trials),
-            ))
-    return records
+    cells = np.array([next(streams).poisson(m) for m in lam.ravel()],
+                     dtype=np.int64).reshape(n_s, n_i)
+    singles_s = cells.sum(axis=1) + [
+        next(streams).poisson(max(means.singles_s[a] - lam[a, :].sum(), 0.0)) for a in range(n_s)]
+    singles_i = cells.sum(axis=0) + [
+        next(streams).poisson(max(means.singles_i[b] - lam[:, b].sum(), 0.0)) for b in range(n_i)]
+    return [CountRecord(setting=name, outcome_s=int(lab_a), outcome_i=int(lab_b),
+                        coincidences=int(cells[a, b]), singles_s=int(singles_s[a]),
+                        singles_i=int(singles_i[b]), trials=int(trials))
+            for a, lab_a in enumerate(labels_s) for b, lab_b in enumerate(labels_i)]
 
 
 @dataclass(frozen=True)
 class CoincidenceTable:
     """An immutable collection of count records plus run metadata.
 
-    Records are indexed once by setting, in first-appearance order, so
-    per-setting lookups do not rescan the table.
+    Built once: the index of each setting's (outcome_s, outcome_i) cells to
+    their record rows, settings in first-appearance order, and ``counts``,
+    the (4, rows) int64 columns C, S_s, S_i and N in record order.
     """
 
     records: tuple[CountRecord, ...]
     metadata: dict = field(default_factory=dict)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
-        index: dict[str, dict[tuple[int, int], CountRecord]] = {}
-        for rec in self.records:
+        index: dict[str, dict[tuple[int, int], int]] = {}
+        for row, rec in enumerate(self.records):
             cells = index.setdefault(rec.setting, {})
             cell = (rec.outcome_s, rec.outcome_i)
             if cell in cells:
                 raise ValidationError(f"duplicate record key {rec.key}")
-            cells[cell] = rec
+            cells[cell] = row
+        try:
+            counts = np.array([(r.coincidences, r.singles_s, r.singles_i, r.trials)
+                               for r in self.records], dtype=np.int64).reshape(-1, 4).T
+        except OverflowError:
+            raise ValidationError("counts exceed the 64-bit integer range") from None
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "_index", index)
 
     def settings(self) -> list[str]:
         return list(self._index)
 
     def by_setting(self, setting: str) -> dict[tuple[int, int], CountRecord]:
-        return dict(self._index.get(setting, {}))
+        return {cell: self.records[row] for cell, row in self._index.get(setting, {}).items()}
 
     def restricted(self, settings) -> "CoincidenceTable":
         """The records of the given settings only, in table order."""
@@ -458,34 +446,42 @@ def plan_modes(data, fallback: int | None = None) -> int:
     raise ValidationError("expected a DensityOperator or a CoincidenceTable")
 
 
-def setting_cells(data, setting: PlannedSetting, corrected: bool = False):
-    """One setting's cell values and variances, one row per signal label and
-    one column per idler label, in basis label order.
+@dataclass(frozen=True)
+class ReplicaStack:
+    """Poisson replicas of one table: ``counts`` is the (4, replicas, rows)
+    int64 array of C, S_s, S_i and N, rows in the table's record order."""
 
-    From a DensityOperator: the exact probability table, with zero variance.
-    From a CoincidenceTable: each cell's ``estimate`` (raw, or
-    accidental-subtracted when ``corrected``) and its squared standard
-    error, as lists of floats.  A setting whose cells are missing,
-    incomplete or labelled otherwise raises one ValidationError naming it.
+    table: CoincidenceTable
+    counts: np.ndarray
+
+
+def setting_cells(data, settings, corrected: bool = False):
+    """The cell values and variances of settings that share one cell shape,
+    as (..., settings, n_s, n_i) arrays in basis label order: exact
+    probabilities with zero variance from a DensityOperator, and
+    ``cell_estimates`` of the settings' rows from a CoincidenceTable or a
+    ReplicaStack (with its leading replica axis).  A setting whose cells are
+    missing, incomplete or labelled otherwise raises one ValidationError.
     """
     if isinstance(data, DensityOperator):
-        table = joint_probability_table(data, setting.basis_s, setting.basis_i)
-        return table, np.zeros(table.shape)
-    if not isinstance(data, CoincidenceTable):
+        tables = np.array([joint_probability_table(data, st.basis_s, st.basis_i)
+                           for st in settings])
+        return tables, np.zeros(tables.shape)
+    table = data.table if isinstance(data, ReplicaStack) else data
+    if not isinstance(table, CoincidenceTable):
         raise ValidationError("expected a DensityOperator or a CoincidenceTable")
-    recs = data._index.get(setting.name, {})
-    try:
-        ests = [[estimate(recs[key], corrected) for key in row] for row in setting.cells]
-    except KeyError:
-        ests = None
-    if ests is None or len(recs) != sum(map(len, ests)):
-        present = sum(key in recs for row in setting.cells for key in row)
-        raise ValidationError(
-            f"setting {setting.name!r} missing, incomplete or mislabelled: {present} of "
-            f"its {sum(map(len, setting.cells))} outcome cells among {len(recs)} records"
-        )
-    return ([[est.value for est in row] for row in ests],
-            [[est.std_error**2 for est in row] for row in ests])
+    rows = []
+    for setting in settings:
+        recs = table._index.get(setting.name, {})
+        keys = [key for row in setting.cells for key in row]
+        present = sum(key in recs for key in keys)
+        if present != len(keys) or len(recs) != len(keys):
+            raise ValidationError(
+                f"setting {setting.name!r} missing, incomplete or mislabelled: {present} of "
+                f"its {len(keys)} outcome cells among {len(recs)} records"
+            )
+        rows.append([[recs[key] for key in row] for row in setting.cells])
+    return cell_estimates(data.counts[..., np.array(rows, dtype=np.intp)], corrected)
 
 
 def _meta_path(path: Path) -> Path:
@@ -558,36 +554,61 @@ def load_table(path) -> CoincidenceTable:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def bootstrap_table(table: CoincidenceTable, seed: int) -> CoincidenceTable:
-    """Poisson-resample every record; the cross-check error estimator."""
-    words = [_bootstrap_word(rec.setting, rec.outcome_s, rec.outcome_i)
+# Replicas are drawn and evaluated in blocks of about this many (replica, record)
+# cells: all 100 replicas of an EoF table at once held 5 MB of counts and temporaries.
+_BLOCK_CELLS = 8192
+
+
+def _replica_blocks(table: CoincidenceTable, seed: int, n_replicas: int):
+    """Yield the (4, replicas, rows) counts of Poisson replicas seed, seed + 1,
+    ... (``n_replicas`` in all), a block of replicas at a time.  Each record
+    of replica b draws the coincidences, then the two singles top-ups, from
+    its own stream keyed by seed + b.  Coincidences and singles (coincidences
+    plus top-up) are capped at the trial count, so every replica keeps
+    0 <= C <= min(S_s, S_i) and max(C, S_s, S_i) <= N."""
+    words = [_key_word(rec.setting, "bootstrap", rec.outcome_s, rec.outcome_i)
              for rec in table.records]
-    records = []
-    for rec, rng in zip(table.records, _keyed_streams(seed, words)):
-        c = int(rng.poisson(rec.coincidences))
-        s = c + int(rng.poisson(max(rec.singles_s - rec.coincidences, 0)))
-        i = c + int(rng.poisson(max(rec.singles_i - rec.coincidences, 0)))
-        records.append(CountRecord(
-            setting=rec.setting, outcome_s=rec.outcome_s, outcome_i=rec.outcome_i,
-            coincidences=c, singles_s=min(s, rec.trials), singles_i=min(i, rec.trials),
-            trials=rec.trials,
-        ))
-    return CoincidenceTable(records=tuple(records), metadata=dict(table.metadata))
+    c, s, i, n = table.counts
+    means = np.stack([c, s - c, i - c], axis=1).tolist()
+    block = max(1, _BLOCK_CELLS // max(len(words), 1))
+    for first in range(seed, seed + n_replicas, block):
+        counts = np.empty((4, min(block, seed + n_replicas - first), len(words)), np.int64)
+        counts[3] = n
+        for b in range(counts.shape[1]):
+            # three scalar draws per stream: the values one draw of the row
+            # gives, at less call overhead
+            draws = np.fromiter((rng.poisson(mean)
+                                 for row, rng in zip(means, _keyed_streams(first + b, words))
+                                 for mean in row), dtype=np.int64, count=3 * len(words))
+            coincidences = np.minimum(draws[0::3], n)
+            counts[:3, b] = (coincidences, np.minimum(coincidences + draws[1::3], n),
+                             np.minimum(coincidences + draws[2::3], n))
+        yield counts
+
+
+def bootstrap_table(table: CoincidenceTable, seed: int) -> CoincidenceTable:
+    """Replica ``seed`` of the bootstrap as a table: the one-replica view of
+    the draw ``bootstrap_std`` stacks (no draw of its own)."""
+    counts = next(_replica_blocks(table, seed, 1))[:, 0].T.tolist()
+    return CoincidenceTable(
+        records=tuple(CountRecord(rec.setting, rec.outcome_s, rec.outcome_i, *row)
+                      for rec, row in zip(table.records, counts)),
+        metadata=dict(table.metadata),
+    )
 
 
 def bootstrap_std(table: CoincidenceTable, statistic, n_bootstrap: int, seed: int) -> float:
-    """Bootstrap standard error (ddof = 1) of ``statistic(table)``.
+    """Bootstrap standard error (ddof = 1) of a statistic over Poisson replicas.
 
-    Replica b is ``bootstrap_table(table, seed + b)``.  A replica whose
-    statistic raises ComputationError or ValidationError is dropped; with
-    fewer than two survivors the error is NaN, never a silent zero.
+    Replica b is ``bootstrap_table(table, seed + b)``.  Replicas are drawn a
+    block at a time into a ReplicaStack, and ``statistic(stack)`` returns one
+    value per replica of the stack, NaN for a replica it refuses.  Refused
+    replicas are dropped; with fewer than two survivors the error is NaN,
+    never a silent zero.
     """
     if n_bootstrap < 2:
         raise ValidationError(f"a bootstrap error needs at least 2 replicas, got {n_bootstrap}")
-    values = []
-    for b in range(n_bootstrap):
-        try:
-            values.append(statistic(bootstrap_table(table, seed=seed + b)))
-        except (ComputationError, ValidationError):
-            continue
-    return float(np.std(values, ddof=1)) if len(values) > 1 else math.nan
+    values = np.concatenate([np.asarray(statistic(ReplicaStack(table, counts)), dtype=float)
+                             for counts in _replica_blocks(table, seed, n_bootstrap)])
+    kept = values[~np.isnan(values)]
+    return float(np.std(kept, ddof=1)) if kept.size > 1 else math.nan

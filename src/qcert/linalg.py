@@ -139,7 +139,7 @@ class Projector:
     def __init__(self, vector, label) -> None:
         vec = np.asarray(vector, dtype=complex).reshape(-1)
         norm = np.linalg.norm(vec)
-        if abs(norm - 1.0) > ATOL_NORM:
+        if not abs(norm - 1.0) <= ATOL_NORM:  # also rejects a NaN norm
             raise ValidationError(f"projector vector norm {norm!r} is not 1 within 1e-12")
         self.vector = _frozen(vec / norm)
         self.label = label

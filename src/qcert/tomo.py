@@ -1,10 +1,12 @@
 """Two-qubit tomography on a post-selected mode pair.
 
 Nine settings (all pairs of x/y/z axes on the embedded pair, 36 outcome
-cells) feed a linear inversion over Pauli expectation values, followed by a
-projection onto the physical cone: the eigenvalue spectrum is mapped to the
-closest point of the probability simplex (Euclidean, trace preserving) and
-the operator rebuilt.  Fidelity is reported against the even superposition
+cells, read as one (3, 3, 2, 2) array) feed a linear inversion over Pauli
+expectation values, one contraction with the 16 Pauli products, followed
+by a projection onto the physical cone: the eigenvalue spectrum is mapped
+to the closest point of the probability simplex (Euclidean, trace
+preserving) and the operator rebuilt.  Bootstrap replicas run the same
+steps over a leading replica axis.  Fidelity is reported against the even superposition
 of the two pair modes, and the relative phase as the phase of the
 k-mode amplitude with respect to the j-mode one, arg(<kk|rho|jj>).
 """
@@ -29,11 +31,10 @@ __all__ = [
     "project_to_physical",
 ]
 
-PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+SIGNS = np.array([1.0, -1.0])  # the +1, -1 outcome labels of each pair basis
+PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# PAULI_PRODUCTS[m, n] = kron(PAULI[m], PAULI[n]); m, n = 0 (identity), x, y, z
+PAULI_PRODUCTS = np.einsum("mac,nbd->mnabcd", PAULI, PAULI).reshape(4, 4, 4, 4)
 BELL_TARGET = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
@@ -52,97 +53,82 @@ def _plan(data, j: int, k: int, space: str):
     return tomo_settings(j, k, space=space, num_modes=plan_modes(data, max(j, k) + 1))
 
 
-def _cells(data, plan, corrected: bool = False) -> dict:
-    """The 36 cells of a tomography plan, keyed (axis_s, axis_i, outcome_s,
-    outcome_i): probabilities for a state, estimates for a count table."""
-    cells = {}
-    axis_pairs = [(ax_s, ax_i) for ax_s in AXES for ax_i in AXES]
-    for (ax_s, ax_i), setting in zip(axis_pairs, plan):
-        values, _ = setting_cells(data, setting, corrected)
-        for a, row in zip(setting.basis_s.labels, values):
-            for b, value in zip(setting.basis_i.labels, row):
-                cells[(ax_s, ax_i, a, b)] = float(value)
-    return cells
+def _cells(data, plan, corrected: bool = False) -> np.ndarray:
+    """The 36 cells of a tomography plan as (..., axis_s, axis_i, outcome_s,
+    outcome_i) = (..., 3, 3, 2, 2), axes in AXES order and outcomes +1, -1:
+    probabilities for a state, estimates for a table or a replica stack."""
+    values = setting_cells(data, plan, corrected)[0]
+    return values.reshape(values.shape[:-3] + (3, 3, 2, 2))
 
 
-def exact_cells(rho: DensityOperator, j: int, k: int, space: str = "X") -> dict:
-    """Exact outcome probabilities for the 36 tomography cells."""
+def exact_cells(rho: DensityOperator, j: int, k: int, space: str = "X") -> np.ndarray:
+    """Exact outcome probabilities of the 36 tomography cells, (3, 3, 2, 2)
+    indexed (axis_s, axis_i, outcome_s, outcome_i) as ``AXES`` and +1, -1."""
     return _cells(rho, _plan(rho, j, k, space))
 
 
 def project_to_physical(matrix: np.ndarray) -> np.ndarray:
-    """Nearest unit-trace positive operator in Frobenius norm.
+    """Nearest unit-trace positive operator in Frobenius norm, for one
+    matrix or a stack of them (leading axes).
 
     Eigenvalues are projected onto the probability simplex (sort, then shift
     the largest ones by a common offset and clip the rest to zero); the
     projection is idempotent and leaves physical spectra untouched.
     """
-    herm = (matrix + matrix.conj().T) / 2.0
+    herm = (matrix + matrix.conj().swapaxes(-1, -2)) / 2.0
     vals, vecs = np.linalg.eigh(herm)
     lam = _project_simplex(vals)
-    return (vecs * lam) @ vecs.conj().T
+    return (vecs * lam[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _project_simplex(values: np.ndarray) -> np.ndarray:
-    desc = np.sort(values)[::-1]
-    csum = np.cumsum(desc)
-    ks = np.arange(1, values.size + 1)
+    """Euclidean projection of each row (last axis) onto the simplex."""
+    desc = np.flip(np.sort(values, axis=-1), axis=-1)
+    csum = np.cumsum(desc, axis=-1)
+    ks = np.arange(1, values.shape[-1] + 1)
     feasible = desc + (1.0 - csum) / ks > 0
-    k = int(ks[feasible][-1])
-    shift = (1.0 - csum[k - 1]) / k
+    # the largest feasible k: feasible[0] always holds, so one exists
+    k = ks.size - np.argmax(feasible[..., ::-1], axis=-1, keepdims=True)
+    shift = (1.0 - np.take_along_axis(csum, k - 1, axis=-1)) / k
     return np.maximum(values + shift, 0.0)
 
 
-def _invert_cells(cells: dict) -> np.ndarray:
-    """Linear inversion of the 36 cells into a (possibly unphysical) matrix."""
-    totals = {}
-    for ax_s in AXES:
-        for ax_i in AXES:
-            t = sum(cells[(ax_s, ax_i, a, b)] for a in (1, -1) for b in (1, -1))
-            if t <= 0:
-                raise ComputationError(f"tomography setting ({ax_s},{ax_i}) has no net counts")
-            totals[(ax_s, ax_i)] = t
-    corr = {
-        (ax_s, ax_i): sum(
-            a * b * cells[(ax_s, ax_i, a, b)] for a in (1, -1) for b in (1, -1)
-        ) / totals[(ax_s, ax_i)]
-        for ax_s in AXES
-        for ax_i in AXES
-    }
-    single_s = {
-        ax_s: np.mean([
-            sum(a * cells[(ax_s, ax_i, a, b)] for a in (1, -1) for b in (1, -1))
-            / totals[(ax_s, ax_i)]
-            for ax_i in AXES
-        ])
-        for ax_s in AXES
-    }
-    single_i = {
-        ax_i: np.mean([
-            sum(b * cells[(ax_s, ax_i, a, b)] for a in (1, -1) for b in (1, -1))
-            / totals[(ax_s, ax_i)]
-            for ax_s in AXES
-        ])
-        for ax_i in AXES
-    }
-    eye = np.eye(2, dtype=complex)
-    rho = np.kron(eye, eye).astype(complex)
-    for ax in AXES:
-        rho += single_s[ax] * np.kron(PAULI[ax], eye)
-        rho += single_i[ax] * np.kron(eye, PAULI[ax])
-    for ax_s in AXES:
-        for ax_i in AXES:
-            rho += corr[(ax_s, ax_i)] * np.kron(PAULI[ax_s], PAULI[ax_i])
-    return rho / 4.0
+def _invert_cells(cells: np.ndarray) -> np.ndarray:
+    """Linear inversion of (..., 3, 3, 2, 2) cells into (possibly unphysical)
+    (..., 4, 4) matrices; NaN where a setting has no net counts."""
+    totals = cells.sum(axis=(-2, -1))
+    probs = cells / np.where(totals > 0, totals, np.nan)[..., None, None]
+    signed_s = probs @ np.ones(2) @ SIGNS    # sum_ab a p(a, b), per axis pair
+    signed_i = np.ones(2) @ probs @ SIGNS    # sum_ab b p(a, b)
+    pauli = np.ones(cells.shape[:-4] + (4, 4))
+    pauli[..., 1:, 0] = signed_s.mean(axis=-1)
+    pauli[..., 0, 1:] = signed_i.mean(axis=-2)
+    pauli[..., 1:, 1:] = SIGNS @ probs @ SIGNS
+    return np.tensordot(pauli, PAULI_PRODUCTS, axes=2) / 4.0
 
 
-def _result_from_cells(cells: dict, fidelity_err: float,
+def _fidelity(matrix: np.ndarray) -> np.ndarray:
+    return np.real(BELL_TARGET.conj() @ matrix @ BELL_TARGET)
+
+
+def _fidelities(cells: np.ndarray) -> np.ndarray:
+    """Fidelity of the projected reconstruction of each replica's cells;
+    NaN for a replica with a setting without net counts."""
+    ok = (cells.sum(axis=(-2, -1)) > 0).all(axis=(-2, -1))
+    inverted = np.where(ok[..., None, None], _invert_cells(cells), np.eye(4) / 4.0)
+    return np.where(ok, _fidelity(project_to_physical(inverted)), np.nan)
+
+
+def _result_from_cells(cells: np.ndarray, fidelity_err: float,
                        weight: float | None) -> TomoResult:
-    if all(v == 0 for v in cells.values()):
+    if not cells.any():
         raise ComputationError("all tomography cells are zero")
-    physical = project_to_physical(_invert_cells(cells))
-    op = DensityOperator(2, 2, physical)
-    fid = float(np.real(BELL_TARGET.conj() @ op.matrix @ BELL_TARGET))
+    empty = np.argwhere(cells.sum(axis=(-2, -1)) <= 0)
+    if len(empty):
+        ax_s, ax_i = (AXES[a] for a in empty[0])
+        raise ComputationError(f"tomography setting ({ax_s},{ax_i}) has no net counts")
+    op = DensityOperator(2, 2, project_to_physical(_invert_cells(cells)))
+    fid = float(_fidelity(op.matrix))
     coherence = complex(op.matrix[3, 0])  # <kk|rho|jj>
     phase = math.degrees(math.atan2(coherence.imag, coherence.real))
     if phase <= -180.0:
@@ -159,12 +145,8 @@ def _result_from_cells(cells: dict, fidelity_err: float,
 def reconstruct_exact(rho: DensityOperator, j: int, k: int, space: str = "X") -> TomoResult:
     """Reconstruction from exact probabilities; unbiased, zero error bars."""
     cells = exact_cells(rho, j, k, space=space)
-    weight: float | None
-    if space == "X":
-        weight = restrict_to_pair(rho, j, k).weight
-    else:
-        # sum of the four z-axis cells: in-subspace probability of the pair
-        weight = sum(cells[("z", "z", a, b)] for a in (1, -1) for b in (1, -1))
+    # in K, the four z-axis cells sum to the in-subspace probability of the pair
+    weight = restrict_to_pair(rho, j, k).weight if space == "X" else float(cells[2, 2].sum())
     return _result_from_cells(cells, fidelity_err=0.0, weight=weight)
 
 
@@ -180,13 +162,14 @@ def reconstruct(
 
     The error is the bootstrap standard deviation (``counting.bootstrap_std``)
     of the refitted fidelity over Poisson replicas of the nine tomography
-    settings, re-applying the accidental correction when requested.
+    settings, re-applying the accidental correction when requested; the
+    replicas are reconstructed together, as one stack.
     """
     plan = _plan(table, *pair, space)
     cells = _cells(table, plan, corrected)
     err = bootstrap_std(
         table.restricted(setting.name for setting in plan),
-        lambda boot: _result_from_cells(_cells(boot, plan, corrected), 0.0, None).fidelity,
+        lambda stack: _fidelities(_cells(stack, plan, corrected)),
         n_bootstrap, seed,
     )
     return _result_from_cells(cells, fidelity_err=err, weight=None)

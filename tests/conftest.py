@@ -1,11 +1,13 @@
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 
 import qcert
-from qcert import DensityOperator, Projector, StateVector, density_from_ket
+from qcert import DensityOperator, Projector, StateVector, bases, density_from_ket
 from qcert.bases import AXES, MeasurementBasis, cglmp_basis, k_basis, pair_basis, x_basis
+from qcert.errors import ComputationError
 
 
 def cli_env():
@@ -85,3 +87,105 @@ def oracle_bases(d_s, d_i, seed):
     pairs += [(_unitary_basis(u_s, "signal"), _unitary_basis(u_i, "idler")),
               (_unitary_basis(u_s[:2], "signal"), x_basis(d_i, "idler"))]
     return pairs
+
+
+# Per-table estimators as they were before the count path read stacked
+# arrays: one record, one setting and one table at a time.  The oracles for
+# the batched estimators over a bootstrap replica stack.
+
+def oracle_estimate(rec, corrected):
+    """(value, standard error) of one record: raw, or accidental-subtracted."""
+    c, s, i, n = rec.coincidences, rec.singles_s, rec.singles_i, rec.trials
+    if not corrected or s == 0 or i == 0:
+        return float(c), math.sqrt(c)
+    acc = s * i / n
+    return c - acc, math.sqrt(c + acc * acc * (1.0 / s + 1.0 / i))
+
+
+def oracle_setting_cells(table, setting, corrected):
+    """One setting's cell values and variances as nested lists."""
+    recs = table.by_setting(setting.name)
+    ests = [[oracle_estimate(recs[key], corrected) for key in row] for row in setting.cells]
+    return ([[value for value, _ in row] for row in ests],
+            [[err**2 for _, err in row] for row in ests])
+
+
+def oracle_visibility(values, variances):
+    """(V, its error, status) from one setting's 2 x 2 cells."""
+    n1 = values[0][0] + values[1][1]
+    n2 = values[0][1] + values[1][0]
+    total = n1 + n2
+    if total <= 0:
+        return 0.0, 0.0, "no-counts"
+    vis = abs(n1 - n2) / total
+    d_n1 = 2 * n2 / total**2
+    d_n2 = 2 * n1 / total**2
+    var = d_n1**2 * (variances[0][0] + variances[1][1]) + d_n2**2 * (
+        variances[0][1] + variances[1][0])
+    return min(vis, 1.0), math.sqrt(var), "clamped" if vis > 1.0 else "ok"
+
+
+def oracle_eof_b(table, space, pairs, corrected, num_modes):
+    """The count-path B functional of one table."""
+    values = np.asarray(oracle_setting_cells(
+        table, bases.scan_setting(space, num_modes), corrected)[0])
+    if values.sum() <= 0:
+        raise ComputationError("diagonal coincidence table has no net counts")
+    probs = values / values.sum()
+    total = 0.0
+    for j, k in pairs:
+        weight = probs[j, j] + probs[j, k] + probs[k, j] + probs[k, k]
+        v_x, v_y = (oracle_visibility(*oracle_setting_cells(table, st, corrected))[0]
+                    for st in bases.witness_settings(space, min(j, k), max(j, k),
+                                                     num_modes)[:2])
+        total += weight * (v_x + v_y) / 4.0 - math.sqrt(
+            max(probs[j, k], 0.0) * max(probs[k, j], 0.0))
+    return max(2.0 / math.sqrt(len(pairs)) * total, 0.0)
+
+
+PAULI = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
+         "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+         "z": np.array([[1, 0], [0, -1]], dtype=complex)}
+
+
+def oracle_tomo_fidelity(table, plan, corrected):
+    """Fidelity of one table's projected linear-inversion reconstruction,
+    summed Pauli term by Pauli term."""
+    cells = {}
+    for (ax_s, ax_i), setting in zip([(s, i) for s in AXES for i in AXES], plan):
+        values, _ = oracle_setting_cells(table, setting, corrected)
+        for a, row in zip(setting.basis_s.labels, values):
+            for b, value in zip(setting.basis_i.labels, row):
+                cells[(ax_s, ax_i, a, b)] = float(value)
+    if all(v == 0 for v in cells.values()):
+        raise ComputationError("all tomography cells are zero")
+    signs = [(a, b) for a in (1, -1) for b in (1, -1)]
+    norm = {}
+    for ax_s in AXES:
+        for ax_i in AXES:
+            total = sum(cells[(ax_s, ax_i, a, b)] for a, b in signs)
+            if total <= 0:
+                raise ComputationError(f"tomography setting ({ax_s},{ax_i}) has no net counts")
+            norm[(ax_s, ax_i)] = total
+    eye = np.eye(2, dtype=complex)
+    rho = np.kron(eye, eye)
+    for ax in AXES:
+        single_s = np.mean([sum(a * cells[(ax, ax_i, a, b)] for a, b in signs)
+                            / norm[(ax, ax_i)] for ax_i in AXES])
+        single_i = np.mean([sum(b * cells[(ax_s, ax, a, b)] for a, b in signs)
+                            / norm[(ax_s, ax)] for ax_s in AXES])
+        rho = rho + single_s * np.kron(PAULI[ax], eye) + single_i * np.kron(eye, PAULI[ax])
+    for ax_s in AXES:
+        for ax_i in AXES:
+            corr = sum(a * b * cells[(ax_s, ax_i, a, b)] for a, b in signs) / norm[(ax_s, ax_i)]
+            rho = rho + corr * np.kron(PAULI[ax_s], PAULI[ax_i])
+    vals, vecs = np.linalg.eigh(rho / 4.0)
+    # Euclidean projection of the spectrum onto the probability simplex
+    desc = np.sort(vals)[::-1]
+    csum = np.cumsum(desc)
+    ks = np.arange(1, 5)
+    k = int(ks[desc + (1.0 - csum) / ks > 0][-1])
+    lam = np.maximum(vals + (1.0 - csum[k - 1]) / k, 0.0)
+    op = DensityOperator(2, 2, (vecs * lam) @ vecs.conj().T)
+    target = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    return float(np.real(target.conj() @ op.matrix @ target))

@@ -1,9 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import dft
 
 from qcert import (
+    MeasurementBasis,
+    Projector,
+    RfToneProgram,
     SourceConfig,
     ValidationError,
     cglmp_basis,
@@ -198,3 +203,32 @@ class TestToneProgram:
         prog = rf_tone_program(k_basis(10).projectors[3])
         for f, _, _ in prog.tones:
             assert (f / 0.8) == pytest.approx(round(f / 0.8), abs=1e-12)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_basis_with_a_nan_ket_rejected(self):
+        with pytest.raises(ValidationError, match="norm"):
+            MeasurementBasis(name="n", side="signal", dim=2,
+                             projectors=(Projector([np.nan, 0], 0), Projector([0, 1], 1)))
+        # the Gram check on its own: an outcome that skipped Projector's checks
+        nan_outcome = SimpleNamespace(vector=np.array([np.nan, 0], dtype=complex), label=0)
+        with pytest.raises(ValidationError, match="orthonormal"):
+            MeasurementBasis(name="n", side="signal", dim=2,
+                             projectors=(nan_outcome, Projector([0, 1], 1)))
+
+    @pytest.mark.parametrize("tones, spacing", [
+        (((0.0, np.nan, 0.0),), 0.8),
+        (((0.0, 1.0, np.nan),), 0.8),
+        (((np.nan, 1.0, 0.0),), 0.8),
+        (((0.0, np.inf, 0.0),), 0.8),
+        (((0.0, 1.0, 0.0),), np.nan),
+    ])
+    def test_tone_program_rejects_non_finite_values(self, tones, spacing):
+        with pytest.raises(ValidationError, match="finite"):
+            RfToneProgram(tones=tones, tone_spacing_mhz=spacing)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_tone_program_of_a_nan_ket_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            rf_tone_program(np.array([np.nan, 0.0]))

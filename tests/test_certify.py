@@ -1,8 +1,8 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from qcert import (
     CoincidenceTable,
@@ -356,14 +356,13 @@ class TestEofCounts:
 
     def test_error_is_nan_when_no_replica_survives(self, monkeypatch):
         # replicas without counts refuse the bound; the error must not read 0
-        def empty_replica(table, seed):
-            return CoincidenceTable(
-                records=tuple(replace(r, coincidences=0, singles_s=0, singles_i=0)
-                              for r in table.records),
-                metadata=table.metadata)
+        def empty_replicas(table, seed, n_replicas):
+            counts = np.zeros((4, n_replicas, len(table.records)), dtype=np.int64)
+            counts[3] = table.counts[3]   # every count zero, trials kept
+            yield counts
 
         table = self.build_table(0.2, trials=10**6, seed=1)
-        monkeypatch.setattr(counting, "bootstrap_table", empty_replica)
+        monkeypatch.setattr(counting, "_replica_blocks", empty_replicas)
         res = eof_bound(table, n_bootstrap=5, seed=5)
         assert res.ebits > 0
         assert math.isnan(res.coherence_sum_err)
@@ -558,6 +557,21 @@ class TestCglmpExact:
                 ket = StateVector(d, d, np.outer(u, v).flatten())
                 res = cglmp(density_from_ket(ket), d)
                 assert res.bell_parameter <= 2.0 + 1e-9
+
+    @settings(deadline=None, max_examples=40)
+    @given(strategies.integers(2, 6), strategies.integers(0, 2**32 - 1), strategies.booleans())
+    def test_product_states_respect_local_bound_in_every_dimension(self, dim, seed, mixed):
+        rng = np.random.default_rng(seed)
+
+        def local_state():
+            g = rng.normal(size=(dim, dim if mixed else 1)) + 1j * rng.normal(
+                size=(dim, dim if mixed else 1))
+            m = g @ g.conj().T
+            return m / np.trace(m).real
+
+        rho = DensityOperator(dim, dim, np.kron(local_state(), local_state()))
+        for d in range(2, dim + 1):
+            assert cglmp(rho, d).bell_parameter <= 2.0 + 1e-12
 
     def test_embedded_measurement_dilutes_with_dimension(self):
         # measuring d of 10 modes: isotropic noise occupies d^2 cells while

@@ -29,18 +29,17 @@ from qcert import (
     with_accidental_noise,
     x_basis,
 )
+from qcert import counting
 from qcert.bases import MeasurementBasis, scan_setting
 from qcert.counting import CSV_HEADER
 from qcert.counting import (
-    _bootstrap_word,
     _key_word,
     _keyed_streams,
     _seed_states,
     bootstrap_std,
-    estimate,
+    cell_estimates,
     outcome_stream,
 )
-from qcert.errors import ComputationError
 
 from conftest import einsum_marginals, einsum_table, oracle_bases, oracle_states
 
@@ -259,11 +258,20 @@ class TestSubtractAccidentals:
         assert abs(np.mean(vals)) < 3 * sigma_mean
 
     def test_estimate_selects_raw_or_subtracted(self):
-        rec = make_record(20, 600, 300, n=10**5)
-        assert estimate(rec, corrected=True) == subtract_accidentals(rec)
-        raw = estimate(rec, corrected=False)
-        assert raw.value == 20.0
-        assert raw.std_error == pytest.approx(math.sqrt(20), abs=1e-12)
+        recs = [make_record(20, 600, 300, n=10**5), make_record(0, 0, 300, n=1000),
+                make_record(1, 900, 900, n=10**4)]
+        counts = np.array([[r.coincidences, r.singles_s, r.singles_i, r.trials]
+                           for r in recs]).T
+        value, var = cell_estimates(counts, corrected=True)
+        for rec, v, e in zip(recs, value, var):
+            corr = subtract_accidentals(rec)
+            assert (v, math.sqrt(e)) == (corr.value, corr.std_error)
+        raw, raw_var = cell_estimates(counts, corrected=False)
+        assert raw.tolist() == raw_var.tolist() == [20.0, 0.0, 1.0]
+        # trailing axes are kept: a leading replica axis reads cell by cell
+        stacked, _ = cell_estimates(np.stack([counts, counts], axis=1), corrected=True)
+        assert stacked.shape == (2, 3)
+        assert stacked.tolist() == [value.tolist()] * 2
 
     def test_subtraction_commutes_with_merging_on_means(self):
         # identical-rate runs: corrected means add exactly under a merge
@@ -327,6 +335,13 @@ class TestTables(object):
         with pytest.raises(ValidationError, match=":3"):
             load_table(path)
 
+    def test_counts_beyond_int64_rejected(self, tmp_path):
+        # the table's count columns are int64
+        path = tmp_path / "big.csv"
+        path.write_text(",".join(CSV_HEADER) + "\na,0,0,1,10,10," + str(2**63) + "\n")
+        with pytest.raises(ValidationError, match="big.csv: counts exceed the 64-bit"):
+            load_table(path)
+
     def test_unknown_columns_rejected(self, tmp_path):
         path = tmp_path / "cols.csv"
         path.write_text("setting,outcome_s,outcome_i,coincidences,singles_s,"
@@ -348,6 +363,13 @@ class TestTables(object):
         orig = t.records[0]
         assert rec.coincidences == 2 * orig.coincidences
         assert rec.trials == 2 * orig.trials
+
+    def test_bootstrap_caps_coincidences_at_the_trial_count(self):
+        table = CoincidenceTable(records=(make_record(4, 4, 4, n=4, setting="a", out=(0, 0)),))
+        # this stream draws 6 coincidences, more than the 4 trials allow
+        assert outcome_stream(6, "a", "bootstrap", 0, 0).poisson(4) == 6
+        rec = bootstrap_table(table, seed=6).records[0]
+        assert (rec.coincidences, rec.singles_s, rec.singles_i, rec.trials) == (4, 4, 4, 4)
 
     def test_bootstrap_deterministic(self):
         t = self.make_table()
@@ -390,28 +412,42 @@ class TestBootstrapStd:
         return TestTables().make_table()
 
     @staticmethod
-    def total(table):
-        return float(sum(r.coincidences for r in table.records))
+    def total(stack):
+        """Total coincidences of each replica of a stack."""
+        return stack.counts[0].sum(axis=-1).astype(float)
 
     def test_is_the_ddof1_spread_over_bootstrap_replicas(self):
         t = self.make_table()
-        values = [self.total(bootstrap_table(t, seed=40 + b)) for b in range(12)]
+        values = [float(sum(r.coincidences for r in bootstrap_table(t, seed=40 + b).records))
+                  for b in range(12)]
         expected = float(np.std(values, ddof=1))
         assert bootstrap_std(t, self.total, 12, seed=40) == pytest.approx(expected, rel=1e-12)
 
     def test_failed_replicas_are_dropped(self):
         t = self.make_table()
-        calls = []
 
-        def statistic(boot):
-            calls.append(boot)
-            if len(calls) == 1:
-                raise ComputationError("replica refused")
-            return self.total(boot)
+        def statistic(stack):
+            values = self.total(stack)
+            values[0] = np.nan   # replica 0 refused
+            return values
 
-        kept = [self.total(bootstrap_table(t, seed=7 + b)) for b in range(1, 10)]
+        kept = [float(sum(r.coincidences for r in bootstrap_table(t, seed=7 + b).records))
+                for b in range(1, 10)]
         assert bootstrap_std(t, statistic, 10, seed=7) == pytest.approx(
             float(np.std(kept, ddof=1)), rel=1e-12)
+
+    def test_replicas_in_blocks_give_the_same_error(self, monkeypatch):
+        t = self.make_table()
+        whole = bootstrap_std(t, self.total, 12, seed=40)
+        sizes = []
+
+        def statistic(stack):
+            sizes.append(stack.counts.shape[1])
+            return self.total(stack)
+
+        monkeypatch.setattr(counting, "_BLOCK_CELLS", 20)   # 4 records: 5 replicas a block
+        assert bootstrap_std(t, statistic, 12, seed=40) == whole
+        assert sizes == [5, 5, 2]
 
     @pytest.mark.parametrize("n_bootstrap", [0, 1])
     def test_fewer_than_two_replicas_rejected(self, n_bootstrap):
@@ -422,14 +458,15 @@ class TestBootstrapStd:
     def test_fewer_than_two_survivors_give_nan(self, survivors):
         calls = []
 
-        def statistic(boot):
-            calls.append(boot)
-            if len(calls) > survivors:
-                raise ValidationError("replica refused")
-            return self.total(boot)
+        def statistic(stack):
+            calls.append(stack)
+            values = self.total(stack)
+            values[survivors:] = np.nan
+            return values
 
         assert math.isnan(bootstrap_std(self.make_table(), statistic, 5, seed=0))
-        assert len(calls) == 5
+        # the statistic sees all five replicas at once
+        assert [stack.counts.shape[1] for stack in calls] == [5]
 
 
 # random tables: up to 30 cells over three settings, counts consistent with 200 trials
@@ -440,12 +477,22 @@ table_rows = st.lists(
 )
 
 
-def table_from_rows(rows) -> CoincidenceTable:
+def table_from_rows(rows, trials=200) -> CoincidenceTable:
     return CoincidenceTable(records=tuple(
         CountRecord(setting=name, outcome_s=a, outcome_i=b, coincidences=c,
-                    singles_s=c + extra_s, singles_i=c + extra_i, trials=200)
+                    singles_s=c + extra_s, singles_i=c + extra_i, trials=trials)
         for name, a, b, c, extra_s, extra_i in rows
     ))
+
+
+def replica_stack(table, n_replicas, seed):
+    """The one replica stack bootstrap_std hands its statistic (few records
+    and replicas fit one block)."""
+    stacks = []
+    bootstrap_std(table, lambda stack: stacks.append(stack) or np.zeros(n_replicas),
+                  n_replicas, seed)
+    (stack,) = stacks
+    return stack
 
 
 class TestTableProperties:
@@ -467,6 +514,28 @@ class TestTableProperties:
         records.insert(data.draw(st.integers(0, len(records))), duplicate)
         with pytest.raises(ValidationError, match="duplicate"):
             CoincidenceTable(records=tuple(records))
+
+    @settings(deadline=None, max_examples=40)
+    @given(table_rows, st.integers(0, 2**64), st.integers(2, 4))
+    def test_stack_replica_b_is_bootstrap_table_at_seed_plus_b(self, rows, seed, n_replicas):
+        table = table_from_rows(rows)
+        stack = replica_stack(table, n_replicas, seed)
+        assert stack.counts.shape == (4, n_replicas, len(rows))
+        for b in range(n_replicas):
+            records = bootstrap_table(table, seed + b).records
+            assert stack.counts[:, b].T.tolist() == [
+                [r.coincidences, r.singles_s, r.singles_i, r.trials] for r in records]
+
+    @settings(deadline=None, max_examples=60)
+    @given(table_rows, st.integers(0, 2**64))
+    def test_stack_replicas_keep_the_record_checks(self, rows, seed):
+        # trials as tight as the table allows, so draws often reach the cap
+        trials = max([1] + [c + max(es, ei) for *_, c, es, ei in rows])
+        c, s, i, n = replica_stack(table_from_rows(rows, trials), 8, seed).counts
+        assert (c >= 0).all()
+        assert (c <= np.minimum(s, i)).all()
+        assert (np.maximum(c, np.maximum(s, i)) <= n).all()
+        assert (n == trials).all()
 
     @settings(deadline=None, max_examples=60)
     @given(table_rows, table_rows)
@@ -526,7 +595,7 @@ def oracle_bootstrap(table, seed):
     records = []
     for rec in table.records:
         rng = oracle_stream(seed, rec.setting, "bootstrap", rec.outcome_s, rec.outcome_i)
-        c = int(rng.poisson(rec.coincidences))
+        c = min(int(rng.poisson(rec.coincidences)), rec.trials)
         s = c + int(rng.poisson(max(rec.singles_s - rec.coincidences, 0)))
         i = c + int(rng.poisson(max(rec.singles_i - rec.coincidences, 0)))
         records.append(CountRecord(
@@ -570,9 +639,9 @@ class TestKeyedStreams:
             return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "little")
 
         assert _key_word("s", "cell", 1, -1) == sha_word("s\x1fcell\x1f1\x1f-1")
-        assert _bootstrap_word("s", 1, -1) == sha_word("s\x1fbootstrap\x1f1\x1f-1")
-        # typed cache: 1 and 1.0 hash alike but spell different keys
-        assert _bootstrap_word("s", 1.0, -1) == sha_word("s\x1fbootstrap\x1f1.0\x1f-1")
+        assert _key_word("s", "bootstrap", 1, -1) == sha_word("s\x1fbootstrap\x1f1\x1f-1")
+        # 1 and 1.0 compare equal but spell different keys
+        assert _key_word("s", "bootstrap", 1.0, -1) == sha_word("s\x1fbootstrap\x1f1.0\x1f-1")
 
     @pytest.mark.parametrize("seed", [0, 11, 2**32, 2**64 + 1])
     def test_simulate_setting_matches_oracle(self, seed):

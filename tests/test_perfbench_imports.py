@@ -5,7 +5,8 @@ import importlib
 import inspect
 from pathlib import Path
 
-from qcert.pipeline import run_simulation
+from qcert import CountRecord, SourceConfig, bootstrap_table, naming
+from qcert.pipeline import SimulationConfig, run_simulation
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -30,3 +31,22 @@ def test_every_imported_name_resolves():
 
 def test_run_simulation_accepts_workers():
     assert "workers" in inspect.signature(run_simulation).parameters
+
+
+def test_perfbench_reads_tables_as_records(monkeypatch):
+    """perfbench builds tables with ``CoincidenceTable(records=...)`` and reads
+    ``table.records`` and ``r.setting``, which the import check cannot see."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    cfg = SimulationConfig(source=SourceConfig.uniform(4, noise_fraction=0.1),
+                           trials_per_setting=10**4, spaces=("X",), bell_dimensions=(),
+                           tomo_pair=(0, 1))
+    sub = layers.eof_subtable(run_simulation(cfg), 4)
+    boot = bootstrap_table(sub, seed=3)
+    for table in (sub, boot):
+        assert table.records
+        assert all(isinstance(r, CountRecord) for r in table.records)
+    assert {r.setting for r in sub.records} == {
+        naming.diag_setting("X")} | {naming.witness_setting("X", j, k, ax)
+                                     for j in range(4) for k in range(j + 1, 4) for ax in "xy"}
+    assert [r.key for r in boot.records] == [r.key for r in sub.records]

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -59,10 +58,9 @@ class TestSettings:
         rho = noisy_state(SourceConfig.uniform(10, noise_fraction=0.3))
         cells = exact_cells(rho, 0, 5)
         weight = restrict_to_pair(rho, 0, 5).weight
-        for ax_s in "xyz":
-            for ax_i in "xyz":
-                total = sum(cells[(ax_s, ax_i, a, b)] for a in (1, -1) for b in (1, -1))
-                assert total == pytest.approx(weight, abs=1e-10)
+        assert cells.shape == (3, 3, 2, 2)
+        # every axis pair's four cells sum to the post-selection weight
+        assert_allclose(cells.sum(axis=(-2, -1)), np.full((3, 3), weight), rtol=0, atol=1e-10)
 
     def test_same_mode_rejected(self):
         with pytest.raises(ValidationError):
@@ -203,15 +201,14 @@ class TestCountReconstruction:
             reconstruct(table, (0, 5), n_bootstrap=n_bootstrap)
 
     def test_error_is_nan_when_no_replica_survives(self, monkeypatch):
-        def empty_replica(table, seed):
-            return CoincidenceTable(
-                records=tuple(replace(r, coincidences=0, singles_s=0, singles_i=0)
-                              for r in table.records),
-                metadata=table.metadata)
+        def empty_replicas(table, seed, n_replicas):
+            counts = np.zeros((4, n_replicas, len(table.records)), dtype=np.int64)
+            counts[3] = table.counts[3]   # every count zero, trials kept
+            yield counts
 
         rho = density_from_ket(ideal_state(SourceConfig.uniform(10)))
         table = self.build_table(rho, trials=10**5, seed=0)
-        monkeypatch.setattr(counting, "bootstrap_table", empty_replica)
+        monkeypatch.setattr(counting, "_replica_blocks", empty_replicas)
         res = reconstruct(table, (0, 5), n_bootstrap=5)
         assert res.fidelity > 0.5
         assert math.isnan(res.fidelity_err)
