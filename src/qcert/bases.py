@@ -139,6 +139,8 @@ class RfToneProgram:
             raise ValidationError("a tone program needs at least one tone")
         if not np.all(np.isfinite([*np.ravel(self.tones), self.tone_spacing_mhz])):
             raise ValidationError("tone values and the tone spacing must be finite")
+        if not self.tone_spacing_mhz > 0:
+            raise ValidationError(f"tone spacing {self.tone_spacing_mhz} MHz must be positive")
         power = sum(a * a for _, a, _ in self.tones)
         if not abs(power - 1.0) <= 1e-10:
             raise ValidationError(f"tone power {power!r} is not normalized within 1e-10")

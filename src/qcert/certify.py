@@ -19,6 +19,7 @@ bootstrap ``ReplicaStack``, where a refused replica reads NaN:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -257,18 +258,21 @@ def _b_from_terms(coherences, cross_terms):
     return np.maximum(2.0 / math.sqrt(coherences.shape[-1]) * total, 0.0)
 
 
-def _eof_exact_terms(rho: DensityOperator, space: str, j, k):
-    """|<jj|rho|kk>| and sqrt(<jk|rho|jk><kj|rho|kj>) per pair, read off rho
-    rotated once into the product basis of the space's full-basis scan."""
+def _eof_exact_elements(rho: DensityOperator, space: str, j, k):
+    """<jj|rho|kk>, <jk|rho|jk> and <kj|rho|kj> per pair, read off rho rotated
+    once into the product basis of the space's full-basis scan; linear in rho."""
     scan = bases.scan_setting(space, rho.dim_signal)
     kets = np.kron(scan.basis_s.vector_matrix, scan.basis_i.vector_matrix)
     r = kets.conj() @ rho.matrix @ kets.T
     n = rho.dim_idler
-    p_jk = np.maximum(r[j * n + k, j * n + k].real, 0.0)
-    p_kj = np.maximum(r[k * n + j, k * n + j].real, 0.0)
-    coherences = r[j * n + j, k * n + k]
+    return r[j * n + j, k * n + k], r[j * n + k, j * n + k].real, r[k * n + j, k * n + j].real
+
+
+def _eof_exact_terms(coherences, p_jk, p_kj):
+    """|<jj|rho|kk>| and sqrt(<jk|rho|jk><kj|rho|kj>) from those elements."""
+    cross_terms = np.sqrt(np.maximum(p_jk, 0.0) * np.maximum(p_kj, 0.0))
     # hypot, as abs() of a Python complex: numpy's complex abs rounds otherwise
-    return np.hypot(coherences.real, coherences.imag), np.sqrt(p_jk * p_kj)
+    return np.hypot(coherences.real, coherences.imag), cross_terms
 
 
 def _eof_count_terms(data, scan: bases.PlannedSetting, pair_settings, j, k,
@@ -319,7 +323,7 @@ def eof_bound(
         raise ValidationError(f"pair_set needs two different modes in 0..{d - 1}; got {bad}")
     j, k = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     if isinstance(data, DensityOperator):
-        coherences, cross_terms = _eof_exact_terms(data, space, j, k)
+        coherences, cross_terms = _eof_exact_terms(*_eof_exact_elements(data, space, j, k))
         b_err = 0.0
     else:
         scan = bases.scan_setting(space, dim)
@@ -369,9 +373,11 @@ def eof_bound(
 # Bell parameter
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def cglmp_weights(d: int) -> np.ndarray:
     """Per-cell weights w[s, i, k, m] so the Bell parameter is
-    sum_{s,i} sum_{k,m} w[s,i,k,m] P(S_s=k, I_i=m).
+    sum_{s,i} sum_{k,m} w[s,i,k,m] P(S_s=k, I_i=m); built once per d and
+    returned read-only.
 
     Assembled so that, with the detector offsets used here (signal 0/0.5,
     idler +-0.25), every probability bracket puts its positive term on the
@@ -398,6 +404,7 @@ def cglmp_weights(d: int) -> np.ndarray:
         # setting (0,1): P(I1 = S0 + l) - P(I1 = S0 - l - 1)
         w[0, 1, k, (k + l) % d] += a
         w[0, 1, k, (k - l - 1) % d] -= a
+    w.setflags(write=False)
     return w
 
 

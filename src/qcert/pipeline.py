@@ -27,10 +27,13 @@ from .errors import ValidationError
 from .linalg import DensityOperator, StateVector, density_from_ket, fidelity_to_pure, restrict_to_pair
 from . import bases
 from .bases import PlannedSetting
-from .counting import CoincidenceTable, CountingParams, simulate_setting, with_accidental_noise
-from .certify import cglmp, eof_bound
+from .counting import (CoincidenceTable, CountingParams, setting_cells, simulate_setting,
+                       with_accidental_noise)
+from .certify import (_b_from_terms, _ebits_from_b, _eof_exact_elements, _eof_exact_terms,
+                      _visibilities, _witness_pairs, cglmp)
 from . import naming
-from .source import SourceConfig, ideal_state, mean_pair_visibility, noisy_state
+from .source import SourceConfig, _visibility_norm, ideal_state, noisy_state
+from .tomo import BELL_TARGET
 
 __all__ = [
     "SimulationConfig",
@@ -173,6 +176,44 @@ def _bisect_noise(objective, target: float, tol: float = 1e-9) -> float:
     return (lo + hi) / 2
 
 
+def _endpoint_objective(cfg: SourceConfig, read, value):
+    """p -> value(*read(rho(p))) for rho(p) = (1-p) rho(0) + p I/D^2: ``read``
+    returns pieces linear in rho, read off the two endpoint states once."""
+    ends = [read(noisy_state(cfg.with_noise(p))) for p in (0.0, 1.0)]
+    return lambda p: value(*((1.0 - p) * a + p * b for a, b in zip(*ends)))
+
+
+def _visibility_objective(cfg: SourceConfig):
+    """Mean spatial-pair visibility of rho(p), from the X-witness cells."""
+    d, norm = cfg.num_modes, _visibility_norm(cfg.num_modes)
+    plan = [st for j, k in _witness_pairs(d) for st in bases.witness_settings("X", j, k, d)]
+    return _endpoint_objective(
+        cfg, lambda rho: setting_cells(rho, plan),
+        lambda values, zeros: float(_visibilities(values, zeros, exact=True)[0].sum()) / norm)
+
+
+def _eof_objective(cfg: SourceConfig, space: str):
+    """Exact formation bound of rho(p) over every mode pair, in ebits."""
+    naming.require_space(space)
+    j, k = np.array(_witness_pairs(cfg.num_modes), dtype=np.intp).reshape(-1, 2).T
+    return _endpoint_objective(
+        cfg, lambda rho: _eof_exact_elements(rho, space, j, k),
+        lambda *elements: _ebits_from_b(float(_b_from_terms(*_eof_exact_terms(*elements)))))
+
+
+def _fidelity_objective(cfg: SourceConfig, pair):
+    """Post-selected pair fidelity of rho(p) to Phi+: <Phi+|B|Phi+> / Tr B for
+    rho's pair block B (both linear in rho), 0 where the pair has no weight."""
+    phi_plus = StateVector(2, 2, BELL_TARGET)
+
+    def read(rho):
+        r = restrict_to_pair(rho, *pair)
+        return (0.0, 0.0) if r.zero_weight else (
+            r.weight * fidelity_to_pure(r.operator, phi_plus), r.weight)
+    return _endpoint_objective(cfg, read, lambda overlap, weight: 0.0 if weight < 1e-14 else
+                               min(max(overlap / weight, 0.0), 1.0))
+
+
 def fit_noise_to_visibility(target_mean_visibility: float, cfg: SourceConfig) -> float:
     """Noise fraction whose mean spatial-pair visibility matches the target.
 
@@ -182,36 +223,17 @@ def fit_noise_to_visibility(target_mean_visibility: float, cfg: SourceConfig) ->
     """
     if not (0.0 < target_mean_visibility <= 1.0):
         raise ValidationError("target mean visibility must lie in (0, 1]")
-
-    def objective(p: float) -> float:
-        return mean_pair_visibility(noisy_state(cfg.with_noise(p)))
-
-    return _bisect_noise(objective, target_mean_visibility, tol=1e-6)
+    return _bisect_noise(_visibility_objective(cfg), target_mean_visibility, tol=1e-6)
 
 
 def fit_noise_to_pair_fidelity(target: float, cfg: SourceConfig, pair: tuple[int, int]) -> float:
     """Noise fraction at which the post-selected pair fidelity hits the target."""
-    j, k = pair
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1 / np.sqrt(2)
-    target_ket = StateVector(2, 2, bell)
-
-    def objective(p: float) -> float:
-        restriction = restrict_to_pair(noisy_state(cfg.with_noise(p)), j, k)
-        if restriction.zero_weight:
-            return 0.0
-        return fidelity_to_pure(restriction.operator, target_ket)
-
-    return _bisect_noise(objective, target)
+    return _bisect_noise(_fidelity_objective(cfg, pair), target)
 
 
 def fit_noise_to_eof(target_ebits: float, cfg: SourceConfig, space: str = "X") -> float:
     """Noise fraction at which the exact formation bound hits the target."""
-
-    def objective(p: float) -> float:
-        return eof_bound(noisy_state(cfg.with_noise(p)), space=space).ebits
-
-    return _bisect_noise(objective, target_ebits, tol=1e-7)
+    return _bisect_noise(_eof_objective(cfg, space), target_ebits, tol=1e-7)
 
 
 # ---------------------------------------------------------------------------

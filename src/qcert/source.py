@@ -160,7 +160,12 @@ def noisy_state(cfg: SourceConfig) -> DensityOperator:
 def mean_pair_visibility(rho: DensityOperator) -> float:
     """Mean over all spatial mode pairs of the per-pair visibility sum, / 3:
     the exact X-space witness total divided by 3 * (number of pairs)."""
-    d = min(rho.dim_signal, rho.dim_idler)
+    norm = _visibility_norm(min(rho.dim_signal, rho.dim_idler))
+    return witness(rho, space="X").total / norm
+
+
+def _visibility_norm(d: int) -> int:
+    """3 * (number of mode pairs): the mean pair visibility's denominator."""
     if d < 2:
         raise ValidationError("mean pair visibility needs at least two modes")
-    return witness(rho, space="X").total / (3 * (d * (d - 1) // 2))
+    return 3 * (d * (d - 1) // 2)

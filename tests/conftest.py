@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 
 import qcert
-from qcert import DensityOperator, Projector, StateVector, bases, density_from_ket
+from qcert import (DensityOperator, Projector, StateVector, bases, density_from_ket, eof_bound,
+                   fidelity_to_pure, mean_pair_visibility, noisy_state, pipeline,
+                   restrict_to_pair)
 from qcert.bases import AXES, MeasurementBasis, cglmp_basis, k_basis, pair_basis, x_basis
 from qcert.errors import ComputationError
 
@@ -189,3 +191,31 @@ def oracle_tomo_fidelity(table, plan, corrected):
     op = DensityOperator(2, 2, (vecs * lam) @ vecs.conj().T)
     target = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     return float(np.real(target.conj() @ op.matrix @ target))
+
+
+# The noise-fit objectives as they were before the fits read two endpoint
+# states: one dense noisy_state, and every table it needs, per bisection
+# step.  The oracles for the endpoint objectives and their fits.
+
+BELL_PAIR = StateVector(2, 2, np.array([1, 0, 0, 1]) / np.sqrt(2))
+ORACLE_FIT_TOL = {"visibility": 1e-6, "eof": 1e-7, "fidelity": 1e-9}
+
+
+def oracle_objective(objective, cfg, pair=None):
+    """p -> the objective of noisy_state(cfg.with_noise(p)), built densely."""
+    if objective == "visibility":
+        return lambda p: mean_pair_visibility(noisy_state(cfg.with_noise(p)))
+    if objective == "eof":
+        return lambda p: eof_bound(noisy_state(cfg.with_noise(p))).ebits
+
+    def fidelity(p):
+        restriction = restrict_to_pair(noisy_state(cfg.with_noise(p)), *pair)
+        return 0.0 if restriction.zero_weight else fidelity_to_pure(restriction.operator,
+                                                                    BELL_PAIR)
+    return fidelity
+
+
+def oracle_fit(objective, target, cfg, pair=None):
+    """The fit by the same bisection over the dense objective."""
+    return pipeline._bisect_noise(oracle_objective(objective, cfg, pair), target,
+                                  tol=ORACLE_FIT_TOL[objective])

@@ -228,6 +228,11 @@ class TestNonFiniteInputs:
         with pytest.raises(ValidationError, match="finite"):
             RfToneProgram(tones=tones, tone_spacing_mhz=spacing)
 
+    @pytest.mark.parametrize("spacing", [0.0, -0.0, -1.0])
+    def test_tone_program_rejects_a_non_positive_spacing(self, spacing):
+        with pytest.raises(ValidationError, match="must be positive"):
+            RfToneProgram(tones=((0.0, 1.0, 0.0),), tone_spacing_mhz=spacing)
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_tone_program_of_a_nan_ket_rejected(self):
         with pytest.raises(ValidationError, match="finite"):

@@ -488,6 +488,14 @@ class TestSharedCellReader:
 
 
 class TestCglmpWeights:
+    def test_one_read_only_array_per_dimension(self):
+        w = cglmp_weights(5)
+        assert cglmp_weights(5) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            w[0, 0, 0, 0] = 1.0
+        assert cglmp_weights(4) is not w
+
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_deterministic_local_bound_is_two(self, d):
         w = cglmp_weights(d)

@@ -5,7 +5,7 @@ import importlib
 import inspect
 from pathlib import Path
 
-from qcert import CountRecord, SourceConfig, bootstrap_table, naming
+from qcert import CountRecord, SourceConfig, bootstrap_table, naming, pipeline
 from qcert.pipeline import SimulationConfig, run_simulation
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -27,6 +27,26 @@ def test_every_imported_name_resolves():
     missing = [(file, module, name) for module, name, file in found
                if not hasattr(importlib.import_module(module), name)]
     assert not missing
+
+
+FITS = ("fit_noise_to_visibility", "fit_noise_to_eof", "fit_noise_to_pair_fidelity")
+
+
+def test_perfbench_fit_calls_bind():
+    """Every call perfbench makes to a noise fit still binds to its signature:
+    (target, cfg), and (target, cfg, pair) for the pair fidelity."""
+    calls = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in FITS:
+                    calls.append((name, len(node.args), [kw.arg for kw in node.keywords]))
+    assert {name for name, _, _ in calls} == set(FITS)
+    assert ("fit_noise_to_pair_fidelity", 3, []) in calls
+    for name, n_args, keywords in calls:
+        inspect.signature(getattr(pipeline, name)).bind(*range(n_args),
+                                                         **dict.fromkeys(keywords))
 
 
 def test_run_simulation_accepts_workers():
