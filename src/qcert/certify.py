@@ -12,7 +12,8 @@ bootstrap ``ReplicaStack``, where a refused replica reads NaN:
 * ``eof_bound``: lower-bounds the entanglement of formation from pair
   coherences and cross populations,
   E_F >= -log2(1 - B^2/2),  B = (2/sqrt(|C|)) sum_(j<k) (|<jj|rho|kk>|
-  - sqrt(<jk|rho|jk><kj|rho|kj>)).
+  - sqrt(<jk|rho|jk><kj|rho|kj>)), saturated at log2 m (not refused) from
+  B_cap = sqrt(2(1 - 1/m)) on, m the modes the pairs touch.
 * ``cglmp``: the d-outcome Bell parameter with local-model bound 2, built
   from four detector settings with fractional label offsets.
 """
@@ -231,6 +232,7 @@ class EofResult:
     ebits_err: float
     certified_dimension: int
     curve: tuple               # (n_modes, coherence_sum, ebits) in mode-index order
+    saturated: bool            # coherence sum at or above B_cap; ebits read log2 m
 
 
 def eof_certified_dimension(ebits: float, num_modes: int) -> int:
@@ -248,6 +250,20 @@ def _ebits_from_b(b: float) -> float:
             f"coherence sum {b:.6f} implies B^2 >= 2; input data are inconsistent"
         )
     return -math.log2(1.0 - b * b / 2.0) if b > 0 else 0.0
+
+
+def _b_cap(m: int) -> float:
+    """B_cap = sqrt(2(1 - 1/m)): the coherence sum at which the bound over
+    pairs touching m modes reaches log2 m."""
+    return math.sqrt(2.0 * (1.0 - 1.0 / m))
+
+
+def _saturated_ebits(b: float, m: int) -> tuple[float, bool]:
+    """(ebits, saturated) of coherence sum b over pairs touching m modes:
+    the bound, capped at log2 m from B_cap on."""
+    if b > 0 and b >= _b_cap(m):
+        return math.log2(m), True
+    return _ebits_from_b(b), False
 
 
 def _b_from_terms(coherences, cross_terms):
@@ -314,6 +330,12 @@ def eof_bound(
     Poisson bootstrap (``counting.bootstrap_std``): NaN when fewer than two
     replicas survive.  ``num_modes`` must fit the data and every pair of
     ``pair_set`` must name two different modes below it.
+
+    A coherence sum at or above B_cap = sqrt(2(1 - 1/m)), m the modes the
+    pair set touches, is ``saturated``: ebits read log2 m, the dimension
+    certified is m, and ebits_err is the delta-method slope at B_cap,
+    B_cap m / ln 2, times the coherence-sum error.  Curve entry n is capped
+    at log2 n the same way.
     """
     naming.require_space(space)
     d, dim = _modes(data, num_modes)
@@ -341,20 +363,19 @@ def eof_bound(
         )
 
     b_value = float(_b_from_terms(coherences, cross_terms))
-    ebits = _ebits_from_b(b_value)
-    # delta-method propagation; the bound diverges as the coherence sum
-    # approaches sqrt(2), where any error bar becomes nominal anyway
-    if 0.0 < b_value and b_value * b_value < 2.0:
-        ebits_err = b_value / (math.log(2.0) * (1.0 - b_value * b_value / 2.0)) * b_err
-    else:
-        ebits_err = 0.0
+    modes = len({mode for pair in pairs for mode in pair})
+    ebits, saturated = _saturated_ebits(b_value, modes)
+    # delta-method propagation; saturated, the slope's left limit at B_cap
+    b_edge = _b_cap(modes) if saturated else b_value
+    ebits_err = (b_edge / (math.log(2.0) * (1.0 - b_edge * b_edge / 2.0)) * b_err
+                 if b_edge > 0.0 else 0.0)
     curve = []
     for n in range(2, d + 1):
         subset = (j < n) & (k < n)
         if not subset.any():
             continue
         b_n = float(_b_from_terms(coherences[subset], cross_terms[subset]))
-        curve.append((n, b_n, _ebits_from_b(min(b_n, math.sqrt(2.0) - 1e-12))))
+        curve.append((n, b_n, _saturated_ebits(b_n, n)[0]))
     return EofResult(
         space=space,
         pair_set=pairs,
@@ -366,6 +387,7 @@ def eof_bound(
         ebits_err=ebits_err,
         certified_dimension=eof_certified_dimension(ebits, d),
         curve=tuple(curve),
+        saturated=saturated,
     )
 
 

@@ -160,6 +160,7 @@ def _eof_block(result) -> dict:
         "coherence_sum_err": result.coherence_sum_err,
         "ebits": result.ebits,
         "ebits_err": result.ebits_err,
+        "saturated": result.saturated,
         "certified_dimension": result.certified_dimension,
         "curve": [[n, b, e] for n, b, e in result.curve],
     }
@@ -203,7 +204,8 @@ def cmd_certify(args) -> int:
     _write_json(report, out, timestamp=args.timestamp)
     print(f"W_{space} = {wit.total:.3f} +- {wit.total_err:.3f} "
           f"-> certified dimension {wit.certified_dimension}")
-    print(f"E_F >= {eof.ebits:.3f} +- {eof.ebits_err:.3f} ebits "
+    print(f"E_F >= {eof.ebits:.3f} +- {eof.ebits_err:.3f} ebits"
+          f"{' (saturated)' if eof.saturated else ''} "
           f"-> certified dimension {eof.certified_dimension}")
     print(f"report -> {out}")
     return 0

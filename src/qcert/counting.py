@@ -14,17 +14,20 @@ occupancy scale P_S, plus uncorrelated background).  The accidental mean is
 the product of the singles means over N, so the standard subtraction
 C' = C_SI - C_S C_I / N removes it without bias, cell by cell.
 
-Counts are drawn Poisson from deterministic per-outcome random streams keyed
-by (master seed, setting name, outcome key), so tables are reproducible
-regardless of execution order, thread count, or outcome ordering.  Each
-stream is the one numpy's SeedSequence([seed, key word]) -> PCG64 gives; the
-streams of a setting (simulation) or of a table (bootstrap replica) are
-seeded together in one vectorized pass, bit-identical to that construction.
+Simulated counts are drawn Poisson from deterministic per-outcome random
+streams keyed by (master seed, setting name, outcome key), so tables are
+reproducible regardless of execution order, thread count, or outcome
+ordering.  Each stream is the one numpy's SeedSequence([seed, key word]) ->
+PCG64 gives; the streams of a setting are seeded together in one vectorized
+pass, bit-identical to that construction.
 
-A table holds int64 columns C, S_s, S_i, N next to its records.  The
-bootstrap draws its replicas, a block at a time, into a ``ReplicaStack`` of
-such columns with a leading replica axis; ``setting_cells`` reads tables
-and stacks alike.
+A table holds int64 columns C, S_s, S_i, N next to its records.  Bootstrap
+replica b of a table has one generator, SeedSequence([seed + b, table word])
+-> PCG64, where the table word hashes the table's sorted record keys; it
+draws every record in sorted-key order, so a replica does not depend on
+record order either.  The bootstrap draws its replicas, a block at a time,
+into a ``ReplicaStack`` of such columns with a leading replica axis;
+``setting_cells`` reads tables and stacks alike.
 """
 
 from __future__ import annotations
@@ -277,6 +280,13 @@ def _generate_state(pool: list[np.ndarray]) -> np.ndarray:
                     axis=1)
 
 
+def _checked_seed(seed) -> int:
+    seed = int(seed)
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _seed_states(seed: int, words) -> np.ndarray:
     """Row i is ``np.random.SeedSequence([seed, words[i]]).generate_state(4, np.uint64)``.
 
@@ -284,9 +294,7 @@ def _seed_states(seed: int, words) -> np.ndarray:
     the key word: one word below 2**32, else two.  Rows are mixed in groups of
     equal entropy length, so seeds of any size stay exact.
     """
-    seed = int(seed)
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    seed = _checked_seed(seed)
     words = np.asarray(words, dtype=np.uint64).reshape(-1)
     lo = (words & np.uint64(_MASK32)).astype(np.uint32)
     hi = (words >> np.uint64(32)).astype(np.uint32)
@@ -561,34 +569,36 @@ _BLOCK_CELLS = 8192
 
 def _replica_blocks(table: CoincidenceTable, seed: int, n_replicas: int):
     """Yield the (4, replicas, rows) counts of Poisson replicas seed, seed + 1,
-    ... (``n_replicas`` in all), a block of replicas at a time.  Each record
-    of replica b draws the coincidences, then the two singles top-ups, from
-    its own stream keyed by seed + b.  Coincidences and singles (coincidences
-    plus top-up) are capped at the trial count, so every replica keeps
-    0 <= C <= min(S_s, S_i) and max(C, S_s, S_i) <= N."""
-    words = [_key_word(rec.setting, "bootstrap", rec.outcome_s, rec.outcome_i)
-             for rec in table.records]
+    ... (``n_replicas`` in all), a block of replicas at a time.  Replica b
+    makes one ``poisson`` call on the (3, rows) means C, S_s - C and S_i - C
+    in sorted-key order, from the generator of SeedSequence([b, word]) with
+    ``word`` the key word of the table's sorted record keys.  Coincidences
+    and singles (coincidences plus top-up) are capped at the trial count, so
+    every replica keeps 0 <= C <= min(S_s, S_i) and max(C, S_s, S_i) <= N."""
+    seed = _checked_seed(seed)
+    keys = [rec.key for rec in table.records]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    word = _key_word("bootstrap", *(part for row in order for part in keys[row]))
     c, s, i, n = table.counts
-    means = np.stack([c, s - c, i - c], axis=1).tolist()
-    block = max(1, _BLOCK_CELLS // max(len(words), 1))
+    means = np.stack([c, s - c, i - c])[:, order].astype(float)
+    block = max(1, _BLOCK_CELLS // max(len(keys), 1))
     for first in range(seed, seed + n_replicas, block):
-        counts = np.empty((4, min(block, seed + n_replicas - first), len(words)), np.int64)
+        counts = np.empty((4, min(block, seed + n_replicas - first), len(keys)), np.int64)
         counts[3] = n
+        draws = np.empty((3, len(keys)), np.int64)
         for b in range(counts.shape[1]):
-            # three scalar draws per stream: the values one draw of the row
-            # gives, at less call overhead
-            draws = np.fromiter((rng.poisson(mean)
-                                 for row, rng in zip(means, _keyed_streams(first + b, words))
-                                 for mean in row), dtype=np.int64, count=3 * len(words))
-            coincidences = np.minimum(draws[0::3], n)
-            counts[:3, b] = (coincidences, np.minimum(coincidences + draws[1::3], n),
-                             np.minimum(coincidences + draws[2::3], n))
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([first + b, word])))
+            draws[:, order] = rng.poisson(means)
+            coincidences = np.minimum(draws[0], n)
+            counts[:3, b] = (coincidences, np.minimum(coincidences + draws[1], n),
+                             np.minimum(coincidences + draws[2], n))
         yield counts
 
 
 def bootstrap_table(table: CoincidenceTable, seed: int) -> CoincidenceTable:
-    """Replica ``seed`` of the bootstrap as a table: the one-replica view of
-    the draw ``bootstrap_std`` stacks (no draw of its own)."""
+    """Replica ``seed`` of the bootstrap as a table, records in table order:
+    the one-replica view of the draw ``bootstrap_std`` stacks (no draw of its
+    own).  A negative seed raises ValidationError."""
     counts = next(_replica_blocks(table, seed, 1))[:, 0].T.tolist()
     return CoincidenceTable(
         records=tuple(CountRecord(rec.setting, rec.outcome_s, rec.outcome_i, *row)
@@ -600,11 +610,13 @@ def bootstrap_table(table: CoincidenceTable, seed: int) -> CoincidenceTable:
 def bootstrap_std(table: CoincidenceTable, statistic, n_bootstrap: int, seed: int) -> float:
     """Bootstrap standard error (ddof = 1) of a statistic over Poisson replicas.
 
-    Replica b is ``bootstrap_table(table, seed + b)``.  Replicas are drawn a
-    block at a time into a ReplicaStack, and ``statistic(stack)`` returns one
-    value per replica of the stack, NaN for a replica it refuses.  Refused
-    replicas are dropped; with fewer than two survivors the error is NaN,
-    never a silent zero.
+    Replica b is ``bootstrap_table(table, seed + b)``: one generator keyed by
+    (seed + b, the table's sorted record keys) draws all of its records, so
+    the replicas depend neither on record order nor on the block size.
+    Replicas are drawn a block at a time into a ReplicaStack, and
+    ``statistic(stack)`` returns one value per replica of the stack, NaN for
+    a replica it refuses.  Refused replicas are dropped; with fewer than two
+    survivors the error is NaN, never a silent zero.
     """
     if n_bootstrap < 2:
         raise ValidationError(f"a bootstrap error needs at least 2 replicas, got {n_bootstrap}")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,12 +27,15 @@ from qcert import (
     witness,
     witness_bound,
 )
-from qcert.bases import cglmp_basis, joint_probability_table, mode_vector, pair_basis, x_basis
-from qcert.certify import certified_dimension_from_witness, _ebits_from_b
+from qcert.bases import (cglmp_basis, joint_probability_table, mode_vector, pair_basis,
+                         scan_setting, witness_settings, x_basis)
+from qcert.certify import certified_dimension_from_witness, _ebits_from_b, _saturated_ebits
 from qcert.errors import ComputationError
 from qcert import counting, naming
-from qcert.pipeline import SimulationConfig, build_settings
+from qcert.pipeline import PRESET_NAMES, SimulationConfig, build_settings, preset
 from qcert.tomo import reconstruct, reconstruct_exact
+
+from conftest import SATURATING_SEED, saturating_table
 
 
 def uniform_rho(d, noise=0.0):
@@ -212,7 +216,7 @@ class TestEofExact:
     def test_ideal_reaches_log2_d(self, d):
         res = eof_bound(uniform_rho(d))
         assert res.coherence_sum == pytest.approx(math.sqrt(2 * (d - 1) / d), abs=1e-12)
-        assert res.ebits == pytest.approx(math.log2(d), abs=1e-9)
+        assert res.ebits == pytest.approx(math.log2(d), abs=1e-12)
         assert res.certified_dimension == d
 
     def test_single_pair_of_bell_state(self):
@@ -274,6 +278,68 @@ class TestEofExact:
     def test_impossible_coherence_sum_rejected(self):
         with pytest.raises(ComputationError):
             _ebits_from_b(1.5)
+
+
+class TestEofSaturation:
+    """At B >= B_cap = sqrt(2(1 - 1/m)), m the modes the pairs touch, the bound
+    reads log2 m; B >= sqrt(2) is reported saturated, not refused."""
+
+    @pytest.mark.parametrize("m", [2, 3, 10])
+    def test_bound_caps_at_log2_m(self, m):
+        b_cap = math.sqrt(2 * (1 - 1 / m))
+        for b in (b_cap, 1.5):   # 1.5 > sqrt(2): saturated, never refused
+            assert _saturated_ebits(b, m) == (math.log2(m), True)
+        below = b_cap * (1 - 1e-9)
+        assert _saturated_ebits(below, m) == (_ebits_from_b(below), False)
+
+    def test_saturated_corrected_table(self):
+        res = eof_bound(saturating_table(), corrected=True, seed=SATURATING_SEED)
+        b_cap = math.sqrt(2 * (1 - 1 / 10))
+        assert res.coherence_sum >= math.sqrt(2)
+        assert res.saturated
+        assert res.ebits == math.log2(10)
+        assert res.certified_dimension == 10
+        # the delta-method slope's left limit at B_cap, B_cap m / ln 2
+        assert math.isfinite(res.ebits_err) and res.ebits_err > 0
+        assert res.ebits_err == pytest.approx(
+            b_cap * 10 / math.log(2) * res.coherence_sum_err, rel=1e-12)
+
+    def test_curve_entries_cap_at_log2_n(self):
+        res = eof_bound(saturating_table(), corrected=True, seed=SATURATING_SEED)
+        for n, b_n, ebits in res.curve:
+            assert 0 <= ebits <= math.log2(n)
+            if b_n >= math.sqrt(2 * (1 - 1 / n)):
+                assert ebits == math.log2(n)
+            else:
+                assert ebits == _ebits_from_b(b_n)
+        assert res.curve[-1][1] >= math.sqrt(2)
+
+    def test_pair_subset_caps_at_the_modes_it_touches(self):
+        # perfect counts of a Bell pair on modes 0 and 1 of four: B = 1, which
+        # is B_cap for the m = 2 modes the pair touches, not for D = 4
+        settings = [scan_setting("X", 4), *witness_settings("X", 0, 1, 4)[:2]]
+        table = CoincidenceTable(records=tuple(
+            CountRecord(st.name, a, b, 100 * (a == b and a in (0, 1, -1)), 200, 200, 10**4)
+            for st in settings for row in st.cells for a, b in row), metadata={"D": 4})
+        res = eof_bound(table, pair_set=[(0, 1)], n_bootstrap=2)
+        assert res.coherence_sum == 1.0
+        assert res.saturated
+        assert (res.ebits, res.certified_dimension) == (1.0, 2)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_raw_bounds_never_saturate_on_the_presets(self, name):
+        table = run_simulation(replace(preset(name), seed=7, bell_dimensions=()))
+        res = eof_bound(table, seed=7)
+        assert not res.saturated
+        assert res.ebits < math.log2(10)
+
+    def test_corrected_saturation_is_not_the_rule(self):
+        # about 30% of corrected calibrated-witness tables saturate; an
+        # estimator that saturates on every table shows here
+        base = replace(preset("calibrated-witness"), spaces=("X",), bell_dimensions=())
+        saturated = [eof_bound(run_simulation(replace(base, seed=seed)), corrected=True,
+                               n_bootstrap=2, seed=seed).saturated for seed in range(1, 21)]
+        assert sum(saturated) <= 10
 
 
 class TestEofCounts:

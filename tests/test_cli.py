@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,10 @@ import numpy as np
 import pytest
 
 import qcert
-from qcert import CountingParams, SourceConfig
+from qcert import CountingParams, SourceConfig, save_table
 from qcert.pipeline import SimulationConfig
 
-from conftest import cli_env
+from conftest import SATURATING_SEED, cli_env, saturating_table
 
 
 def run_cli(*args, cwd, env=None):
@@ -151,6 +152,24 @@ class TestCertify:
         res = run_cli("certify", "--counts", str(path), cwd=tmp_path)
         assert res.returncode == 3
         assert "computation error" in res.stderr
+
+    def test_saturated_formation_bound_exits_0(self, tmp_path):
+        # the corrected coherence sum of this table is above sqrt(2)
+        save_table(saturating_table(), tmp_path / "counts.csv")
+        blocks = {}
+        for flags in ((), ("--subtract-accidentals",)):
+            res = run_cli("certify", "--counts", "counts.csv", *flags, "--seed",
+                          str(SATURATING_SEED), "--no-timestamp", cwd=tmp_path)
+            assert res.returncode == 0, res.stderr
+            report = json.loads((tmp_path / "report.json").read_text())
+            blocks[bool(flags)] = report["entanglement_of_formation"], res.stdout
+        (raw, _), (corrected, stdout) = blocks[False], blocks[True]
+        assert raw["saturated"] is False
+        assert corrected["saturated"] is True
+        assert corrected["ebits"] == math.log2(10)
+        assert corrected["certified_dimension"] == 10
+        assert math.isfinite(corrected["ebits_err"]) and corrected["ebits_err"] > 0
+        assert "(saturated)" in stdout
 
 
 class TestBell:

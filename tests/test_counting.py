@@ -366,8 +366,8 @@ class TestTables(object):
 
     def test_bootstrap_caps_coincidences_at_the_trial_count(self):
         table = CoincidenceTable(records=(make_record(4, 4, 4, n=4, setting="a", out=(0, 0)),))
-        # this stream draws 6 coincidences, more than the 4 trials allow
-        assert outcome_stream(6, "a", "bootstrap", 0, 0).poisson(4) == 6
+        # replica 6 draws 6 coincidences, more than the 4 trials allow
+        assert oracle_replica_stream(table, 6).poisson(4) == 6
         rec = bootstrap_table(table, seed=6).records[0]
         assert (rec.coincidences, rec.singles_s, rec.singles_i, rec.trials) == (4, 4, 4, 4)
 
@@ -435,6 +435,14 @@ class TestBootstrapStd:
                 for b in range(1, 10)]
         assert bootstrap_std(t, statistic, 10, seed=7) == pytest.approx(
             float(np.std(kept, ddof=1)), rel=1e-12)
+
+    def test_replica_spread_of_a_count_is_its_poisson_spread(self):
+        # over 400 replicas, sd(C) of a record holding C = 900 is within 10% of sqrt(C)
+        t = CoincidenceTable(records=(make_record(300, 900, 500, out=(0, 0)),
+                                      make_record(900, 3000, 1000, out=(0, 1))))
+        spread = bootstrap_std(t, lambda stack: stack.counts[0, :, 1].astype(float),
+                               400, seed=3)
+        assert spread == pytest.approx(30.0, rel=0.1)
 
     def test_replicas_in_blocks_give_the_same_error(self, monkeypatch):
         t = self.make_table()
@@ -527,6 +535,14 @@ class TestTableProperties:
                 [r.coincidences, r.singles_s, r.singles_i, r.trials] for r in records]
 
     @settings(deadline=None, max_examples=60)
+    @given(table_rows, st.integers(0, 2**64), st.data())
+    def test_record_order_leaves_each_replica_unchanged(self, rows, seed, data):
+        shuffled = data.draw(st.permutations(rows))
+        replicas = [{r.key: r for r in bootstrap_table(table_from_rows(order), seed).records}
+                    for order in (rows, shuffled)]
+        assert replicas[0] == replicas[1]
+
+    @settings(deadline=None, max_examples=60)
     @given(table_rows, st.integers(0, 2**64))
     def test_stack_replicas_keep_the_record_checks(self, rows, seed):
         # trials as tight as the table allows, so draws often reach the cap
@@ -591,18 +607,34 @@ def oracle_simulate(rho, basis_s, basis_i, trials, params, seed, name):
             for a, lab_a in enumerate(labels_s) for b, lab_b in enumerate(labels_i)]
 
 
+def oracle_replica_stream(table, seed):
+    """Bootstrap replica ``seed``'s one generator, built with numpy's own
+    constructors: SeedSequence([seed, word]) -> PCG64, ``word`` hashing the
+    table's sorted record keys."""
+    keys = sorted(rec.key for rec in table.records)
+    text = "\x1f".join(["bootstrap", *(str(part) for key in keys for part in key)])
+    word = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "little")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), word])))
+
+
 def oracle_bootstrap(table, seed):
-    records = []
-    for rec in table.records:
-        rng = oracle_stream(seed, rec.setting, "bootstrap", rec.outcome_s, rec.outcome_i)
-        c = min(int(rng.poisson(rec.coincidences)), rec.trials)
-        s = c + int(rng.poisson(max(rec.singles_s - rec.coincidences, 0)))
-        i = c + int(rng.poisson(max(rec.singles_i - rec.coincidences, 0)))
-        records.append(CountRecord(
+    """bootstrap_table with scalar draws: the coincidences of every record in
+    sorted-key order, then the signal top-ups S_s - C, then the idler top-ups
+    S_i - C; coincidences and singles capped at the trial count."""
+    rng = oracle_replica_stream(table, seed)
+    recs = sorted(table.records, key=lambda rec: rec.key)
+    draws = [[int(rng.poisson(mean)) for mean in means] for means in (
+        [rec.coincidences for rec in recs],
+        [rec.singles_s - rec.coincidences for rec in recs],
+        [rec.singles_i - rec.coincidences for rec in recs])]
+    replica = {}
+    for rec, c, top_s, top_i in zip(recs, *draws):
+        c = min(c, rec.trials)
+        replica[rec.key] = CountRecord(
             setting=rec.setting, outcome_s=rec.outcome_s, outcome_i=rec.outcome_i,
-            coincidences=c, singles_s=min(s, rec.trials), singles_i=min(i, rec.trials),
-            trials=rec.trials))
-    return records
+            coincidences=c, singles_s=min(c + top_s, rec.trials),
+            singles_i=min(c + top_i, rec.trials), trials=rec.trials)
+    return [replica[rec.key] for rec in table.records]
 
 
 class TestKeyedStreams:
@@ -654,6 +686,8 @@ class TestKeyedStreams:
     @pytest.mark.parametrize("seed", [0, 11, 2**64 + 1])
     def test_bootstrap_table_matches_oracle(self, seed):
         table = TestTables().make_table()
+        # records out of sorted-key order, so the draws must be put back in place
+        table = CoincidenceTable(records=table.records[::-1], metadata=table.metadata)
         assert list(bootstrap_table(table, seed).records) == oracle_bootstrap(table, seed)
 
     @pytest.mark.parametrize("draw", [

@@ -3,10 +3,13 @@
 import ast
 import importlib
 import inspect
+import math
 from pathlib import Path
 
 from qcert import CountRecord, SourceConfig, bootstrap_table, naming, pipeline
 from qcert.pipeline import SimulationConfig, run_simulation
+
+from conftest import SATURATING_SEED, saturating_table
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -70,3 +73,15 @@ def test_perfbench_reads_tables_as_records(monkeypatch):
         naming.diag_setting("X")} | {naming.witness_setting("X", j, k, ax)
                                      for j in range(4) for k in range(j + 1, 4) for ax in "xy"}
     assert [r.key for r in boot.records] == [r.key for r in sub.records]
+
+
+def test_check_counts_passes_a_saturated_corrected_bound(monkeypatch):
+    """perfbench's counts-certify checks accept a table whose corrected
+    formation bound saturates."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    op = {"index": 0, "preset": "calibrated-witness", "seed": SATURATING_SEED}
+    result = workloads.analyse_counts(saturating_table(), SATURATING_SEED)
+    assert not result["corrected"]["eof_refused"]
+    assert result["corrected"]["eof_ebits"] == math.log2(10)
+    assert workloads.check_counts(op, result) == []
