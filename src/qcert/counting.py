@@ -18,8 +18,10 @@ Simulated counts are drawn Poisson from deterministic per-outcome random
 streams keyed by (master seed, setting name, outcome key), so tables are
 reproducible regardless of execution order, thread count, or outcome
 ordering.  Each stream is the one numpy's SeedSequence([seed, key word]) ->
-PCG64 gives; the streams of a setting are seeded together in one vectorized
-pass, bit-identical to that construction.
+PCG64 gives.  ``simulate_plan`` seeds the streams of a whole setting plan
+once, in one vectorized pass bit-identical to that construction, from key
+words hashed once per setting.  Every stream makes one Poisson draw, and
+coincidences and singles are capped at the trial count.
 
 A table holds int64 columns C, S_s, S_i, N next to its records.  Bootstrap
 replica b of a table has one generator, SeedSequence([seed + b, table word])
@@ -33,6 +35,7 @@ into a ``ReplicaStack`` of such columns with a leading replica axis;
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -43,7 +46,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .linalg import DensityOperator, marginal_probabilities
-from .bases import MAX_MODES, MeasurementBasis, joint_probability_table
+from .bases import MAX_MODES, MeasurementBasis, PlannedSetting, joint_probability_table
 
 __all__ = [
     "CountingParams",
@@ -55,6 +58,7 @@ __all__ = [
     "setting_cells",
     "SettingMeans",
     "setting_means",
+    "simulate_plan",
     "simulate_setting",
     "subtract_accidentals",
     "cell_estimates",
@@ -337,6 +341,66 @@ def outcome_stream(seed: int, setting: str, *key_parts) -> np.random.Generator:
     return next(_keyed_streams(seed, [_key_word(setting, *key_parts)]))
 
 
+# bounded, since setting names come from callers; a full plan at MAX_MODES
+# (both spaces, Bell d = 2..10, tomography) has 317 settings
+@functools.lru_cache(maxsize=1024)
+def _setting_words(name: str, labels_s: tuple, labels_i: tuple) -> np.ndarray:
+    """The key words of one setting's streams: its cells in label order, then
+    its signal singles, then its idler singles.  Hashed once per key."""
+    words = np.array([_key_word(name, "cell", a, b) for a in labels_s for b in labels_i]
+                     + [_key_word(name, "singles_s", a) for a in labels_s]
+                     + [_key_word(name, "singles_i", b) for b in labels_i], dtype=np.uint64)
+    words.setflags(write=False)
+    return words
+
+
+def simulate_plan(
+    rho: DensityOperator,
+    plan: list[PlannedSetting],
+    trials: int,
+    params: CountingParams,
+    seed: int,
+) -> list[CountRecord]:
+    """Draw the count tables of planned settings, records in plan order.
+
+    Every outcome cell and every singles counter draws from its own keyed
+    stream, one scalar ``poisson`` call each; the streams of the whole plan
+    are seeded together.  Singles are the sum of the setting's coincidences
+    in that outcome plus an independent top-up, which keeps C_SI <= min(C_S,
+    C_I) record by record; coincidences and singles are capped at the trial
+    count, as in the bootstrap.
+    """
+    if not plan:
+        return []
+    words, means, shapes = [], [], []
+    for st in plan:
+        m = setting_means(rho, st.basis_s, st.basis_i, trials, params)
+        lam = m.coincidences
+        # column sums of a contiguous copy add in the order lam[:, b].sum() does
+        means += [lam.ravel(), np.maximum(m.singles_s - lam.sum(axis=1), 0.0),
+                  np.maximum(m.singles_i - np.ascontiguousarray(lam.T).sum(axis=1), 0.0)]
+        words.append(_setting_words(st.name, st.basis_s.labels, st.basis_i.labels))
+        shapes.append(lam.shape)
+    means = np.concatenate(means)
+    draws = np.fromiter((rng.poisson(mean) for rng, mean in
+                         zip(_keyed_streams(seed, np.concatenate(words)), means)),
+                        dtype=np.int64, count=len(means))
+    records = []
+    chunks = np.split(draws, np.cumsum([len(w) for w in words])[:-1])
+    for st, (n_s, n_i), chunk in zip(plan, shapes, chunks):
+        cells, top_s, top_i = np.split(chunk, [n_s * n_i, n_s * n_i + n_s])
+        cells = np.minimum(cells, trials).reshape(n_s, n_i)
+        singles_s = np.minimum(cells.sum(axis=1) + top_s, trials).tolist()
+        singles_i = np.minimum(cells.sum(axis=0) + top_i, trials).tolist()
+        cells = cells.tolist()
+        records += [CountRecord(setting=st.name, outcome_s=int(lab_a), outcome_i=int(lab_b),
+                                coincidences=cells[a][b], singles_s=singles_s[a],
+                                singles_i=singles_i[b], trials=int(trials))
+                    for a, lab_a in enumerate(st.basis_s.labels)
+                    for b, lab_b in enumerate(st.basis_i.labels)]
+    return records
+
+
 def simulate_setting(
     rho: DensityOperator,
     basis_s: MeasurementBasis,
@@ -346,33 +410,10 @@ def simulate_setting(
     seed: int,
     setting_name: str | None = None,
 ) -> list[CountRecord]:
-    """Draw one setting's count table from the detection model.
-
-    Every outcome cell and every singles counter draws from its own keyed
-    stream; the setting's streams are seeded in one batch.  Singles are
-    built as the sum of the cell's coincidences plus an independent top-up,
-    which keeps C_SI <= min(C_S, C_I) record by record.
-    """
+    """Draw one setting's count table from the detection model: the
+    one-setting view of ``simulate_plan`` (no draw of its own)."""
     name = setting_name or f"{basis_s.name}|{basis_i.name}"
-    means = setting_means(rho, basis_s, basis_i, trials, params)
-    labels_s, labels_i = basis_s.labels, basis_i.labels
-    lam = means.coincidences
-    n_s, n_i = lam.shape
-
-    words = ([_key_word(name, "cell", lab_a, lab_b) for lab_a in labels_s for lab_b in labels_i]
-             + [_key_word(name, "singles_s", lab_a) for lab_a in labels_s]
-             + [_key_word(name, "singles_i", lab_b) for lab_b in labels_i])
-    streams = _keyed_streams(seed, words)
-    cells = np.array([next(streams).poisson(m) for m in lam.ravel()],
-                     dtype=np.int64).reshape(n_s, n_i)
-    singles_s = cells.sum(axis=1) + [
-        next(streams).poisson(max(means.singles_s[a] - lam[a, :].sum(), 0.0)) for a in range(n_s)]
-    singles_i = cells.sum(axis=0) + [
-        next(streams).poisson(max(means.singles_i[b] - lam[:, b].sum(), 0.0)) for b in range(n_i)]
-    return [CountRecord(setting=name, outcome_s=int(lab_a), outcome_i=int(lab_b),
-                        coincidences=int(cells[a, b]), singles_s=int(singles_s[a]),
-                        singles_i=int(singles_i[b]), trials=int(trials))
-            for a, lab_a in enumerate(labels_s) for b, lab_b in enumerate(labels_i)]
+    return simulate_plan(rho, [PlannedSetting(name, basis_s, basis_i)], trials, params, seed)
 
 
 @dataclass(frozen=True)
@@ -514,41 +555,44 @@ def load_table(path) -> CoincidenceTable:
     """Read a counts CSV (strict schema); parse errors name the line number."""
     path = Path(path)
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty counts file") from None
-        if tuple(header) != CSV_HEADER:
-            raise ValidationError(
-                f"{path}: unexpected columns {header}; expected {list(CSV_HEADER)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise ValidationError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                rec = CountRecord(
-                    setting=row[0],
-                    outcome_s=int(row[1]),
-                    outcome_i=int(row[2]),
-                    coincidences=int(row[3]),
-                    singles_s=int(row[4]),
-                    singles_i=int(row[5]),
-                    trials=int(row[6]),
+                header = next(reader)
+            except StopIteration:
+                raise ValidationError(f"{path}: empty counts file") from None
+            if tuple(header) != CSV_HEADER:
+                raise ValidationError(
+                    f"{path}: unexpected columns {header}; expected {list(CSV_HEADER)}"
                 )
-            except (ValueError, ValidationError) as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-            records.append(rec)
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(CSV_HEADER):
+                    raise ValidationError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
+                try:
+                    rec = CountRecord(
+                        setting=row[0],
+                        outcome_s=int(row[1]),
+                        outcome_i=int(row[2]),
+                        coincidences=int(row[3]),
+                        singles_s=int(row[4]),
+                        singles_i=int(row[5]),
+                        trials=int(row[6]),
+                    )
+                except (ValueError, ValidationError) as exc:
+                    raise ValidationError(f"{path}:{lineno}: {exc}") from None
+                records.append(rec)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
     meta = _meta_path(path)
     metadata = {}
     if meta.exists():
         with open(meta, "r", encoding="utf-8") as fh:
             try:
                 metadata = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ValidationError(f"{meta}: not valid JSON ({exc})") from None
         if not isinstance(metadata, dict):
             raise ValidationError(f"{meta}: expected a JSON object")

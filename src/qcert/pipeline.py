@@ -27,7 +27,7 @@ from .errors import ValidationError
 from .linalg import DensityOperator, StateVector, density_from_ket, fidelity_to_pure, restrict_to_pair
 from . import bases
 from .bases import PlannedSetting
-from .counting import (CoincidenceTable, CountingParams, setting_cells, simulate_setting,
+from .counting import (CoincidenceTable, CountingParams, setting_cells, simulate_plan,
                        with_accidental_noise)
 from .certify import (_b_from_terms, _ebits_from_b, _eof_exact_elements, _eof_exact_terms,
                       _visibilities, _witness_pairs, cglmp)
@@ -152,7 +152,7 @@ class SimulationConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
         return cls.from_json_dict(data)
 
@@ -311,18 +311,12 @@ def effective_params(cfg: SimulationConfig) -> CountingParams:
 
 def _simulate(cfg: SimulationConfig, plan: list[PlannedSetting]) -> tuple:
     """Count records of the planned settings, in plan order."""
-    rho = sampling_state(cfg)
-    params = effective_params(cfg)
-    return tuple(
-        rec for setting in plan
-        for rec in simulate_setting(rho, setting.basis_s, setting.basis_i,
-                                    cfg.trials_per_setting, params, cfg.seed,
-                                    setting_name=setting.name)
-    )
+    return tuple(simulate_plan(sampling_state(cfg), plan, cfg.trials_per_setting,
+                               effective_params(cfg), cfg.seed))
 
 
 def run_simulation(cfg: SimulationConfig, workers: int = 1) -> CoincidenceTable:
-    """Simulate every planned setting, one after another.
+    """Simulate every planned setting in one pass (``simulate_plan``).
 
     ``workers`` has no effect; it is accepted so existing callers keep
     working.  (A two-thread pool measured about twice as slow as one

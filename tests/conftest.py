@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import os
 from dataclasses import replace
@@ -7,9 +8,9 @@ from pathlib import Path
 import numpy as np
 
 import qcert
-from qcert import (DensityOperator, Projector, StateVector, bases, density_from_ket, eof_bound,
-                   fidelity_to_pure, mean_pair_visibility, noisy_state, pipeline,
-                   restrict_to_pair)
+from qcert import (CountRecord, DensityOperator, Projector, StateVector, bases, density_from_ket,
+                   eof_bound, fidelity_to_pure, mean_pair_visibility, noisy_state, pipeline,
+                   restrict_to_pair, setting_means)
 from qcert.bases import AXES, MeasurementBasis, cglmp_basis, k_basis, pair_basis, x_basis
 from qcert.errors import ComputationError
 
@@ -91,6 +92,42 @@ def oracle_bases(d_s, d_i, seed):
     pairs += [(_unitary_basis(u_s, "signal"), _unitary_basis(u_i, "idler")),
               (_unitary_basis(u_s[:2], "signal"), x_basis(d_i, "idler"))]
     return pairs
+
+
+# Keyed-stream simulation as it was before the whole plan was seeded in one
+# pass: one numpy-constructed stream per draw.  The oracle for simulate_plan.
+
+def oracle_stream(seed, setting, *key_parts):
+    """A keyed stream built with numpy's own constructors."""
+    text = "\x1f".join([setting, *map(str, key_parts)])
+    word = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "little")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), word])))
+
+
+def oracle_simulate(rho, basis_s, basis_i, trials, params, seed, name):
+    """One setting's records, drawn cell by cell in table order; coincidences
+    and singles capped at the trial count."""
+    means = setting_means(rho, basis_s, basis_i, trials, params)
+    labels_s, labels_i = basis_s.labels, basis_i.labels
+    cells = np.zeros(means.coincidences.shape, dtype=np.int64)
+    for a, lab_a in enumerate(labels_s):
+        for b, lab_b in enumerate(labels_i):
+            rng = oracle_stream(seed, name, "cell", lab_a, lab_b)
+            cells[a, b] = min(rng.poisson(means.coincidences[a, b]), trials)
+    singles_s = np.zeros(len(labels_s), dtype=np.int64)
+    for a, lab_a in enumerate(labels_s):
+        rng = oracle_stream(seed, name, "singles_s", lab_a)
+        topup = max(means.singles_s[a] - means.coincidences[a, :].sum(), 0.0)
+        singles_s[a] = min(cells[a, :].sum() + rng.poisson(topup), trials)
+    singles_i = np.zeros(len(labels_i), dtype=np.int64)
+    for b, lab_b in enumerate(labels_i):
+        rng = oracle_stream(seed, name, "singles_i", lab_b)
+        topup = max(means.singles_i[b] - means.coincidences[:, b].sum(), 0.0)
+        singles_i[b] = min(cells[:, b].sum() + rng.poisson(topup), trials)
+    return [CountRecord(setting=name, outcome_s=lab_a, outcome_i=lab_b,
+                        coincidences=int(cells[a, b]), singles_s=int(singles_s[a]),
+                        singles_i=int(singles_i[b]), trials=trials)
+            for a, lab_a in enumerate(labels_s) for b, lab_b in enumerate(labels_i)]
 
 
 # Per-table estimators as they were before the count path read stacked

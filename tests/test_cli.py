@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qcert
-from qcert import CountingParams, SourceConfig, save_table
+from qcert import CountingParams, SourceConfig, cli, save_table
 from qcert.pipeline import SimulationConfig
 
 from conftest import SATURATING_SEED, cli_env, saturating_table
@@ -88,6 +88,17 @@ class TestSimulate:
         assert "diagX" in settings and "diagK" in settings
         assert sum(1 for s in settings if s.startswith("bell:")) == 8
         assert sum(1 for s in settings if s.startswith("tomoX:0-3")) == 9
+
+    def test_one_trial_config_exits_0(self, tmp_path):
+        # draws above the trial count are capped, so no seed breaks a record check
+        cfg = SimulationConfig(source=SourceConfig.uniform(10),
+                               counting=CountingParams(P_S=0.5, eta_r=0.5),
+                               trials_per_setting=1)
+        cfg.save(tmp_path / "one_trial.json")
+        for seed in range(20):
+            assert cli.main(["simulate", "--config", str(tmp_path / "one_trial.json"),
+                             "--seed", str(seed), "--out-dir", str(tmp_path / f"run{seed}"),
+                             "--no-timestamp"]) == 0, seed
 
     def test_invalid_config_exits_2(self, small_config):
         bad = small_config.parent / "bad.json"
@@ -286,6 +297,19 @@ class TestInvalidInput:
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr
         assert "error" in res.stderr
+
+    @pytest.mark.parametrize("args, binary", [
+        (["certify", "--counts", "bin.csv"], "bin.csv"),
+        (["certify", "--counts", "counts.csv"], "counts.meta.json"),
+        (["simulate", "--config", "bin.json", "--out-dir", "run"], "bin.json"),
+    ])
+    def test_non_utf8_input_exits_2(self, tmp_path, monkeypatch, capsys, args, binary):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "counts.csv").write_text(
+            "setting,outcome_s,outcome_i,coincidences,singles_s,singles_i,trials\n")
+        (tmp_path / binary).write_bytes(b"\xff\xfe")
+        assert cli.main(args) == 2
+        assert binary in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["certify", "tomo"])
     def test_negative_seed_exits_2(self, sim_run, tmp_path, command):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from qcert import (
     with_accidental_noise,
     x_basis,
 )
-from qcert import counting
+from qcert import counting, pipeline
 from qcert.bases import MeasurementBasis, scan_setting
 from qcert.counting import CSV_HEADER
 from qcert.counting import (
@@ -39,9 +40,12 @@ from qcert.counting import (
     bootstrap_std,
     cell_estimates,
     outcome_stream,
+    simulate_plan,
 )
+from qcert.pipeline import SimulationConfig
 
-from conftest import einsum_marginals, einsum_table, oracle_bases, oracle_states
+from conftest import (einsum_marginals, einsum_table, oracle_bases, oracle_simulate,
+                      oracle_states, oracle_stream)
 
 
 def rho2():
@@ -575,38 +579,6 @@ key_words = st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**64 -
                      min_size=1, max_size=12)
 
 
-def oracle_stream(seed, setting, *key_parts):
-    """A keyed stream built with numpy's own constructors."""
-    text = "\x1f".join([setting, *map(str, key_parts)])
-    word = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "little")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), word])))
-
-
-def oracle_simulate(rho, basis_s, basis_i, trials, params, seed, name):
-    """simulate_setting with one numpy-constructed stream per draw, in table order."""
-    means = setting_means(rho, basis_s, basis_i, trials, params)
-    labels_s, labels_i = basis_s.labels, basis_i.labels
-    cells = np.zeros(means.coincidences.shape, dtype=np.int64)
-    for a, lab_a in enumerate(labels_s):
-        for b, lab_b in enumerate(labels_i):
-            rng = oracle_stream(seed, name, "cell", lab_a, lab_b)
-            cells[a, b] = rng.poisson(means.coincidences[a, b])
-    singles_s = np.zeros(len(labels_s), dtype=np.int64)
-    for a, lab_a in enumerate(labels_s):
-        rng = oracle_stream(seed, name, "singles_s", lab_a)
-        topup = max(means.singles_s[a] - means.coincidences[a, :].sum(), 0.0)
-        singles_s[a] = cells[a, :].sum() + rng.poisson(topup)
-    singles_i = np.zeros(len(labels_i), dtype=np.int64)
-    for b, lab_b in enumerate(labels_i):
-        rng = oracle_stream(seed, name, "singles_i", lab_b)
-        topup = max(means.singles_i[b] - means.coincidences[:, b].sum(), 0.0)
-        singles_i[b] = cells[:, b].sum() + rng.poisson(topup)
-    return [CountRecord(setting=name, outcome_s=lab_a, outcome_i=lab_b,
-                        coincidences=int(cells[a, b]), singles_s=int(singles_s[a]),
-                        singles_i=int(singles_i[b]), trials=trials)
-            for a, lab_a in enumerate(labels_s) for b, lab_b in enumerate(labels_i)]
-
-
 def oracle_replica_stream(table, seed):
     """Bootstrap replica ``seed``'s one generator, built with numpy's own
     constructors: SeedSequence([seed, word]) -> PCG64, ``word`` hashing the
@@ -698,3 +670,97 @@ class TestKeyedStreams:
     def test_negative_seed_rejected(self, draw):
         with pytest.raises(ValidationError, match="non-negative"):
             draw()
+
+
+def small_plan_config(seed=0, trials=10**5, counting_params=None):
+    """A three-mode run: both scans and witness pairs, Bell d = 2, 3, one tomography pair."""
+    return SimulationConfig(
+        source=SourceConfig.uniform(3, noise_fraction=0.2),
+        counting=counting_params or CountingParams(P_S=0.02, eta_r=0.3, P_bg_idler=0.002),
+        trials_per_setting=trials, seed=seed, bell_dimensions=(2, 3), tomo_pair=(0, 2))
+
+
+def oracle_run(cfg):
+    """run_simulation's records as the per-setting oracle tables, in plan order."""
+    rho, params = pipeline.sampling_state(cfg), pipeline.effective_params(cfg)
+    return [rec for st in pipeline.build_settings(cfg)
+            for rec in oracle_simulate(rho, st.basis_s, st.basis_i, cfg.trials_per_setting,
+                                       params, cfg.seed, st.name)]
+
+
+class TestSimulatePlan:
+    @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**64 + 1])
+    def test_run_simulation_matches_oracle(self, seed):
+        cfg = small_plan_config(seed)
+        assert list(pipeline.run_simulation(cfg).records) == oracle_run(cfg)
+
+    def test_calibrated_witness_matches_oracle(self):
+        cfg = replace(pipeline.preset("calibrated-witness"), seed=7)
+        assert list(pipeline.run_simulation(cfg).records) == oracle_run(cfg)
+
+    def test_draw_means_are_the_per_setting_means_bit_for_bit(self, monkeypatch):
+        # a top-up mean summed in another order can differ in its last bit,
+        # and then a draw can differ from the per-setting reference
+        drawn = []
+
+        class Recorder:
+            def poisson(self, mean):
+                drawn.append(float(mean))
+                return 0
+
+        monkeypatch.setattr(counting, "_keyed_streams", lambda seed, words: (
+            Recorder() for _ in words))
+        # uneven amplitudes and phases, so the sums over 8 or more cells see
+        # distinct values
+        rng = np.random.default_rng(5)
+        amps = rng.random(10) * np.exp(2j * np.pi * rng.random(10))
+        source = SourceConfig(10, amps / np.linalg.norm(amps), rng.random(10), 0.1)
+        cfg = replace(pipeline.preset("calibrated-witness"), source=source,
+                      noise_channel="state")
+        pipeline.run_simulation(cfg)
+        rho, params = pipeline.sampling_state(cfg), pipeline.effective_params(cfg)
+        expected = []
+        for plan_st in pipeline.build_settings(cfg):
+            m = setting_means(rho, plan_st.basis_s, plan_st.basis_i, cfg.trials_per_setting,
+                              params)
+            lam = m.coincidences
+            expected += lam.ravel().tolist()
+            expected += [max(m.singles_s[a] - lam[a, :].sum(), 0.0) for a in range(len(lam))]
+            expected += [max(m.singles_i[b] - lam[:, b].sum(), 0.0) for b in range(lam.shape[1])]
+        assert drawn == expected
+
+    def test_one_seeding_call_and_cached_key_words(self, monkeypatch):
+        calls = {"seed": 0, "word": 0}
+        seed_states, key_word = counting._seed_states, counting._key_word
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(counting, "_seed_states", counted("seed", seed_states))
+        monkeypatch.setattr(counting, "_key_word", counted("word", key_word))
+        first = pipeline.run_simulation(small_plan_config(seed=3))
+        assert calls["seed"] == 1
+        calls["word"] = 0
+        second = pipeline.run_simulation(small_plan_config(seed=4))
+        assert calls == {"seed": 2, "word": 0}
+        assert first.records != second.records
+
+    def test_empty_plan_draws_nothing(self):
+        assert simulate_plan(rho2(), [], 10, CountingParams(), seed=1) == []
+
+    # eta_r <= 0.4 and P_bg_idler <= 0.1 keep eta_r + P_I <= 1 with the
+    # config's accidental noise added (P_bg_idler + eta_r / 4)
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2**64), st.integers(1, 4), st.floats(0.0, 1.0),
+           st.floats(0.0, 0.4), st.floats(0.0, 0.1))
+    def test_small_trial_counts_keep_the_record_checks(self, seed, trials, p_s, eta_r, p_bg):
+        params = CountingParams(P_S=p_s, eta_r=eta_r, P_bg_idler=p_bg)
+        table = pipeline.run_simulation(small_plan_config(seed, trials, params))
+        c, s, i, n = table.counts
+        assert (c >= 0).all()
+        assert (c <= np.minimum(s, i)).all()
+        assert (np.maximum(c, np.maximum(s, i)) <= n).all()
+        assert (n == trials).all()

@@ -4,10 +4,13 @@ import ast
 import importlib
 import inspect
 import math
+from dataclasses import replace
 from pathlib import Path
 
-from qcert import CountRecord, SourceConfig, bootstrap_table, naming, pipeline
-from qcert.pipeline import SimulationConfig, run_simulation
+from qcert import (CoincidenceTable, CountRecord, SourceConfig, bootstrap_table, naming, pipeline,
+                   simulate_setting)
+from qcert.pipeline import (SimulationConfig, build_settings, effective_params, run_simulation,
+                            sampling_state)
 
 from conftest import SATURATING_SEED, saturating_table
 
@@ -85,3 +88,17 @@ def test_check_counts_passes_a_saturated_corrected_bound(monkeypatch):
     assert not result["corrected"]["eof_refused"]
     assert result["corrected"]["eof_ebits"] == math.log2(10)
     assert workloads.check_counts(op, result) == []
+
+
+def test_replayed_table_equals_run_simulation():
+    """perfbench's traced replay rebuilds the counts-certify table from one
+    ``simulate_setting`` per planned setting and fails the op unless it equals
+    ``run_simulation``'s; the same table built the same way must match."""
+    cfg = replace(pipeline.preset("calibrated-witness"), seed=SATURATING_SEED)
+    rho, params = sampling_state(cfg), effective_params(cfg)
+    records = []
+    for st in build_settings(cfg):
+        records.extend(simulate_setting(rho, st.basis_s, st.basis_i, cfg.trials_per_setting,
+                                        params, cfg.seed, setting_name=st.name))
+    table = CoincidenceTable(records=tuple(records), metadata={"D": cfg.source.num_modes})
+    assert run_simulation(cfg, workers=1).records == table.records
