@@ -112,8 +112,13 @@ def with_accidental_noise(params: CountingParams, noise_fraction: float) -> Coun
     """
     if not (0.0 <= noise_fraction < 1.0):
         raise ValidationError("noise fraction must lie in [0, 1) for the counting channel")
-    extra = params.eta_r * noise_fraction / (1.0 - noise_fraction)
-    return replace(params, P_bg_idler=params.P_bg_idler + extra)
+    background = params.P_bg_idler + params.eta_r * noise_fraction / (1.0 - noise_fraction)
+    try:
+        return replace(params, P_bg_idler=background)
+    except ValidationError as exc:
+        raise ValidationError(
+            f"noise fraction {noise_fraction!r} on the counting channel raises P_bg_idler "
+            f"from {params.P_bg_idler!r} to {background!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -542,10 +547,14 @@ def save_table(table: CoincidenceTable, path) -> None:
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        # csv quotes a field holding "\n" but not one holding "\r", which a
+        # reader takes for a line end
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(CSV_HEADER)
         for rec in table.records:
-            writer.writerow([rec.setting, rec.outcome_s, rec.outcome_i,
-                             rec.coincidences, rec.singles_s, rec.singles_i, rec.trials])
+            (quoted if "\r" in rec.setting else writer).writerow(
+                [rec.setting, rec.outcome_s, rec.outcome_i,
+                 rec.coincidences, rec.singles_s, rec.singles_i, rec.trials])
     with open(_meta_path(path), "w", encoding="utf-8") as fh:
         json.dump(table.metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -7,13 +7,21 @@ so objects can be shared and cached freely.
 
 An outcome table is one fixed matrix product over the product kets
 kron(v_s[a], v_i[b]), and a side marginal one over that side's reduced
-state.  No einsum contraction is planned: at these sizes (D <= 10, so
-rho is at most 100 x 100) planning the contraction took longer than
-doing it.
+state; the diagonal is a multiply-and-row-sum.  No einsum contraction is
+planned: at these sizes (D <= 10, so rho is at most 100 x 100) planning
+the contraction took longer than doing it.
+
+A density operator's positivity is checked by a Cholesky factorization
+first.  When it succeeds the matrix is positive definite, and the
+Hermitian part divided by its trace is stored as given.  Only a singular
+or indefinite input (a pure state, say) is diagonalized with ``eigh``;
+then eigenvalues are floored, clamped and renormalized, and the
+reconstruction is stored.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +95,11 @@ class DensityOperator:
     """A validated mixed state on the bipartite mode space.
 
     Construction enforces Hermiticity and unit trace (within 1e-12) and
-    positivity: eigenvalues below -1e-10 are a hard error, tiny negatives
-    above the floor are clamped to zero and the trace renormalized.
+    positivity.  A matrix whose Hermitian part has a Cholesky factor is
+    positive definite and is stored as that Hermitian part over its trace.
+    Otherwise ``eigh`` decides: eigenvalues below -1e-10 are a hard error,
+    tiny negatives above the floor are clamped to zero, the trace is
+    renormalized and V diag(vals) V^+ is stored.
     """
 
     def __init__(self, dim_signal: int, dim_idler: int, matrix) -> None:
@@ -106,16 +117,23 @@ class DensityOperator:
         if abs(tr - 1.0) > ATOL_TRACE:
             raise ValidationError(f"trace is {tr!r}, expected 1 within 1e-12")
         herm = (mat + mat.conj().T) / 2.0
-        vals, vecs = np.linalg.eigh(herm)
-        if vals[0] < EIG_FLOOR:
-            raise ValidationError(
-                f"matrix has eigenvalue {vals[0]:.3e} below the -1e-10 positivity floor"
-            )
-        vals = np.maximum(vals, 0.0)
-        vals = vals / vals.sum()
+        try:
+            np.linalg.cholesky(herm)
+        except np.linalg.LinAlgError:
+            vals, vecs = np.linalg.eigh(herm)
+            if vals[0] < EIG_FLOOR:
+                raise ValidationError(
+                    f"matrix has eigenvalue {vals[0]:.3e} below the -1e-10 positivity floor"
+                ) from None
+            vals = np.maximum(vals, 0.0)
+            vals = vals / vals.sum()
+            herm = (vecs * vals) @ vecs.conj().T
+        else:
+            # positive definite: nothing to clamp, and V diag(vals / tr) V^+ is herm / tr
+            herm = herm / tr
         self.dim_signal = int(dim_signal)
         self.dim_idler = int(dim_idler)
-        self.matrix = _frozen((vecs * vals) @ vecs.conj().T)
+        self.matrix = _frozen(herm)
 
     @property
     def dim(self) -> int:
@@ -190,6 +208,13 @@ def _ket_rows(vectors, dim: int) -> np.ndarray:
     return kets
 
 
+def _diagonal(kets: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """diag(conj(K) op K^T) as one product and a multiply-and-row-sum."""
+    terms = kets.conj() @ op
+    terms *= kets
+    return terms.sum(axis=1)
+
+
 def outcome_probabilities(rho: DensityOperator, vectors_s, vectors_i) -> np.ndarray:
     """Joint outcome probabilities for two sets of measurement kets.
 
@@ -202,15 +227,18 @@ def outcome_probabilities(rho: DensityOperator, vectors_s, vectors_i) -> np.ndar
     v_i = _ket_rows(vectors_i, rho.dim_idler)
     n_s, n_i = len(v_s), len(v_i)
     kets = (v_s[:, None, :, None] * v_i[None, :, None, :]).reshape(n_s * n_i, rho.dim)
-    table = np.einsum("rx,rx->r", kets.conj() @ rho.matrix, kets).reshape(n_s, n_i)
-    if not np.all(np.isfinite(table)):
+    table = _diagonal(kets, rho.matrix).reshape(n_s, n_i)
+    real = table.real
+    residue = np.abs(table.imag).max()
+    # a sum over the table is finite whenever every entry is, so the full
+    # scan runs only when the scalars already say something is off
+    if not math.isfinite(residue + real.sum()) and not np.isfinite(table).all():
         raise ValidationError("measurement vectors must be finite")
-    residue = np.max(np.abs(table.imag))
     if residue > ATOL_IMAG:
         raise ComputationError(
             f"probability table has imaginary residue {residue:.3e}; inputs are inconsistent"
         )
-    return np.clip(table.real, 0.0, 1.0)
+    return np.minimum(np.maximum(real, 0.0), 1.0)
 
 
 def marginal_probabilities(rho: DensityOperator, vectors, side: str) -> np.ndarray:
@@ -228,8 +256,8 @@ def marginal_probabilities(rho: DensityOperator, vectors, side: str) -> np.ndarr
     else:
         raise ValidationError(f"side must be 'signal' or 'idler', got {side!r}")
     kets = _ket_rows(vectors, dim)
-    marg = np.einsum("ax,ax->a", kets.conj() @ reduced, kets).real
-    return np.clip(marg, 0.0, 1.0)
+    marg = _diagonal(kets, reduced).real
+    return np.minimum(np.maximum(marg, 0.0), 1.0)
 
 
 def fidelity_to_pure(rho: DensityOperator, target: StateVector) -> float:

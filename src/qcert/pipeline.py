@@ -94,6 +94,8 @@ class SimulationConfig:
             raise ValidationError(f"invalid tomography pair {self.tomo_pair}")
         if self.noise_channel not in ("counting", "state"):
             raise ValidationError("noise_channel must be 'counting' or 'state'")
+        # the counting channel's accidental noise must leave valid parameters
+        effective_params(self)
 
     def to_json_dict(self) -> dict:
         return {

@@ -46,6 +46,14 @@ def einsum_marginals(rho, v_s, v_i):
     return np.clip(marg_s, 0.0, 1.0), np.clip(marg_i, 0.0, 1.0)
 
 
+def eigh_density(matrix):
+    """The matrix DensityOperator stored before it tried Cholesky first: the
+    Hermitian part's spectrum clamped at zero, renormalized and recombined."""
+    vals, vecs = np.linalg.eigh((matrix + matrix.conj().T) / 2.0)
+    vals = np.maximum(vals, 0.0)
+    return (vecs * (vals / vals.sum())) @ vecs.conj().T
+
+
 def random_unitary(d, rng):
     q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     return q * (np.diag(r) / np.abs(np.diag(r)))

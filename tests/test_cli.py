@@ -100,6 +100,20 @@ class TestSimulate:
                              "--seed", str(seed), "--out-dir", str(tmp_path / f"run{seed}"),
                              "--no-timestamp"]) == 0, seed
 
+    def test_invalid_counting_noise_exits_2_before_the_out_dir(self, tmp_path):
+        # the counting channel adds eta_r p / (1 - p) to P_bg_idler: 0.1875 -> 0.28125,
+        # so eta_r + P_I = 1.03; the same block is valid on the state channel
+        cfg = SimulationConfig(source=SourceConfig.uniform(3, noise_fraction=0.2),
+                               counting=CountingParams(P_S=1.0, eta_r=0.375, P_bg_idler=0.1875),
+                               bell_dimensions=(2, 3), tomo_pair=(0, 1), noise_channel="state")
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({**cfg.to_json_dict(), "noise_channel": "counting"}))
+        res = run_cli("simulate", "--config", "cfg.json", "--out-dir", "run", cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "noise fraction 0.2" in res.stderr and "0.28125" in res.stderr
+        assert not (tmp_path / "run").exists()
+
     def test_invalid_config_exits_2(self, small_config):
         bad = small_config.parent / "bad.json"
         bad.write_text('{"source": {"D": 3}}')

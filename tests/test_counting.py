@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from qcert import (
     x_basis,
 )
 from qcert import counting, pipeline
-from qcert.bases import MeasurementBasis, scan_setting
+from qcert.bases import MAX_MODES, MeasurementBasis, scan_setting
 from qcert.counting import CSV_HEADER
 from qcert.counting import (
     _key_word,
@@ -489,6 +490,30 @@ table_rows = st.lists(
 )
 
 
+# counts anywhere in the int64 range with 0 <= C <= min(S_s, S_i) and max <= N
+@st.composite
+def record_counts(draw):
+    trials = draw(st.one_of(st.integers(1, 10), st.integers(1, 2**63 - 1)))
+    singles_s, singles_i = draw(st.integers(0, trials)), draw(st.integers(0, trials))
+    return draw(st.integers(0, min(singles_s, singles_i))), singles_s, singles_i, trials
+
+
+# setting names with CSV delimiters, quotes, line breaks and non-ASCII text
+setting_names = st.one_of(st.sampled_from(['a,b', '"q"', 'x"y,z', 'ü-ψ:0-1', 'a\nb', 'a\rb', '']),
+                          st.text(max_size=8))
+csv_tables = st.builds(
+    lambda rows, metadata: CoincidenceTable(
+        records=tuple(CountRecord(name, a, b, *counts) for name, a, b, counts in rows),
+        metadata=metadata),
+    st.lists(st.tuples(setting_names, st.integers(-2, 2**31), st.integers(-2, 2**31),
+                       record_counts()),
+             unique_by=lambda row: row[:3], max_size=12),
+    st.fixed_dictionaries({"D": st.integers(2, MAX_MODES)},
+                          optional={"seed": st.integers(0, 2**64), "noise_channel": st.text(),
+                                    "noise_fraction": st.floats(0.0, 1.0)}),
+)
+
+
 def table_from_rows(rows, trials=200) -> CoincidenceTable:
     return CoincidenceTable(records=tuple(
         CountRecord(setting=name, outcome_s=a, outcome_i=b, coincidences=c,
@@ -556,6 +581,18 @@ class TestTableProperties:
         assert (c <= np.minimum(s, i)).all()
         assert (np.maximum(c, np.maximum(s, i)) <= n).all()
         assert (n == trials).all()
+
+    @settings(deadline=None, max_examples=60)
+    @given(csv_tables)
+    @example(CoincidenceTable(records=(CountRecord("a\rb", 0, 1, 1, 2, 3, 4),), metadata={"D": 2}))
+    def test_csv_round_trip(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            save_table(table, f"{tmp}/counts.csv")
+            loaded = load_table(f"{tmp}/counts.csv")
+        assert loaded.records == table.records
+        assert loaded.metadata == table.metadata
+        assert loaded.counts.dtype == np.int64
+        assert np.array_equal(loaded.counts, table.counts)
 
     @settings(deadline=None, max_examples=60)
     @given(table_rows, table_rows)

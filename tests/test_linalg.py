@@ -5,17 +5,21 @@ from numpy.testing import assert_allclose
 from qcert import (
     DensityOperator,
     Projector,
+    SourceConfig,
     StateVector,
     ValidationError,
     density_from_ket,
     fidelity_to_pure,
+    linalg,
+    noisy_state,
     outcome_probabilities,
     restrict_to_pair,
 )
 from qcert.errors import ComputationError
 from qcert.linalg import marginal_probabilities
 
-from conftest import einsum_marginals, einsum_table, oracle_bases, oracle_states
+from conftest import (eigh_density, einsum_marginals, einsum_table, oracle_bases, oracle_states,
+                      random_unitary)
 
 
 def bell_state() -> StateVector:
@@ -101,6 +105,52 @@ class TestDensityOperatorInvariants:
             assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-10
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Count the eigh calls DensityOperator makes through linalg's numpy."""
+    calls = []
+    eigh = linalg.np.linalg.eigh
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(linalg.np.linalg, "eigh", counted)
+    return calls
+
+
+class TestCholeskyFirst:
+    def test_positive_definite_state_needs_no_eigh(self, eigh_calls):
+        rho = noisy_state(SourceConfig.uniform(10).with_noise(0.05))
+        DensityOperator(10, 10, rho.matrix)
+        assert eigh_calls == []
+
+    @pytest.mark.parametrize("d, matrix", [
+        (10, np.outer(uniform_state(10).amplitudes, uniform_state(10).amplitudes.conj())),
+        (2, np.diag([1 + 1e-12, -1e-12, 0, 0])),
+    ], ids=["pure", "tiny-negative"])
+    def test_singular_and_tiny_negative_inputs_are_clamped(self, eigh_calls, d, matrix):
+        stored = DensityOperator(d, d, matrix).matrix
+        assert eigh_calls == [matrix.shape]
+        assert_allclose(stored, eigh_density(matrix), rtol=0, atol=1e-12)
+
+    def test_eigenvalue_just_below_the_floor_rejected(self):
+        u = random_unitary(4, np.random.default_rng(3))
+        mat = (u * [0.4, 0.3, 0.3 + 2e-10, -2e-10]) @ u.conj().T
+        with pytest.raises(ValidationError, match=r"-2\.000e-10 below"):
+            DensityOperator(2, 2, mat)
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_full_rank_mixtures_match_the_eigh_reconstruction(self, eigh_calls, d):
+        rng = np.random.default_rng(40 + d)
+        g = rng.normal(size=(3, d * d, d * d)) + 1j * rng.normal(size=(3, d * d, d * d))
+        mixtures = [m / np.trace(m).real for m in g @ g.conj().transpose(0, 2, 1)]
+        stored = [DensityOperator(d, d, m).matrix for m in mixtures]
+        assert eigh_calls == []
+        for mixture, matrix in zip(mixtures, stored):
+            assert_allclose(matrix, eigh_density(mixture), rtol=0, atol=1e-12)
+
+
 class TestJointProbability:
     def test_bell_correlated_outcome(self):
         rho = density_from_ket(bell_state())
@@ -112,6 +162,16 @@ class TestJointProbability:
         p0 = [1, 0]
         p1 = [0, 1]
         assert outcome_probabilities(rho, [p0], [p1])[0, 0] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_rounding_is_clamped_to_the_unit_interval(self, d):
+        # a product of basis kets measured in that basis: one cell is 1 and the
+        # rest 0, which the raw product misses by rounding on both sides
+        u = random_unitary(d, np.random.default_rng(d))
+        rho = density_from_ket(StateVector(d, d, np.kron(u[:, 0], u[:, 0])))
+        table = outcome_probabilities(rho, u.T, u.T)
+        assert table.min() >= 0.0 and table.max() <= 1.0
+        assert_allclose(table, einsum_table(rho, u.T, u.T), rtol=0, atol=1e-12)
 
     def test_maximally_mixed_uniform(self):
         rho = maximally_mixed(3)
@@ -183,7 +243,7 @@ class TestProjector:
 
 
 class TestProductKetOracle:
-    @pytest.mark.parametrize("d_s, d_i", [(2, 2), (3, 3), (7, 7), (10, 10), (3, 2)])
+    @pytest.mark.parametrize("d_s, d_i", [(d, d) for d in range(2, 11)] + [(3, 2)])
     def test_tables_and_marginals_match_planned_einsum(self, d_s, d_i):
         for rho in oracle_states(d_s, d_i, seed=100 + d_s * d_i):
             for basis_s, basis_i in oracle_bases(d_s, d_i, seed=200 + d_s * d_i):

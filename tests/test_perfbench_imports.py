@@ -7,7 +7,8 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
-from qcert import (CoincidenceTable, CountRecord, SourceConfig, bootstrap_table, naming, pipeline,
+from qcert import (CoincidenceTable, CountRecord, SourceConfig, bootstrap_table, linalg,
+                   mean_pair_visibility, naming, noisy_state, pipeline, setting_means,
                    simulate_setting)
 from qcert.pipeline import (SimulationConfig, build_settings, effective_params, run_simulation,
                             sampling_state)
@@ -102,3 +103,33 @@ def test_replayed_table_equals_run_simulation():
                                         params, cfg.seed, setting_name=st.name))
     table = CoincidenceTable(records=tuple(records), metadata={"D": cfg.source.num_modes})
     assert run_simulation(cfg, workers=1).records == table.records
+
+
+# the modules whose outcome_probabilities perfbench wraps to count tables; it
+# sets the name on certify and source too, which do not import it today
+TABLE_CALLERS = ("qcert.linalg", "qcert.bases", "qcert.certify", "qcert.source")
+
+
+def test_table_counts_perfbench_expects(monkeypatch):
+    """perfbench's ``linalg.prob_table_calls`` counts outcome_probabilities
+    calls, and its self-test expects 18 at D = 4; stacking tables changes
+    these counts, so it has to come with a benchmark change that counts
+    tables instead."""
+    calls = []
+    original = linalg.outcome_probabilities
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name in TABLE_CALLERS:
+        monkeypatch.setattr(importlib.import_module(name), "outcome_probabilities", counted,
+                            raising=False)
+    mean_pair_visibility(noisy_state(SourceConfig.uniform(4).with_noise(0.1)))
+    assert len(calls) == 18
+    calls.clear()
+    cfg = pipeline.preset("calibrated-witness")
+    rho, params = sampling_state(cfg), effective_params(cfg)
+    for st in build_settings(cfg):
+        setting_means(rho, st.basis_s, st.basis_i, cfg.trials_per_setting, params)
+    assert len(calls) == 317
