@@ -226,6 +226,8 @@ def cmd_bell(args) -> int:
             if parsed is not None
         })
         wanted = args.d_range or available
+        if not wanted:
+            raise ValidationError(f"{args.counts}: the counts hold no Bell settings")
         variants = [("raw", False)]
         if args.subtract_accidentals:
             variants.append(("corrected", True))

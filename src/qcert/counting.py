@@ -14,14 +14,17 @@ occupancy scale P_S, plus uncorrelated background).  The accidental mean is
 the product of the singles means over N, so the standard subtraction
 C' = C_SI - C_S C_I / N removes it without bias, cell by cell.
 
-Simulated counts are drawn Poisson from deterministic per-outcome random
-streams keyed by (master seed, setting name, outcome key), so tables are
-reproducible regardless of execution order, thread count, or outcome
-ordering.  Each stream is the one numpy's SeedSequence([seed, key word]) ->
-PCG64 gives.  ``simulate_plan`` seeds the streams of a whole setting plan
-once, in one vectorized pass bit-identical to that construction, from key
-words hashed once per setting.  Every stream makes one Poisson draw, and
-coincidences and singles are capped at the trial count.
+Simulated counts are drawn Poisson from one deterministic random stream per
+setting, keyed by (master seed, setting name, sorted outcome labels), so
+tables are reproducible regardless of execution order or outcome ordering.
+Each stream is the one numpy's SeedSequence([seed, setting word]) -> PCG64
+gives, and it makes one Poisson call on the setting's means in sorted-label
+order: the cells by (a, b), then the signal singles top-ups, then the idler
+ones.  ``simulate_plan`` tabulates a whole setting plan with one table
+product per block of settings of one cell shape, seeds every stream in one
+vectorized pass bit-identical to that construction, from setting words
+hashed once per setting, and caps coincidences and singles at the trial
+count.
 
 A table holds int64 columns C, S_s, S_i, N next to its records.  Bootstrap
 replica b of a table has one generator, SeedSequence([seed + b, table word])
@@ -45,7 +48,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import DensityOperator, marginal_probabilities
+from . import linalg
+from .linalg import DensityOperator
 from .bases import MAX_MODES, MeasurementBasis, PlannedSetting, joint_probability_table
 
 __all__ = [
@@ -63,7 +67,6 @@ __all__ = [
     "subtract_accidentals",
     "cell_estimates",
     "with_accidental_noise",
-    "outcome_stream",
     "save_table",
     "load_table",
     "bootstrap_table",
@@ -192,6 +195,54 @@ class SettingMeans:
     singles_i: np.ndarray     # (n_i,)
 
 
+# Tables are stacked in blocks of at most this many product-ket rows.  On a
+# calibrated-witness run, one product per whole cell-shape group peaked at
+# 5.7 MB of numpy allocations against 1.2 MB one setting at a time, and
+# 256-row blocks at 1.7 MB; 128 rows stays at 1.1 MB and runs as fast.
+_TABLE_ROWS = 128
+
+
+def _mean_blocks(rho: DensityOperator, pairs, trials: int, params: CountingParams):
+    """Yield the count means of settings, given as (signal, idler) basis
+    pairs, a block at a time: the block's indices into ``pairs``, its
+    coincidence means (m, n_s, n_i) and its signal (m, n_s) and idler (m, n_i)
+    singles means.  A block holds settings of one cell shape and gets one
+    table product; the side marginals of all blocks, rows in block order,
+    take one product a side."""
+    if trials < 1:
+        raise ValidationError("trials must be at least 1")
+    if any(b_s.dim != rho.dim_signal or b_i.dim != rho.dim_idler for b_s, b_i in pairs):
+        raise ValidationError("measurement vectors do not match the state dimensions")
+    groups: dict[tuple, list[int]] = {}
+    for k, (b_s, b_i) in enumerate(pairs):
+        groups.setdefault((len(b_s.projectors), len(b_i.projectors)), []).append(k)
+    blocks = []
+    for (n_s, n_i), members in groups.items():
+        step = max(1, _TABLE_ROWS // (n_s * n_i))
+        blocks += [members[first:first + step] for first in range(0, len(members), step)]
+    kets_s = [np.array([pairs[k][0].vector_matrix for k in idx]) for idx in blocks]
+    kets_i = [np.array([pairs[k][1].vector_matrix for k in idx]) for idx in blocks]
+    marg_s = linalg.marginal_probabilities(
+        rho, np.concatenate([v.reshape(-1, rho.dim_signal) for v in kets_s]), "signal")
+    marg_i = linalg.marginal_probabilities(
+        rho, np.concatenate([v.reshape(-1, rho.dim_idler) for v in kets_i]), "idler")
+    n = float(trials)
+    row_s = row_i = 0
+    for idx, v_s, v_i in zip(blocks, kets_s, kets_i):
+        tables = linalg.outcome_probabilities(rho, v_s, v_i)
+        m, n_s, n_i = tables.shape
+        ms = marg_s[row_s:row_s + m * n_s].reshape(m, n_s)
+        mi = marg_i[row_i:row_i + m * n_i].reshape(m, n_i)
+        row_s, row_i = row_s + m * n_s, row_i + m * n_i
+        for totals, what in ((tables.reshape(m, -1).sum(axis=1), "joint"),
+                             (ms.sum(axis=1), "signal"), (mi.sum(axis=1), "idler")):
+            if totals.max() > 1.0 + 1e-9:
+                raise ValidationError(f"{what} probability table sums to {totals.max()}, above 1")
+        lam_true = n * params.P_S * params.eta_r * tables
+        lam_acc = n * params.P_S * params.P_I * (ms[:, :, None] * mi[:, None, :])
+        yield idx, lam_true + lam_acc, n * params.P_S * ms, n * params.P_I * mi
+
+
 def setting_means(
     rho: DensityOperator,
     basis_s: MeasurementBasis,
@@ -199,23 +250,10 @@ def setting_means(
     trials: int,
     params: CountingParams,
 ) -> SettingMeans:
-    """Expected counts for every cell of one setting."""
-    if trials < 1:
-        raise ValidationError("trials must be at least 1")
-    table = joint_probability_table(rho, basis_s, basis_i)
-    marg_s = marginal_probabilities(rho, basis_s.vector_matrix, "signal")
-    marg_i = marginal_probabilities(rho, basis_i.vector_matrix, "idler")
-    for total, what in ((table.sum(), "joint"), (marg_s.sum(), "signal"), (marg_i.sum(), "idler")):
-        if total > 1.0 + 1e-9:
-            raise ValidationError(f"{what} probability table sums to {total}, above 1")
-    n = float(trials)
-    lam_true = n * params.P_S * params.eta_r * table
-    lam_acc = n * params.P_S * params.P_I * np.outer(marg_s, marg_i)
-    return SettingMeans(
-        coincidences=lam_true + lam_acc,
-        singles_s=n * params.P_S * marg_s,
-        singles_i=n * params.P_I * marg_i,
-    )
+    """Expected counts for every cell of one setting: the one-setting view of
+    the plan means ``simulate_plan`` draws from."""
+    ((_, lam, singles_s, singles_i),) = _mean_blocks(rho, [(basis_s, basis_i)], trials, params)
+    return SettingMeans(coincidences=lam[0], singles_s=singles_s[0], singles_i=singles_i[0])
 
 
 # numpy's SeedSequence entropy mixing (numpy/random/bit_generator.pyx): a
@@ -232,7 +270,7 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG_DEFAULT_MULTIPLIER_128
 
 
 def _key_word(setting: str, *key_parts) -> int:
-    """The 64-bit entropy word of one outcome key (independent of the seed)."""
+    """The 64-bit entropy word of one key (independent of the seed)."""
     text = "\x1f".join([setting, *map(str, key_parts)])
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
@@ -341,22 +379,20 @@ def _keyed_streams(seed: int, words):
         yield rng
 
 
-def outcome_stream(seed: int, setting: str, *key_parts) -> np.random.Generator:
-    """Deterministic random stream for one (seed, setting, outcome key)."""
-    return next(_keyed_streams(seed, [_key_word(setting, *key_parts)]))
-
-
 # bounded, since setting names come from callers; a full plan at MAX_MODES
 # (both spaces, Bell d = 2..10, tomography) has 317 settings
 @functools.lru_cache(maxsize=1024)
-def _setting_words(name: str, labels_s: tuple, labels_i: tuple) -> np.ndarray:
-    """The key words of one setting's streams: its cells in label order, then
-    its signal singles, then its idler singles.  Hashed once per key."""
-    words = np.array([_key_word(name, "cell", a, b) for a in labels_s for b in labels_i]
-                     + [_key_word(name, "singles_s", a) for a in labels_s]
-                     + [_key_word(name, "singles_i", b) for b in labels_i], dtype=np.uint64)
-    words.setflags(write=False)
-    return words
+def _setting_key(name: str, labels_s: tuple, labels_i: tuple):
+    """A setting's stream word, hashing its name and sorted labels, and the
+    sorted-label order of its means laid out as its cells in label order,
+    then its signal top-ups, then its idler top-ups."""
+    n_s, n_i = len(labels_s), len(labels_i)
+    o_s = np.array(sorted(range(n_s), key=labels_s.__getitem__), dtype=np.intp)
+    o_i = np.array(sorted(range(n_i), key=labels_i.__getitem__), dtype=np.intp)
+    order = np.concatenate([(o_s[:, None] * n_i + o_i).ravel(), n_s * n_i + o_s,
+                            n_s * (n_i + 1) + o_i])
+    order.setflags(write=False)
+    return _key_word(name, tuple(sorted(labels_s)), tuple(sorted(labels_i))), order
 
 
 def simulate_plan(
@@ -368,42 +404,44 @@ def simulate_plan(
 ) -> list[CountRecord]:
     """Draw the count tables of planned settings, records in plan order.
 
-    Every outcome cell and every singles counter draws from its own keyed
-    stream, one scalar ``poisson`` call each; the streams of the whole plan
-    are seeded together.  Singles are the sum of the setting's coincidences
-    in that outcome plus an independent top-up, which keeps C_SI <= min(C_S,
-    C_I) record by record; coincidences and singles are capped at the trial
-    count, as in the bootstrap.
+    The means come a block of settings at a time; each setting then makes
+    one ``poisson`` call on its means in sorted-label order, from its own
+    keyed stream, and the streams of the whole plan are seeded together.
+    Singles are the sum of the setting's coincidences in that outcome plus
+    an independent top-up, which keeps C_SI <= min(C_S, C_I) record by
+    record; coincidences and singles are capped at the trial count, as in
+    the bootstrap.
     """
     if not plan:
         return []
-    words, means, shapes = [], [], []
-    for st in plan:
-        m = setting_means(rho, st.basis_s, st.basis_i, trials, params)
-        lam = m.coincidences
-        # column sums of a contiguous copy add in the order lam[:, b].sum() does
-        means += [lam.ravel(), np.maximum(m.singles_s - lam.sum(axis=1), 0.0),
-                  np.maximum(m.singles_i - np.ascontiguousarray(lam.T).sum(axis=1), 0.0)]
-        words.append(_setting_words(st.name, st.basis_s.labels, st.basis_i.labels))
-        shapes.append(lam.shape)
-    means = np.concatenate(means)
-    draws = np.fromiter((rng.poisson(mean) for rng, mean in
-                         zip(_keyed_streams(seed, np.concatenate(words)), means)),
-                        dtype=np.int64, count=len(means))
-    records = []
-    chunks = np.split(draws, np.cumsum([len(w) for w in words])[:-1])
-    for st, (n_s, n_i), chunk in zip(plan, shapes, chunks):
-        cells, top_s, top_i = np.split(chunk, [n_s * n_i, n_s * n_i + n_s])
-        cells = np.minimum(cells, trials).reshape(n_s, n_i)
-        singles_s = np.minimum(cells.sum(axis=1) + top_s, trials).tolist()
-        singles_i = np.minimum(cells.sum(axis=0) + top_i, trials).tolist()
+    blocks = list(_mean_blocks(rho, [(st.basis_s, st.basis_i) for st in plan], trials, params))
+    keys = [_setting_key(st.name, st.basis_s.labels, st.basis_i.labels) for st in plan]
+    streams = _keyed_streams(seed, [keys[k][0] for idx, *_ in blocks for k in idx])
+    records = [None] * len(plan)
+    for idx, lam, mean_s, mean_i in blocks:
+        m, n_s, n_i = lam.shape
+        # sums over a contiguous last axis add in the order lam[a, :].sum() does
+        means = np.maximum(np.concatenate([
+            lam.reshape(m, -1), mean_s - lam.sum(axis=2),
+            mean_i - np.ascontiguousarray(lam.transpose(0, 2, 1)).sum(axis=2)], axis=1), 0.0)
+        draws = np.empty(means.shape, dtype=np.int64)
+        # idx first: zip stops on it without advancing the streams
+        for r, (k, rng) in enumerate(zip(idx, streams)):
+            order = keys[k][1]
+            draws[r, order] = rng.poisson(means[r, order])
+        cells = np.minimum(draws[:, :n_s * n_i].reshape(m, n_s, n_i), trials)
+        singles_s = np.minimum(cells.sum(axis=2) + draws[:, n_s * n_i:-n_i], trials).tolist()
+        singles_i = np.minimum(cells.sum(axis=1) + draws[:, -n_i:], trials).tolist()
         cells = cells.tolist()
-        records += [CountRecord(setting=st.name, outcome_s=int(lab_a), outcome_i=int(lab_b),
-                                coincidences=cells[a][b], singles_s=singles_s[a],
-                                singles_i=singles_i[b], trials=int(trials))
-                    for a, lab_a in enumerate(st.basis_s.labels)
-                    for b, lab_b in enumerate(st.basis_i.labels)]
-    return records
+        for r, k in enumerate(idx):
+            st = plan[k]
+            records[k] = [
+                CountRecord(setting=st.name, outcome_s=int(lab_a), outcome_i=int(lab_b),
+                            coincidences=cells[r][a][b], singles_s=singles_s[r][a],
+                            singles_i=singles_i[r][b], trials=int(trials))
+                for a, lab_a in enumerate(st.basis_s.labels)
+                for b, lab_b in enumerate(st.basis_i.labels)]
+    return [rec for recs in records for rec in recs]
 
 
 def simulate_setting(

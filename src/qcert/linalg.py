@@ -196,14 +196,16 @@ def _check_real(value: complex, what: str) -> float:
     return float(value.real)
 
 
-def _ket_rows(vectors, dim: int) -> np.ndarray:
-    """Measurement kets as a complex (n, dim) array, one ket per row."""
+def _ket_rows(vectors, dim: int, ndims=(2,)) -> np.ndarray:
+    """Measurement kets as a complex (n, dim) array, one ket per row, or with
+    ``ndims`` (2, 3) also an (m, n, dim) stack of such arrays."""
     kets = np.asarray(vectors, dtype=complex)
-    if kets.ndim != 2 or not len(kets):
+    if kets.ndim not in ndims or not kets.size:
         raise ValidationError(
-            f"measurement vectors must be a 2-D array, one ket per row; got shape {kets.shape}"
+            "measurement vectors must be a 2-D array, one ket per row, or a stack of them "
+            f"on both sides; got shape {kets.shape}"
         )
-    if kets.shape[1] != dim:
+    if kets.shape[-1] != dim:
         raise ValidationError("measurement vectors do not match the state dimensions")
     return kets
 
@@ -222,12 +224,16 @@ def outcome_probabilities(rho: DensityOperator, vectors_s, vectors_i) -> np.ndar
     idler outcome; returns the (n_s, n_i) table of Tr(rho (v_a v_a^+ x v_b v_b^+)).
     Row (a, b) of the product-ket matrix K is kron(v_s[a], v_i[b]), and the
     table is diag(conj(K) rho K^T): one matrix product, no contraction planning.
+    Two (m, n, dim) stacks give the (m, n_s, n_i) tables of m settings from one
+    product over all of their product kets, row for row the same.
     """
-    v_s = _ket_rows(vectors_s, rho.dim_signal)
-    v_i = _ket_rows(vectors_i, rho.dim_idler)
-    n_s, n_i = len(v_s), len(v_i)
-    kets = (v_s[:, None, :, None] * v_i[None, :, None, :]).reshape(n_s * n_i, rho.dim)
-    table = _diagonal(kets, rho.matrix).reshape(n_s, n_i)
+    v_s = _ket_rows(vectors_s, rho.dim_signal, (2, 3))
+    v_i = _ket_rows(vectors_i, rho.dim_idler, (v_s.ndim,))
+    if v_s.shape[:-2] != v_i.shape[:-2]:
+        raise ValidationError(f"ket stacks of {len(v_s)} and {len(v_i)} settings differ")
+    shape = v_s.shape[:-1] + v_i.shape[-2:-1]
+    kets = (v_s[..., :, None, :, None] * v_i[..., None, :, None, :]).reshape(-1, rho.dim)
+    table = _diagonal(kets, rho.matrix).reshape(shape)
     real = table.real
     residue = np.abs(table.imag).max()
     # a sum over the table is finite whenever every entry is, so the full

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qcert
-from qcert import CountingParams, SourceConfig, cli, save_table
+from qcert import CountingParams, SourceConfig, cli, naming, save_table
 from qcert.pipeline import SimulationConfig
 
 from conftest import SATURATING_SEED, cli_env, saturating_table
@@ -209,6 +209,18 @@ class TestBell:
         assert {(r["d"], r["variant"]) for r in rows} == {
             ("2", "raw"), ("2", "corrected"), ("3", "raw"), ("3", "corrected")
         }
+
+    @pytest.mark.parametrize("other_settings", [False, True])
+    def test_counts_without_bell_settings_exit_2(self, sim_run, tmp_path, other_settings):
+        # a header-only table, and a run's table with its Bell settings dropped
+        table = qcert.load_table(sim_run / "counts.csv")
+        kept = [name for name in table.settings()
+                if other_settings and naming.parse_bell_setting(name) is None]
+        save_table(table.restricted(kept), tmp_path / "counts.csv")
+        res = run_cli("bell", "--counts", "counts.csv", "--no-timestamp", cwd=tmp_path)
+        assert res.returncode == 2
+        assert "no Bell settings" in res.stderr
+        assert not (tmp_path / "bell_curve.csv").exists()
 
     def test_exact_from_config(self, small_config):
         out = small_config.parent / "bell_exact.csv"

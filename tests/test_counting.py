@@ -13,6 +13,8 @@ from qcert import (
     CoincidenceTable,
     CountingParams,
     CountRecord,
+    DensityOperator,
+    Projector,
     SourceConfig,
     ValidationError,
     bootstrap_table,
@@ -32,7 +34,7 @@ from qcert import (
     x_basis,
 )
 from qcert import counting, pipeline
-from qcert.bases import MAX_MODES, MeasurementBasis, scan_setting
+from qcert.bases import MAX_MODES, MeasurementBasis, PlannedSetting, scan_setting
 from qcert.counting import CSV_HEADER
 from qcert.counting import (
     _key_word,
@@ -40,13 +42,12 @@ from qcert.counting import (
     _seed_states,
     bootstrap_std,
     cell_estimates,
-    outcome_stream,
     simulate_plan,
 )
 from qcert.pipeline import SimulationConfig
 
-from conftest import (einsum_marginals, einsum_table, oracle_bases, oracle_simulate,
-                      oracle_states, oracle_stream)
+from conftest import (einsum_marginals, einsum_table, oracle_bases, oracle_means,
+                      oracle_simulate, oracle_states, oracle_stream)
 
 
 def rho2():
@@ -155,6 +156,60 @@ class TestSettingMeansOracle:
                                 atol=1e-12 * n)
                 assert basis_s.lost_weight(rho) == pytest.approx(1.0 - marg_s.sum(), abs=1e-12)
                 assert basis_i.lost_weight(rho) == pytest.approx(1.0 - marg_i.sum(), abs=1e-12)
+
+
+class TestPlanMeans:
+    @pytest.mark.parametrize("d", range(2, MAX_MODES + 1))
+    def test_blocked_plan_means_are_the_per_setting_means_bit_for_bit(self, d, monkeypatch):
+        # the oracle bases and a full plan at D = d: every cell shape, blocks
+        # of 2 x 2 settings, and blocks of one, of the default size and whole
+        params = CountingParams(P_S=0.006, eta_r=0.1, P_bg_idler=0.0014)
+        n = 10**6
+        cfg = SimulationConfig(source=SourceConfig.uniform(d),
+                               bell_dimensions=tuple(range(2, d + 1)), tomo_pair=(0, d - 1))
+        plan = [PlannedSetting(f"oracle{k}", b_s, b_i)
+                for k, (b_s, b_i) in enumerate(oracle_bases(d, d, seed=500 + d))]
+        plan += pipeline.build_settings(cfg)
+        for rho in oracle_states(d, d, seed=600 + d):
+            expected = [oracle_means(rho, st.basis_s, st.basis_i, n, params) for st in plan]
+            for st, ref in zip(plan, expected):
+                one = setting_means(rho, st.basis_s, st.basis_i, n, params)
+                assert all(np.array_equal(got, want) for got, want in
+                           zip((one.coincidences, one.singles_s, one.singles_i), ref))
+            for rows in (1, counting._TABLE_ROWS, 10**6):
+                monkeypatch.setattr(counting, "_TABLE_ROWS", rows)
+                seen = []
+                for idx, lam, singles_s, singles_i in counting._mean_blocks(
+                        rho, [(st.basis_s, st.basis_i) for st in plan], n, params):
+                    assert lam.shape[0] * lam.shape[1] * lam.shape[2] <= max(rows, lam[0].size)
+                    for r, k in enumerate(idx):
+                        seen.append(k)
+                        assert all(np.array_equal(got, want) for got, want in
+                                   zip((lam[r], singles_s[r], singles_i[r]), expected[k]))
+                assert sorted(seen) == list(range(len(plan)))
+
+    def test_probability_sums_are_checked_per_setting(self):
+        # an unnormalized state (trace 1.5 on |00> and |11>) that only one
+        # setting of a block of two sees in full
+        rho = object.__new__(DensityOperator)
+        rho.dim_signal = rho.dim_idler = 3
+        rho.matrix = np.diag([0.75, 0, 0, 0, 0.75, 0, 0, 0, 0]).astype(complex)
+
+        def modes(side, *labels):
+            return MeasurementBasis(name=f"m{labels}", side=side, dim=3, projectors=tuple(
+                Projector(np.eye(3)[x], x) for x in labels))
+
+        fine = PlannedSetting("fine", modes("signal", 0, 2), modes("idler", 0, 2))
+        full = PlannedSetting("full", modes("signal", 0, 1), modes("idler", 0, 1))
+        assert setting_means(rho, fine.basis_s, fine.basis_i, 100, CountingParams())
+        with pytest.raises(ValidationError, match="joint probability table sums to 1.5"):
+            simulate_plan(rho, [fine, full], 100, CountingParams(), seed=1)
+
+
+    def test_bases_of_another_dimension_rejected(self):
+        plan = [PlannedSetting("two", *full_bases(2)), PlannedSetting("three", *full_bases(3))]
+        with pytest.raises(ValidationError, match="do not match the state dimensions"):
+            simulate_plan(rho2(), plan, 100, CountingParams(), seed=1)
 
 
 class TestNoPlannedEinsum:
@@ -669,11 +724,14 @@ class TestKeyedStreams:
                           for w in words]
 
     @pytest.mark.parametrize("seed", [0, 7, 2**64 + 1])
-    def test_outcome_stream_draws_like_numpy(self, seed):
-        got = outcome_stream(seed, "X|K", "cell", 3, -1)
-        ref = oracle_stream(seed, "X|K", "cell", 3, -1)
+    def test_setting_stream_draws_like_numpy(self, seed):
+        word = counting._setting_key("X|K", (3, -1, 0), (1, -1))[0]
+        got = next(_keyed_streams(seed, [word]))
+        ref = oracle_stream(seed, "X|K", (3, -1, 0), (1, -1))
         assert got.bit_generator.state == ref.bit_generator.state
         assert np.array_equal(got.poisson(37.5, 20), ref.poisson(37.5, 20))
+        # the word reads the labels sorted, so projector order cannot move it
+        assert counting._setting_key("X|K", (0, 3, -1), (-1, 1))[0] == word
 
     def test_key_words_are_the_sha256_words(self):
         def sha_word(text):
@@ -700,7 +758,7 @@ class TestKeyedStreams:
         assert list(bootstrap_table(table, seed).records) == oracle_bootstrap(table, seed)
 
     @pytest.mark.parametrize("draw", [
-        lambda: outcome_stream(-1, "s", "cell", 0, 0),
+        lambda: next(_keyed_streams(-1, [counting._setting_key("s", (0,), (0,))[0]])),
         lambda: simulate_setting(rho2(), *full_bases(), 100, CountingParams(), seed=-1),
         lambda: bootstrap_table(TestTables().make_table(), seed=-5),
     ])
@@ -741,12 +799,15 @@ class TestSimulatePlan:
         drawn = []
 
         class Recorder:
-            def poisson(self, mean):
-                drawn.append(float(mean))
-                return 0
+            def __init__(self, word):
+                self.word = word
+
+            def poisson(self, means):
+                drawn.append((self.word, means.tolist()))
+                return np.zeros(len(means), dtype=np.int64)
 
         monkeypatch.setattr(counting, "_keyed_streams", lambda seed, words: (
-            Recorder() for _ in words))
+            Recorder(word) for word in words))
         # uneven amplitudes and phases, so the sums over 8 or more cells see
         # distinct values
         rng = np.random.default_rng(5)
@@ -756,15 +817,20 @@ class TestSimulatePlan:
                       noise_channel="state")
         pipeline.run_simulation(cfg)
         rho, params = pipeline.sampling_state(cfg), pipeline.effective_params(cfg)
-        expected = []
+        expected = {}
         for plan_st in pipeline.build_settings(cfg):
-            m = setting_means(rho, plan_st.basis_s, plan_st.basis_i, cfg.trials_per_setting,
-                              params)
-            lam = m.coincidences
-            expected += lam.ravel().tolist()
-            expected += [max(m.singles_s[a] - lam[a, :].sum(), 0.0) for a in range(len(lam))]
-            expected += [max(m.singles_i[b] - lam[:, b].sum(), 0.0) for b in range(lam.shape[1])]
-        assert drawn == expected
+            lam, mean_s, mean_i = oracle_means(rho, plan_st.basis_s, plan_st.basis_i,
+                                               cfg.trials_per_setting, params)
+            rows, cols = np.argsort(plan_st.basis_s.labels), np.argsort(plan_st.basis_i.labels)
+            top_s = [max(mean_s[a] - lam[a, :].sum(), 0.0) for a in range(len(lam))]
+            top_i = [max(mean_i[b] - lam[:, b].sum(), 0.0) for b in range(lam.shape[1])]
+            word, _ = counting._setting_key(plan_st.name, plan_st.basis_s.labels,
+                                            plan_st.basis_i.labels)
+            expected[word] = (lam[np.ix_(rows, cols)].ravel().tolist()
+                                      + [top_s[a] for a in rows] + [top_i[b] for b in cols])
+        # one poisson call per setting, from the setting's own stream
+        assert len(drawn) == len(expected)
+        assert dict(drawn) == expected
 
     def test_one_seeding_call_and_cached_key_words(self, monkeypatch):
         calls = {"seed": 0, "word": 0}
@@ -784,6 +850,57 @@ class TestSimulatePlan:
         second = pipeline.run_simulation(small_plan_config(seed=4))
         assert calls == {"seed": 2, "word": 0}
         assert first.records != second.records
+
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 2**64), st.data())
+    def test_sub_plans_in_any_order_draw_the_run_records(self, seed, data):
+        cfg = small_plan_config(seed)
+        plan = pipeline.build_settings(cfg)
+        order = data.draw(st.permutations(range(len(plan))))
+        picked = order[:data.draw(st.integers(1, len(plan)))]
+
+        def reversed_basis(basis):
+            return replace(basis, projectors=basis.projectors[::-1])
+
+        sub_plan = [PlannedSetting(plan[k].name, reversed_basis(plan[k].basis_s),
+                                   reversed_basis(plan[k].basis_i)) for k in picked]
+        got = simulate_plan(pipeline.sampling_state(cfg), sub_plan, cfg.trials_per_setting,
+                            pipeline.effective_params(cfg), cfg.seed)
+        run = {rec.key: rec for rec in pipeline.run_simulation(cfg).records}
+        assert [rec.setting for rec in got] == [
+            setting.name for setting in sub_plan for row in setting.cells for _ in row]
+        assert {rec.key: rec for rec in got} == {
+            (setting.name, a, b): run[setting.name, a, b] for setting in sub_plan
+            for row in setting.cells for a, b in row}
+
+    def test_cells_of_a_setting_draw_independent_poisson_counts(self):
+        # 300 seeds of one 3 x 3 setting: its 9 cells and 6 singles top-ups
+        # are 15 draws of one poisson call, with means from 15 to 461
+        params = CountingParams(P_S=0.02, eta_r=0.3, P_bg_idler=0.002)
+        rho = noisy_state(SourceConfig.uniform(3, noise_fraction=0.2))
+        b_s, b_i = full_bases(3)
+        m = setting_means(rho, b_s, b_i, 10**5, params)
+        lam = np.concatenate([m.coincidences.ravel(), m.singles_s - m.coincidences.sum(axis=1),
+                              m.singles_i - m.coincidences.sum(axis=0)])
+        n = 300
+        draws = np.empty((n, 15))
+        for seed in range(n):
+            recs = simulate_setting(rho, b_s, b_i, 10**5, params, seed=seed)
+            c = np.array([r.coincidences for r in recs]).reshape(3, 3)
+            s = np.array([recs[3 * a].singles_s for a in range(3)])
+            i = np.array([recs[b].singles_i for b in range(3)])
+            draws[seed] = np.concatenate([c.ravel(), s - c.sum(axis=1), i - c.sum(axis=0)])
+        assert lam.min() > 10
+        # Poisson: the mean of n draws has error sqrt(lam / n), and the sample
+        # variance over lam has error sqrt((2 + 1 / lam) / (n - 1)); bands at 4 sigma
+        assert np.all(np.abs(draws.mean(axis=0) - lam) < 4 * np.sqrt(lam / n))
+        ratio = draws.var(axis=0, ddof=1) / lam
+        assert np.all(np.abs(ratio - 1) < 4 * np.sqrt((2 + 1 / lam) / (n - 1)))
+        # independent draws: each of the 105 correlations has error 1 / sqrt(n)
+        # and their mean 1 / sqrt(105 n); bands at 4 sigma
+        corr = np.corrcoef(draws, rowvar=False)[np.triu_indices(15, k=1)]
+        assert np.all(np.abs(corr) < 4 / np.sqrt(n))
+        assert abs(corr.mean()) < 4 / np.sqrt(105 * n)
 
     def test_empty_plan_draws_nothing(self):
         assert simulate_plan(rho2(), [], 10, CountingParams(), seed=1) == []

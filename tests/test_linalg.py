@@ -257,6 +257,24 @@ class TestProductKetOracle:
                 assert_allclose(marginal_probabilities(rho, v_i, "idler"), marg_i,
                                 rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("d_s, d_i", [(d, d) for d in range(2, 11)] + [(3, 2)])
+    def test_stacked_tables_are_the_per_setting_tables(self, d_s, d_i):
+        groups = {}
+        for basis_s, basis_i in oracle_bases(d_s, d_i, seed=200 + d_s * d_i):
+            groups.setdefault((len(basis_s.labels), len(basis_i.labels)), []).append(
+                (basis_s.vector_matrix, basis_i.vector_matrix))
+        for rho in oracle_states(d_s, d_i, seed=100 + d_s * d_i):
+            for pairs in groups.values():
+                stacked = outcome_probabilities(rho, np.array([v_s for v_s, _ in pairs]),
+                                                np.array([v_i for _, v_i in pairs]))
+                assert np.array_equal(stacked, [outcome_probabilities(rho, v_s, v_i)
+                                                for v_s, v_i in pairs])
+
+    def test_ket_stacks_must_match(self):
+        rho = density_from_ket(bell_state())
+        with pytest.raises(ValidationError, match="stacks of 2 and 1 settings"):
+            outcome_probabilities(rho, np.array([np.eye(2), np.eye(2)]), np.array([np.eye(2)]))
+
     def test_marginal_side_checked(self):
         rho = maximally_mixed(2)
         with pytest.raises(ValidationError, match="side"):
