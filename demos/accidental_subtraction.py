@@ -8,21 +8,25 @@ shows directly: a no-retrieval run scatters around zero after correction,
 and a normal run recovers the true coincidence rate.
 """
 
+import math
+
 import numpy as np
 
 from qcert import SourceConfig, density_from_ket, ideal_state, x_basis
-from qcert.counting import CountingParams, setting_means, simulate_setting, subtract_accidentals
+from qcert.bases import PlannedSetting
+from qcert.counting import CountingParams, cell_estimates, setting_means, simulate_plan
+
+SETTING = PlannedSetting("demo", x_basis(2, "signal"), x_basis(2, "idler"))
 
 
 def summarize(label, rho, params, trials, seeds=400):
-    means = setting_means(rho, x_basis(2, "signal"), x_basis(2, "idler"), trials, params)
+    means = setting_means(rho, SETTING.basis_s, SETTING.basis_i, trials, params)
     true_total = trials * params.P_S * params.eta_r  # complete bases
     raw_totals, corr_totals = [], []
     for seed in range(seeds):
-        recs = simulate_setting(rho, x_basis(2, "signal"), x_basis(2, "idler"),
-                                trials, params, seed, setting_name="demo")
-        raw_totals.append(sum(r.coincidences for r in recs))
-        corr_totals.append(sum(subtract_accidentals(r).value for r in recs))
+        counts = simulate_plan(rho, [SETTING], trials, params, seed).counts
+        raw_totals.append(counts[0].sum())
+        corr_totals.append(cell_estimates(counts, corrected=True)[0].sum())
     print(f"{label}")
     print(f"  expected total:   {means.coincidences.sum():9.1f} "
           f"(retrieved {true_total:.1f} + accidental "
@@ -41,14 +45,13 @@ def main():
     summarize("no retrieval, accidentals only:",
               rho, CountingParams(P_S=0.006, eta_r=0.0, P_bg_idler=0.004), trials)
 
-    rec = simulate_setting(rho, x_basis(2, "signal"), x_basis(2, "idler"), trials,
-                           CountingParams(P_S=0.006, eta_r=0.1, P_bg_idler=0.004),
-                           seed=1, setting_name="demo")[0]
-    corr = subtract_accidentals(rec)
+    table = simulate_plan(rho, [SETTING], trials,
+                          CountingParams(P_S=0.006, eta_r=0.1, P_bg_idler=0.004), seed=1)
+    c, s, i, n = table.counts[:, 0]
+    value, var = cell_estimates(table.counts[:, :1], corrected=True)
     print("one record in detail:")
-    print(f"  coincidences {rec.coincidences}, singles {rec.singles_s}/{rec.singles_i}, "
-          f"trials {rec.trials}")
-    print(f"  corrected: {corr.value:.1f} +- {corr.std_error:.1f}")
+    print(f"  coincidences {c}, singles {s}/{i}, trials {n}")
+    print(f"  corrected: {value[0]:.1f} +- {math.sqrt(var[0]):.1f}")
 
 
 if __name__ == "__main__":

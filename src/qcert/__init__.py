@@ -29,7 +29,6 @@ from .bases import (
 )
 from .counting import (
     CoincidenceTable,
-    CorrectedCount,
     CountingParams,
     CountRecord,
     bootstrap_table,
@@ -37,7 +36,6 @@ from .counting import (
     save_table,
     setting_means,
     simulate_setting,
-    subtract_accidentals,
     with_accidental_noise,
 )
 from .certify import (
@@ -47,7 +45,6 @@ from .certify import (
     cglmp,
     cglmp_weights,
     eof_bound,
-    visibility_from_counts,
     witness,
     witness_bound,
 )

@@ -29,8 +29,7 @@ import numpy as np
 from .errors import ComputationError, ValidationError
 from .linalg import DensityOperator
 from . import bases
-from .counting import (CoincidenceTable, bootstrap_std, cell_estimates, plan_modes,
-                       setting_cells)
+from .counting import CoincidenceTable, bootstrap_std, plan_modes, setting_cells
 from . import naming
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "CglmpResult",
     "witness_bound",
     "certified_dimension_from_witness",
-    "visibility_from_counts",
     "witness",
     "eof_bound",
     "eof_certified_dimension",
@@ -145,26 +143,6 @@ def _visibilities(values, variances, exact: bool = False):
                + d_n2**2 * (variances[..., 0, 1] + variances[..., 1, 0]))
     status = np.where(empty, "no-counts", np.where(vis > 1.0, "clamped", "ok"))
     return np.where(empty, 0.0, np.minimum(vis, 1.0)), np.where(empty, 0.0, var), status
-
-
-def visibility_from_counts(records, corrected: bool = False) -> Visibility:
-    """Two-outcome correlation visibility from the four cells of one setting.
-
-    V = |C_++ + C_-- - C_+- - C_-+| / (sum of the four), with Poisson error
-    propagation.  A non-positive denominator (possible after accidental
-    subtraction) yields a flagged zero.
-    """
-    counts = {}
-    for rec in records:
-        key = (rec.outcome_s, rec.outcome_i)
-        if key in counts:
-            raise ValidationError(f"duplicate outcome cell {key}")
-        counts[key] = (rec.coincidences, rec.singles_s, rec.singles_i, rec.trials)
-    if set(counts) != {(1, 1), (1, -1), (-1, 1), (-1, -1)}:
-        raise ValidationError(f"expected the four +-1 outcome cells, got {sorted(counts)}")
-    cells = np.array([[counts[(a, b)] for b in (1, -1)] for a in (1, -1)], dtype=float)
-    vis, var, status = _visibilities(*cell_estimates(np.moveaxis(cells, -1, 0), corrected))
-    return Visibility(float(vis), math.sqrt(var), str(status))
 
 
 def _witness_pairs(num_modes: int):
@@ -359,7 +337,7 @@ def eof_bound(
             data,
             lambda stack: _b_from_terms(
                 *_eof_count_terms(stack, scan, pair_settings, j, k, corrected)),
-            n_bootstrap, seed,
+            n_bootstrap, seed, singles=corrected,
         )
 
     b_value = float(_b_from_terms(coherences, cross_terms))
@@ -449,14 +427,19 @@ def cglmp(data, d: int, corrected: bool = False, margin: float = 1.0) -> CglmpRe
     The four settings' d x d cell tables, read as one (4, d, d) stack, are
     each renormalized to a probability table; the count path propagates
     Poisson errors through the normalization (exact cells carry zero
-    variance, so their error is 0).
+    variance, so their error is 0).  A count cell's variance is floored at
+    1/d^2, one count spread over the setting's d x d cells (Perks' prior): a
+    table with counts only in cells of weight +1 reads S at its maximum, and
+    its error is not 0.  A cell with counts keeps its variance (at least 1).
     """
     weights = cglmp_weights(d).reshape(4, d, d)
     _, dim = _modes(data, d)
     settings = bases.bell_settings(d, dim)
     vals, var = setting_cells(data, settings, corrected)
+    exact = isinstance(data, DensityOperator)
+    var = var if exact else np.maximum(var, 1.0 / (d * d))
     total = vals.sum(axis=(-2, -1))
-    empty = _no_support(total, isinstance(data, DensityOperator))
+    empty = _no_support(total, exact)
     if empty.any():
         first = int(np.argmax(empty))
         raise ComputationError(f"setting {settings[first].name!r} has no support "

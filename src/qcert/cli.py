@@ -119,11 +119,10 @@ def cmd_simulate(args) -> int:
         extra={"trials_per_setting": cfg.trials_per_setting,
                "settings": len(table.settings())},
     )
-    table = type(table)(records=table.records,
-                        metadata={**table.metadata, "manifest_hash": manifest["manifest_hash"]})
+    table.metadata["manifest_hash"] = manifest["manifest_hash"]
     save_table(table, out_dir / "counts.csv")
     _write_json(manifest, out_dir / "manifest.json", timestamp=args.timestamp)
-    print(f"simulated {len(table.records)} records over {len(table.settings())} settings "
+    print(f"simulated {len(table.setting)} records over {len(table.settings())} settings "
           f"-> {out_dir / 'counts.csv'}")
     return 0
 

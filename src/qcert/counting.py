@@ -22,17 +22,18 @@ gives, and it makes one Poisson call on the setting's means in sorted-label
 order: the cells by (a, b), then the signal singles top-ups, then the idler
 ones.  ``simulate_plan`` tabulates a whole setting plan with one table
 product per block of settings of one cell shape, seeds every stream in one
-vectorized pass bit-identical to that construction, from setting words
-hashed once per setting, and caps coincidences and singles at the trial
-count.
+vectorized pass bit-identical to that construction, and writes the table's
+columns directly, capped at the trial count.
 
-A table holds int64 columns C, S_s, S_i, N next to its records.  Bootstrap
-replica b of a table has one generator, SeedSequence([seed + b, table word])
--> PCG64, where the table word hashes the table's sorted record keys; it
-draws every record in sorted-key order, so a replica does not depend on
-record order either.  The bootstrap draws its replicas, a block at a time,
-into a ``ReplicaStack`` of such columns with a leading replica axis;
-``setting_cells`` reads tables and stacks alike.
+A table is columns first: a setting name per row, int64 outcome labels and
+int64 counts C, S_s, S_i, N, checked by one array pass; its CountRecords are
+a view built on first read.  Bootstrap replica b of a table has one
+generator, SeedSequence([seed + b, table word]) -> PCG64, the table word
+hashing its sorted row keys, and draws every row in sorted-key order, so a
+replica does not depend on row order either.  A raw estimate reads C only,
+so its replicas draw the C row of that call alone.  Replicas come a block at
+a time as a ``ReplicaStack`` with a leading replica axis; ``setting_cells``
+reads tables and stacks alike.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +57,6 @@ from .bases import MAX_MODES, MeasurementBasis, PlannedSetting, joint_probabilit
 __all__ = [
     "CountingParams",
     "CountRecord",
-    "CorrectedCount",
     "CoincidenceTable",
     "ReplicaStack",
     "plan_modes",
@@ -64,7 +65,6 @@ __all__ = [
     "setting_means",
     "simulate_plan",
     "simulate_setting",
-    "subtract_accidentals",
     "cell_estimates",
     "with_accidental_noise",
     "save_table",
@@ -126,7 +126,8 @@ def with_accidental_noise(params: CountingParams, noise_fraction: float) -> Coun
 
 @dataclass(frozen=True)
 class CountRecord:
-    """Counts for one (setting, signal outcome, idler outcome) cell."""
+    """Counts for one (setting, signal outcome, idler outcome) cell: one row
+    of a CoincidenceTable, checked by the same rule."""
 
     setting: str
     outcome_s: int
@@ -137,27 +138,19 @@ class CountRecord:
     trials: int
 
     def __post_init__(self) -> None:
-        for name in ("coincidences", "singles_s", "singles_i"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative")
-        if self.trials < 1:
-            raise ValidationError("trials must be at least 1")
-        if self.coincidences > min(self.singles_s, self.singles_i):
-            raise ValidationError("coincidences exceed the singles counts")
-        if max(self.coincidences, self.singles_s, self.singles_i) > self.trials:
-            raise ValidationError("counts exceed the trial count")
+        CoincidenceTable(records=(self,))   # the table's checks, on one row
 
     @property
     def key(self) -> tuple:
         return (self.setting, self.outcome_s, self.outcome_i)
 
 
-@dataclass(frozen=True)
-class CorrectedCount:
-    """A coincidence estimate with its propagated standard error."""
+class _RowError(ValidationError):
+    """A table check that failed at one row."""
 
-    value: float
-    std_error: float
+    def __init__(self, row: int, key: tuple, reason: str):
+        super().__init__(f"row {row} {key!r}: {reason}")
+        self.row, self.reason = row, reason
 
 
 def cell_estimates(counts, corrected: bool):
@@ -166,24 +159,18 @@ def cell_estimates(counts, corrected: bool):
     its Poisson variance, or when ``corrected`` the accidental-subtracted
     C' = C - S_s S_i / N with variance C + (S_s S_i / N)^2 (1/S_s + 1/S_i).
     C' may be negative and is kept as-is, so downstream sums stay unbiased;
-    with either singles count at zero the correction term vanishes.
+    with either singles count at zero the correction term vanishes.  The raw
+    estimate reads C alone, so ``counts`` may then hold C only.
     """
-    c, s, i, n = np.asarray(counts, dtype=float)
     if not corrected:
+        c = np.asarray(counts[0], dtype=float)
         return c, c
+    c, s, i, n = np.asarray(counts, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         acc = s * i / n
         value, var = c - acc, c + acc * acc * (1.0 / s + 1.0 / i)
     no_singles = (s == 0) | (i == 0)
     return np.where(no_singles, c, value), np.where(no_singles, c, var)
-
-
-def subtract_accidentals(record: CountRecord) -> CorrectedCount:
-    """One record's accidental-subtracted coincidences (``cell_estimates``)
-    with its independent-Poisson standard error."""
-    value, var = cell_estimates([record.coincidences, record.singles_s,
-                                 record.singles_i, record.trials], corrected=True)
-    return CorrectedCount(value=float(value), std_error=math.sqrt(var))
 
 
 @dataclass(frozen=True)
@@ -401,23 +388,29 @@ def simulate_plan(
     trials: int,
     params: CountingParams,
     seed: int,
-) -> list[CountRecord]:
-    """Draw the count tables of planned settings, records in plan order.
+) -> CoincidenceTable:
+    """Draw the count tables of planned settings as one table, settings in
+    plan order and each setting's cells in basis label order.
 
     The means come a block of settings at a time; each setting then makes
     one ``poisson`` call on its means in sorted-label order, from its own
     keyed stream, and the streams of the whole plan are seeded together.
     Singles are the sum of the setting's coincidences in that outcome plus
-    an independent top-up, which keeps C_SI <= min(C_S, C_I) record by
-    record; coincidences and singles are capped at the trial count, as in
-    the bootstrap.
+    an independent top-up, which keeps C_SI <= min(C_S, C_I) row by row;
+    coincidences and singles are capped at the trial count, as in the
+    bootstrap.
     """
     if not plan:
-        return []
+        return CoincidenceTable()
     blocks = list(_mean_blocks(rho, [(st.basis_s, st.basis_i) for st in plan], trials, params))
-    keys = [_setting_key(st.name, st.basis_s.labels, st.basis_i.labels) for st in plan]
+    plan_labels = [(st.basis_s.labels, st.basis_i.labels) for st in plan]
+    keys = [_setting_key(st.name, *pair) for st, pair in zip(plan, plan_labels)]
     streams = _keyed_streams(seed, [keys[k][0] for idx, *_ in blocks for k in idx])
-    records = [None] * len(plan)
+    sizes = [len(labels_s) * len(labels_i) for labels_s, labels_i in plan_labels]
+    start = np.cumsum([0] + sizes)
+    labels = np.empty((2, start[-1]), dtype=np.int64)
+    counts = np.empty((4, start[-1]), dtype=np.int64)
+    counts[3] = trials
     for idx, lam, mean_s, mean_i in blocks:
         m, n_s, n_i = lam.shape
         # sums over a contiguous last axis add in the order lam[a, :].sum() does
@@ -430,18 +423,17 @@ def simulate_plan(
             order = keys[k][1]
             draws[r, order] = rng.poisson(means[r, order])
         cells = np.minimum(draws[:, :n_s * n_i].reshape(m, n_s, n_i), trials)
-        singles_s = np.minimum(cells.sum(axis=2) + draws[:, n_s * n_i:-n_i], trials).tolist()
-        singles_i = np.minimum(cells.sum(axis=1) + draws[:, -n_i:], trials).tolist()
-        cells = cells.tolist()
-        for r, k in enumerate(idx):
-            st = plan[k]
-            records[k] = [
-                CountRecord(setting=st.name, outcome_s=int(lab_a), outcome_i=int(lab_b),
-                            coincidences=cells[r][a][b], singles_s=singles_s[r][a],
-                            singles_i=singles_i[r][b], trials=int(trials))
-                for a, lab_a in enumerate(st.basis_s.labels)
-                for b, lab_b in enumerate(st.basis_i.labels)]
-    return [rec for recs in records for rec in recs]
+        rows = start[idx][:, None] + np.arange(n_s * n_i)
+        counts[0, rows] = cells.reshape(m, -1)
+        counts[1, rows] = np.repeat(np.minimum(cells.sum(axis=2) + draws[:, n_s * n_i:-n_i],
+                                               trials), n_i, axis=1)
+        counts[2, rows] = np.tile(np.minimum(cells.sum(axis=1) + draws[:, -n_i:], trials),
+                                  (1, n_s))
+        labels[0, rows] = np.repeat([plan_labels[k][0] for k in idx], n_i, axis=1)
+        labels[1, rows] = np.tile([plan_labels[k][1] for k in idx], (1, n_s))
+    setting = tuple(itertools.chain.from_iterable(
+        itertools.repeat(st.name, size) for st, size in zip(plan, sizes)))
+    return CoincidenceTable(setting, labels, counts)
 
 
 def simulate_setting(
@@ -453,77 +445,110 @@ def simulate_setting(
     seed: int,
     setting_name: str | None = None,
 ) -> list[CountRecord]:
-    """Draw one setting's count table from the detection model: the
-    one-setting view of ``simulate_plan`` (no draw of its own)."""
+    """Draw one setting's count records from the detection model: the
+    records of ``simulate_plan``'s one-setting table (no draw of its own)."""
     name = setting_name or f"{basis_s.name}|{basis_i.name}"
-    return simulate_plan(rho, [PlannedSetting(name, basis_s, basis_i)], trials, params, seed)
+    return list(simulate_plan(rho, [PlannedSetting(name, basis_s, basis_i)], trials, params,
+                              seed).records)
 
 
-@dataclass(frozen=True)
+def _columns(rows):
+    """The setting, label and count columns of rows laid out as CSV_HEADER."""
+    setting, *columns = list(zip(*rows)) or [()] * 7
+    return setting, columns[:2], columns[2:]
+
+
 class CoincidenceTable:
-    """An immutable collection of count records plus run metadata.
-
-    Built once: the index of each setting's (outcome_s, outcome_i) cells to
-    their record rows, settings in first-appearance order, and ``counts``,
-    the (4, rows) int64 columns C, S_s, S_i and N in record order.
+    """An immutable count table plus run metadata, held as columns: a setting
+    name per row (``setting``), (2, rows) int64 outcome ``labels`` and (4, rows)
+    int64 ``counts`` C, S_s, S_i and N.  One array check refuses, naming it, a
+    row that breaks 0 <= C <= min(S_s, S_i), max(C, S_s, S_i) <= N, N >= 1 or
+    the int64 range, or repeats a key.  ``records=`` gives the columns as
+    CountRecords; ``records`` reads them back, built once and not rechecked.
     """
 
-    records: tuple[CountRecord, ...]
-    metadata: dict = field(default_factory=dict)
-    counts: np.ndarray = field(init=False, repr=False, compare=False)
-    _index: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-        index: dict[str, dict[tuple[int, int], int]] = {}
-        for row, rec in enumerate(self.records):
-            cells = index.setdefault(rec.setting, {})
-            cell = (rec.outcome_s, rec.outcome_i)
-            if cell in cells:
-                raise ValidationError(f"duplicate record key {rec.key}")
-            cells[cell] = row
+    def __init__(self, setting=(), labels=(), counts=(), metadata=None, *, records=None):
+        if records is not None:
+            setting, labels, counts = _columns([(r.setting, r.outcome_s, r.outcome_i,
+                                                 r.coincidences, r.singles_s, r.singles_i,
+                                                 r.trials) for r in records])
+        setting = tuple(setting)
         try:
-            counts = np.array([(r.coincidences, r.singles_s, r.singles_i, r.trials)
-                               for r in self.records], dtype=np.int64).reshape(-1, 4).T
+            labels = np.array(labels, dtype=np.int64).reshape(2, -1)
+            counts = np.array(counts, dtype=np.int64).reshape(4, -1)
         except OverflowError:
-            raise ValidationError("counts exceed the 64-bit integer range") from None
+            row = next(r for r, values in enumerate(zip(*labels, *counts))
+                       if not all(-2**63 <= v < 2**63 for v in values))
+            raise _RowError(row, setting[row], "counts or labels exceed the 64-bit integer "
+                            "range") from None
+        if not len(setting) == labels.shape[1] == counts.shape[1]:
+            raise ValidationError(f"{len(setting)} setting names, {labels.shape[1]} label "
+                                  f"rows and {counts.shape[1]} count rows differ")
+        c, s, i, n = counts
+        bad = np.stack([np.minimum(c, np.minimum(s, i)) < 0, n < 1, c > np.minimum(s, i),
+                        np.maximum(c, np.maximum(s, i)) > n])
+        keys = list(zip(setting, *labels.tolist()))
+        if bad.any():
+            row = int(bad.any(axis=0).argmax())
+            raise _RowError(row, keys[row], (
+                "counts must be non-negative", "trials must be at least 1",
+                "coincidences exceed the singles counts",
+                "counts exceed the trial count")[int(bad[:, row].argmax())])
+        if len(set(keys)) < len(keys):
+            seen = set()
+            row = next(r for r, key in enumerate(keys) if key in seen or seen.add(key))
+            raise _RowError(row, keys[row], "duplicate record key")
+        labels.setflags(write=False)
         counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "_index", index)
+        self.setting, self.labels, self.counts = setting, labels, counts
+        self.metadata = {} if metadata is None else metadata
+        self._cell_rows = {}
+
+    @functools.cached_property
+    def records(self) -> tuple[CountRecord, ...]:
+        records = []
+        for row in zip(self.setting, *self.labels.tolist(), *self.counts.tolist()):
+            rec = object.__new__(CountRecord)
+            rec.__dict__.update(zip(CSV_HEADER, row))   # the CSV columns are its fields
+            records.append(rec)
+        return tuple(records)
+
+    @functools.cached_property
+    def _index(self) -> dict:
+        """Each setting's (outcome_s, outcome_i) cells to their rows."""
+        index: dict[str, dict[tuple[int, int], int]] = {}
+        for row, (name, a, b) in enumerate(zip(self.setting, *self.labels.tolist())):
+            index.setdefault(name, {})[a, b] = row
+        return index
 
     def settings(self) -> list[str]:
-        return list(self._index)
+        return list(dict.fromkeys(self.setting))
 
     def by_setting(self, setting: str) -> dict[tuple[int, int], CountRecord]:
         return {cell: self.records[row] for cell, row in self._index.get(setting, {}).items()}
 
     def restricted(self, settings) -> "CoincidenceTable":
-        """The records of the given settings only, in table order."""
+        """The rows of the given settings only, in table order."""
         wanted = set(settings)
-        return CoincidenceTable(
-            records=tuple(r for r in self.records if r.setting in wanted),
-            metadata=dict(self.metadata),
-        )
+        keep = [name in wanted for name in self.setting]
+        return CoincidenceTable(itertools.compress(self.setting, keep), self.labels[:, keep],
+                                self.counts[:, keep], dict(self.metadata))
 
     def merged(self, other: "CoincidenceTable") -> "CoincidenceTable":
-        """Cell-wise merge of two tables from identically configured runs."""
-        index = {r.key: r for r in self.records}
-        merged = dict(index)
-        for rec in other.records:
-            if rec.key in index:
-                prev = index[rec.key]
-                merged[rec.key] = CountRecord(
-                    setting=rec.setting,
-                    outcome_s=rec.outcome_s,
-                    outcome_i=rec.outcome_i,
-                    coincidences=prev.coincidences + rec.coincidences,
-                    singles_s=prev.singles_s + rec.singles_s,
-                    singles_i=prev.singles_i + rec.singles_i,
-                    trials=prev.trials + rec.trials,
-                )
-            else:
-                merged[rec.key] = rec
-        return CoincidenceTable(records=tuple(merged.values()), metadata=dict(self.metadata))
+        """Cell-wise merge of two tables from identically configured runs:
+        this table's rows, with the counts of the other's equal keys added,
+        then the other's new rows in its order."""
+        setting = self.setting + other.setting
+        labels = np.concatenate([self.labels, other.labels], axis=1)
+        slots = {}
+        slot = [slots.setdefault(key, len(slots)) for key in zip(setting, *labels.tolist())]
+        counts = np.zeros((4, len(slots)), dtype=np.int64)
+        np.add.at(counts, (slice(None), slot), np.concatenate([self.counts, other.counts], axis=1))
+        if (counts < 0).any():
+            raise ValidationError("merged counts exceed the 64-bit integer range")
+        first = np.unique(slot, return_index=True)[1].tolist()   # slots in appearance order
+        return CoincidenceTable([setting[r] for r in first], labels[:, first], counts,
+                                dict(self.metadata))
 
 
 def plan_modes(data, fallback: int | None = None) -> int:
@@ -541,7 +566,8 @@ def plan_modes(data, fallback: int | None = None) -> int:
 @dataclass(frozen=True)
 class ReplicaStack:
     """Poisson replicas of one table: ``counts`` is the (4, replicas, rows)
-    int64 array of C, S_s, S_i and N, rows in the table's record order."""
+    int64 array of C, S_s, S_i and N, rows in the table's row order (C alone,
+    (1, replicas, rows), for a raw estimate)."""
 
     table: CoincidenceTable
     counts: np.ndarray
@@ -562,18 +588,23 @@ def setting_cells(data, settings, corrected: bool = False):
     table = data.table if isinstance(data, ReplicaStack) else data
     if not isinstance(table, CoincidenceTable):
         raise ValidationError("expected a DensityOperator or a CoincidenceTable")
-    rows = []
-    for setting in settings:
-        recs = table._index.get(setting.name, {})
-        keys = [key for row in setting.cells for key in row]
-        present = sum(key in recs for key in keys)
-        if present != len(keys) or len(recs) != len(keys):
-            raise ValidationError(
-                f"setting {setting.name!r} missing, incomplete or mislabelled: {present} of "
-                f"its {len(keys)} outcome cells among {len(recs)} records"
-            )
-        rows.append([[recs[key] for key in row] for row in setting.cells])
-    return cell_estimates(data.counts[..., np.array(rows, dtype=np.intp)], corrected)
+    # cached per table and settings sequence, kept alive so its ids stay unique
+    settings = tuple(settings)
+    plan = tuple(map(id, settings))
+    if plan not in table._cell_rows:
+        rows = []
+        for setting in settings:
+            recs = table._index.get(setting.name, {})
+            keys = [key for row in setting.cells for key in row]
+            present = sum(key in recs for key in keys)
+            if present != len(keys) or len(recs) != len(keys):
+                raise ValidationError(
+                    f"setting {setting.name!r} missing, incomplete or mislabelled: {present} "
+                    f"of its {len(keys)} outcome cells among {len(recs)} records")
+            rows.append([[recs[key] for key in row] for row in setting.cells])
+        table._cell_rows[plan] = settings, np.array(rows, dtype=np.intp)
+    rows = table._cell_rows[plan][1]
+    return cell_estimates((data.counts if corrected else data.counts[:1])[..., rows], corrected)
 
 
 def _meta_path(path: Path) -> Path:
@@ -589,10 +620,8 @@ def save_table(table: CoincidenceTable, path) -> None:
         # reader takes for a line end
         quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(CSV_HEADER)
-        for rec in table.records:
-            (quoted if "\r" in rec.setting else writer).writerow(
-                [rec.setting, rec.outcome_s, rec.outcome_i,
-                 rec.coincidences, rec.singles_s, rec.singles_i, rec.trials])
+        for row in zip(table.setting, *table.labels.tolist(), *table.counts.tolist()):
+            (quoted if "\r" in row[0] else writer).writerow(row)
     with open(_meta_path(path), "w", encoding="utf-8") as fh:
         json.dump(table.metadata, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -601,14 +630,13 @@ def save_table(table: CoincidenceTable, path) -> None:
 def load_table(path) -> CoincidenceTable:
     """Read a counts CSV (strict schema); parse errors name the line number."""
     path = Path(path)
-    records = []
+    rows, lines = [], []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ValidationError(f"{path}: empty counts file") from None
+            header = next(reader, None)
+            if header is None:
+                raise ValidationError(f"{path}: empty counts file")
             if tuple(header) != CSV_HEADER:
                 raise ValidationError(
                     f"{path}: unexpected columns {header}; expected {list(CSV_HEADER)}"
@@ -619,18 +647,10 @@ def load_table(path) -> CoincidenceTable:
                 if len(row) != len(CSV_HEADER):
                     raise ValidationError(f"{path}:{lineno}: expected {len(CSV_HEADER)} fields")
                 try:
-                    rec = CountRecord(
-                        setting=row[0],
-                        outcome_s=int(row[1]),
-                        outcome_i=int(row[2]),
-                        coincidences=int(row[3]),
-                        singles_s=int(row[4]),
-                        singles_i=int(row[5]),
-                        trials=int(row[6]),
-                    )
-                except (ValueError, ValidationError) as exc:
+                    rows.append([row[0], *map(int, row[1:])])
+                except ValueError as exc:
                     raise ValidationError(f"{path}:{lineno}: {exc}") from None
-                records.append(rec)
+                lines.append(lineno)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
     meta = _meta_path(path)
@@ -648,9 +668,9 @@ def load_table(path) -> CoincidenceTable:
             raise ValidationError(
                 f"{meta}: D must be an integer from 2 to {MAX_MODES}, got {dim!r}")
     try:
-        return CoincidenceTable(records=tuple(records), metadata=metadata)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        return CoincidenceTable(*_columns(rows), metadata)
+    except _RowError as exc:
+        raise ValidationError(f"{path}:{lines[exc.row]}: {exc.reason}") from None
 
 
 # Replicas are drawn and evaluated in blocks of about this many (replica, record)
@@ -658,60 +678,60 @@ def load_table(path) -> CoincidenceTable:
 _BLOCK_CELLS = 8192
 
 
-def _replica_blocks(table: CoincidenceTable, seed: int, n_replicas: int):
+def _replica_blocks(table: CoincidenceTable, seed: int, n_replicas: int,
+                    singles: bool = True):
     """Yield the (4, replicas, rows) counts of Poisson replicas seed, seed + 1,
     ... (``n_replicas`` in all), a block of replicas at a time.  Replica b
     makes one ``poisson`` call on the (3, rows) means C, S_s - C and S_i - C
     in sorted-key order, from the generator of SeedSequence([b, word]) with
-    ``word`` the key word of the table's sorted record keys.  Coincidences
-    and singles (coincidences plus top-up) are capped at the trial count, so
-    every replica keeps 0 <= C <= min(S_s, S_i) and max(C, S_s, S_i) <= N."""
+    ``word`` the key word of the table's sorted row keys.  Coincidences and
+    singles (coincidences plus top-up) are capped at the trial count, so
+    every replica keeps 0 <= C <= min(S_s, S_i) and max(C, S_s, S_i) <= N.
+    Without ``singles`` a replica draws the C row alone, which is the first
+    row of that call bit for bit, and a block holds (1, replicas, rows)."""
     seed = _checked_seed(seed)
-    keys = [rec.key for rec in table.records]
+    keys = list(zip(table.setting, *table.labels.tolist()))
     order = sorted(range(len(keys)), key=keys.__getitem__)
     word = _key_word("bootstrap", *(part for row in order for part in keys[row]))
     c, s, i, n = table.counts
-    means = np.stack([c, s - c, i - c])[:, order].astype(float)
+    means = np.stack([c, s - c, i - c][:3 if singles else 1])[:, order].astype(float)
     block = max(1, _BLOCK_CELLS // max(len(keys), 1))
     for first in range(seed, seed + n_replicas, block):
-        counts = np.empty((4, min(block, seed + n_replicas - first), len(keys)), np.int64)
-        counts[3] = n
-        draws = np.empty((3, len(keys)), np.int64)
-        for b in range(counts.shape[1]):
+        draws = np.empty((min(block, seed + n_replicas - first),) + means.shape, np.int64)
+        for b in range(len(draws)):
             rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([first + b, word])))
-            draws[:, order] = rng.poisson(means)
-            coincidences = np.minimum(draws[0], n)
-            counts[:3, b] = (coincidences, np.minimum(coincidences + draws[1], n),
-                             np.minimum(coincidences + draws[2], n))
-        yield counts
+            draws[b] = rng.poisson(means)
+        counts = draws.transpose(1, 0, 2)[..., np.argsort(order)]
+        counts[0] = np.minimum(counts[0], n)
+        counts[1:] = np.minimum(counts[0] + counts[1:], n)
+        yield np.concatenate([counts, np.broadcast_to(n, counts[:1].shape)]) if singles else counts
 
 
 def bootstrap_table(table: CoincidenceTable, seed: int) -> CoincidenceTable:
-    """Replica ``seed`` of the bootstrap as a table, records in table order:
-    the one-replica view of the draw ``bootstrap_std`` stacks (no draw of its
+    """Replica ``seed`` of the bootstrap as a table, rows in table order: the
+    one-replica view of the draw ``bootstrap_std`` stacks (no draw of its
     own).  A negative seed raises ValidationError."""
-    counts = next(_replica_blocks(table, seed, 1))[:, 0].T.tolist()
-    return CoincidenceTable(
-        records=tuple(CountRecord(rec.setting, rec.outcome_s, rec.outcome_i, *row)
-                      for rec, row in zip(table.records, counts)),
-        metadata=dict(table.metadata),
-    )
+    counts = next(_replica_blocks(table, seed, 1))[:, 0]
+    return CoincidenceTable(table.setting, table.labels, counts, dict(table.metadata))
 
 
-def bootstrap_std(table: CoincidenceTable, statistic, n_bootstrap: int, seed: int) -> float:
+def bootstrap_std(table: CoincidenceTable, statistic, n_bootstrap: int, seed: int,
+                  singles: bool = True) -> float:
     """Bootstrap standard error (ddof = 1) of a statistic over Poisson replicas.
 
     Replica b is ``bootstrap_table(table, seed + b)``: one generator keyed by
-    (seed + b, the table's sorted record keys) draws all of its records, so
-    the replicas depend neither on record order nor on the block size.
-    Replicas are drawn a block at a time into a ReplicaStack, and
-    ``statistic(stack)`` returns one value per replica of the stack, NaN for
-    a replica it refuses.  Refused replicas are dropped; with fewer than two
-    survivors the error is NaN, never a silent zero.
+    (seed + b, the table's sorted row keys) draws all of its rows, so the
+    replicas depend neither on row order nor on the block size.  Replicas
+    are drawn a block at a time into a ReplicaStack, and ``statistic(stack)``
+    returns one value per replica of the stack, NaN for a replica it
+    refuses.  Refused replicas are dropped; with fewer than two survivors
+    the error is NaN, never a silent zero.  A statistic that reads no
+    singles (a raw estimate) passes ``singles=False``: its replicas draw
+    their coincidences alone, the same ones.
     """
     if n_bootstrap < 2:
         raise ValidationError(f"a bootstrap error needs at least 2 replicas, got {n_bootstrap}")
     values = np.concatenate([np.asarray(statistic(ReplicaStack(table, counts)), dtype=float)
-                             for counts in _replica_blocks(table, seed, n_bootstrap)])
+                             for counts in _replica_blocks(table, seed, n_bootstrap, singles)])
     kept = values[~np.isnan(values)]
     return float(np.std(kept, ddof=1)) if kept.size > 1 else math.nan

@@ -311,10 +311,10 @@ def effective_params(cfg: SimulationConfig) -> CountingParams:
     return cfg.counting
 
 
-def _simulate(cfg: SimulationConfig, plan: list[PlannedSetting]) -> tuple:
-    """Count records of the planned settings, in plan order."""
-    return tuple(simulate_plan(sampling_state(cfg), plan, cfg.trials_per_setting,
-                               effective_params(cfg), cfg.seed))
+def _simulate(cfg: SimulationConfig, plan: list[PlannedSetting]) -> CoincidenceTable:
+    """The count table of the planned settings, in plan order."""
+    return simulate_plan(sampling_state(cfg), plan, cfg.trials_per_setting,
+                         effective_params(cfg), cfg.seed)
 
 
 def run_simulation(cfg: SimulationConfig, workers: int = 1) -> CoincidenceTable:
@@ -324,8 +324,8 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> CoincidenceTable:
     working.  (A two-thread pool measured about twice as slow as one
     thread.)
     """
-    records = _simulate(cfg, build_settings(cfg))
-    metadata = {
+    table = _simulate(cfg, build_settings(cfg))
+    table.metadata.update({
         "seed": cfg.seed,
         "P_S": cfg.counting.P_S,
         "eta_r": cfg.counting.eta_r,
@@ -336,8 +336,8 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> CoincidenceTable:
         "D": cfg.source.num_modes,
         "trials_per_setting": cfg.trials_per_setting,
         "schema_version": SCHEMA_VERSION,
-    }
-    return CoincidenceTable(records=records, metadata=metadata)
+    })
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +392,7 @@ def violation_curve(
                            spaces=(), bell_dimensions=tuple(d_list), tomo_pair=(0, 1),
                            noise_channel=noise_channel)
     plan = [st for d in d_list for st in bases.bell_settings(d, cfg.num_modes)]
-    table = CoincidenceTable(records=_simulate(sim, plan))
+    table = _simulate(sim, plan)
     for d in d_list:
         for variant, corrected in (("raw", False), ("corrected", True)):
             res = cglmp(table, d, corrected=corrected, margin=margin)

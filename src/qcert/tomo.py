@@ -170,6 +170,6 @@ def reconstruct(
     err = bootstrap_std(
         table.restricted(setting.name for setting in plan),
         lambda stack: _fidelities(_cells(stack, plan, corrected)),
-        n_bootstrap, seed,
+        n_bootstrap, seed, singles=corrected,
     )
     return _result_from_cells(cells, fidelity_err=err, weight=None)

@@ -21,13 +21,13 @@ from qcert import (
     ideal_state,
     noisy_state,
     simulate_setting,
-    subtract_accidentals,
     violation_curve,
     witness,
     witness_bound,
     x_basis,
 )
 from qcert.bases import cglmp_basis, pair_basis
+from qcert.counting import cell_estimates
 from qcert import naming
 from qcert.pipeline import SimulationConfig, preset
 from qcert.tomo import reconstruct_exact
@@ -187,9 +187,9 @@ def test_criterion_8_counting_null_test():
     for seed in range(1000):
         recs = simulate_setting(rho, basis_s, basis_i, 10**6, params, seed,
                                 setting_name="null")
-        corr = [subtract_accidentals(r) for r in recs]
-        totals.append(sum(c.value for c in corr))
-        variances.append(sum(c.std_error**2 for c in corr))
+        value, var = cell_estimates(CoincidenceTable(records=recs).counts, corrected=True)
+        totals.append(value.sum())
+        variances.append(var.sum())
     mean = np.mean(totals)
     sigma_mean = math.sqrt(np.mean(variances) / len(totals))
     ok = abs(mean) <= 3 * sigma_mean

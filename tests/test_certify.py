@@ -23,15 +23,16 @@ from qcert import (
     run_simulation,
     simulate_setting,
     violation_curve,
-    visibility_from_counts,
     witness,
     witness_bound,
 )
 from qcert.bases import (cglmp_basis, joint_probability_table, mode_vector, pair_basis,
                          scan_setting, witness_settings, x_basis)
-from qcert.certify import certified_dimension_from_witness, _ebits_from_b, _saturated_ebits
+from qcert.certify import (certified_dimension_from_witness, _ebits_from_b, _saturated_ebits,
+                           _visibilities)
 from qcert.errors import ComputationError
-from qcert import counting, naming
+from qcert import bases, counting, naming
+from qcert.counting import setting_cells
 from qcert.pipeline import PRESET_NAMES, SimulationConfig, build_settings, preset
 from qcert.tomo import reconstruct, reconstruct_exact
 
@@ -114,29 +115,39 @@ class TestCertifiedDimensionRule:
         assert certified_dimension_from_witness(total, err, 10) == expected
 
 
+def visibility_from_counts(records, corrected=False):
+    """(V, its standard error, status) of the mode-pair (0, 1) x setting from
+    its four records, read as the witness reads them: ``setting_cells``,
+    then ``_visibilities``."""
+    cells = setting_cells(CoincidenceTable(records=records), witness_settings("X", 0, 1, 2)[:1],
+                          corrected)
+    vis, var, status = _visibilities(*cells)
+    return float(vis[0]), math.sqrt(var[0]), str(status[0])
+
+
 class TestVisibilityFromCounts:
     def test_perfect_correlation(self):
-        vis = visibility_from_counts(vis_records(50, 50, 0, 0))
-        assert vis.value == pytest.approx(1.0, abs=1e-12)
+        value, _, _ = visibility_from_counts(vis_records(50, 50, 0, 0))
+        assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_flat_counts(self):
-        vis = visibility_from_counts(vis_records(25, 25, 25, 25))
-        assert vis.value == pytest.approx(0.0, abs=1e-12)
+        value, _, _ = visibility_from_counts(vis_records(25, 25, 25, 25))
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_reference_arithmetic(self):
-        vis = visibility_from_counts(vis_records(40, 40, 10, 10))
-        assert vis.value == pytest.approx(0.6, abs=1e-12)
+        value, _, _ = visibility_from_counts(vis_records(40, 40, 10, 10))
+        assert value == pytest.approx(0.6, abs=1e-12)
 
     def test_zero_counts_flagged(self):
-        vis = visibility_from_counts(vis_records(0, 0, 0, 0))
-        assert vis.value == 0.0
-        assert vis.status == "no-counts"
+        value, _, status = visibility_from_counts(vis_records(0, 0, 0, 0))
+        assert value == 0.0
+        assert status == "no-counts"
 
     def test_poisson_error(self):
-        vis = visibility_from_counts(vis_records(40, 40, 10, 10))
+        _, err, _ = visibility_from_counts(vis_records(40, 40, 10, 10))
         n1, n2, t = 80.0, 20.0, 100.0
         expected = math.sqrt((2 * n2 / t**2) ** 2 * 80 + (2 * n1 / t**2) ** 2 * 20)
-        assert vis.std_error == pytest.approx(expected, abs=1e-12)
+        assert err == pytest.approx(expected, abs=1e-12)
 
     def test_missing_cell_rejected(self):
         with pytest.raises(ValidationError):
@@ -422,7 +433,7 @@ class TestEofCounts:
 
     def test_error_is_nan_when_no_replica_survives(self, monkeypatch):
         # replicas without counts refuse the bound; the error must not read 0
-        def empty_replicas(table, seed, n_replicas):
+        def empty_replicas(table, seed, n_replicas, singles=True):
             counts = np.zeros((4, n_replicas, len(table.records)), dtype=np.int64)
             counts[3] = table.counts[3]   # every count zero, trials kept
             yield counts
@@ -696,6 +707,40 @@ class TestCglmpCounts:
             vals.append(res.bell_parameter)
             errs.append(res.bell_parameter_err)
         assert np.mean(errs) == pytest.approx(np.std(vals), rel=0.35)
+
+    @staticmethod
+    def positive_cells_table(d, counts, singles):
+        """The d-outcome Bell settings with ``counts`` coincidences in each
+        cell of CGLMP weight +1 and none elsewhere, every singles count
+        ``singles``, over 10**6 trials."""
+        weights = cglmp_weights(d)
+        return CoincidenceTable(records=tuple(
+            CountRecord(st.name, a, b, counts * (weights[s, i, a, b] > 0), singles, singles,
+                        10**6)
+            for (s, i), st in zip([(0, 0), (0, 1), (1, 0), (1, 1)], bases.bell_settings(d, d))
+            for a in range(d) for b in range(d)), metadata={"D": d})
+
+    def test_empty_negative_cells_keep_an_error(self):
+        # counts only where the weight is +1: S sits at its maximum, and every
+        # cell with counts has gradient 0, so only the empty cells' floor of
+        # 1/d^2 makes the error: 2 weight -1 cells a setting, gradient
+        # (-1 - 1) / 20 each, over 4 settings
+        table = self.positive_cells_table(2, counts=10, singles=20)
+        raw = cglmp(table, 2)
+        assert raw.bell_parameter == 4.0
+        assert raw.bell_parameter_err == pytest.approx(math.sqrt(8 * 0.1**2 / 4), rel=1e-12)
+        assert cglmp(table, 2, corrected=True).bell_parameter_err > 0
+
+    def test_cells_with_counts_keep_their_variance(self):
+        # no empty cell: the error is the plain Poisson propagation
+        table = self.build_table(2, 0.3, trials=10**6, seed=4)
+        vals, var = setting_cells(table, bases.bell_settings(2, 10))
+        assert (vals > 0).all()
+        total = vals.sum(axis=(-2, -1), keepdims=True)
+        weights = cglmp_weights(2).reshape(4, 2, 2)
+        grad = (weights - (weights * vals / total).sum(axis=(-2, -1), keepdims=True)) / total
+        assert cglmp(table, 2).bell_parameter_err == pytest.approx(
+            math.sqrt(np.sum(grad**2 * var)), rel=1e-12)
 
     def test_missing_setting_named(self):
         table = self.build_table(3, 0.0, trials=10**5, seed=0)

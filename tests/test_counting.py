@@ -3,6 +3,7 @@ import json
 import math
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,17 +19,19 @@ from qcert import (
     SourceConfig,
     ValidationError,
     bootstrap_table,
+    cglmp,
     density_from_ket,
+    eof_bound,
     ideal_state,
     joint_probability_table,
     k_basis,
     load_table,
     noisy_state,
     pair_basis,
+    reconstruct,
     save_table,
     setting_means,
     simulate_setting,
-    subtract_accidentals,
     witness,
     with_accidental_noise,
     x_basis,
@@ -282,28 +285,31 @@ class TestSimulateSetting:
             simulate_setting(rho2(), *full_bases(), 0, CountingParams(), seed=1)
 
 
+def subtract_accidentals(rec):
+    """One record's accidental-subtracted coincidences and standard error,
+    read through ``cell_estimates``."""
+    value, var = cell_estimates([rec.coincidences, rec.singles_s, rec.singles_i, rec.trials],
+                                corrected=True)
+    return float(value), math.sqrt(var)
+
+
 class TestSubtractAccidentals:
     def test_reference_arithmetic(self):
-        rec = make_record(20, 600, 300, n=10**5)
-        corr = subtract_accidentals(rec)
-        assert corr.value == pytest.approx(18.2, abs=1e-12)
+        value, _ = subtract_accidentals(make_record(20, 600, 300, n=10**5))
+        assert value == pytest.approx(18.2, abs=1e-12)
 
     def test_zero_singles_leave_count_unchanged(self):
         # a zero singles count forces zero coincidences and a zero correction
-        rec = make_record(0, 0, 300, n=1000)
-        corr = subtract_accidentals(rec)
-        assert corr.value == 0.0
-        assert corr.std_error == 0.0
+        assert subtract_accidentals(make_record(0, 0, 300, n=1000)) == (0.0, 0.0)
 
     def test_error_propagation_formula(self):
         rec = make_record(20, 600, 300, n=10**5)
         acc = 600 * 300 / 10**5
         expected = np.sqrt(20 + acc**2 * (1 / 600 + 1 / 300))
-        assert subtract_accidentals(rec).std_error == pytest.approx(expected, abs=1e-12)
+        assert subtract_accidentals(rec)[1] == pytest.approx(expected, abs=1e-12)
 
     def test_negative_corrections_kept(self):
-        rec = make_record(1, 900, 900, n=10**4)
-        assert subtract_accidentals(rec).value < 0
+        assert subtract_accidentals(make_record(1, 900, 900, n=10**4))[0] < 0
 
     def test_pure_accidental_mean_consistent_with_zero(self):
         # no retrieval: corrected counts scatter around zero
@@ -311,9 +317,9 @@ class TestSubtractAccidentals:
         vals, variances = [], []
         for seed in range(300):
             recs = simulate_setting(rho2(), *full_bases(), 10**6, params, seed=seed)
-            corr = [subtract_accidentals(r) for r in recs]
-            vals.append(sum(c.value for c in corr))
-            variances.append(sum(c.std_error**2 for c in corr))
+            value, var = cell_estimates(CoincidenceTable(records=recs).counts, corrected=True)
+            vals.append(value.sum())
+            variances.append(var.sum())
         sigma_mean = np.sqrt(np.mean(variances) / len(vals))
         assert abs(np.mean(vals)) < 3 * sigma_mean
 
@@ -324,10 +330,12 @@ class TestSubtractAccidentals:
                            for r in recs]).T
         value, var = cell_estimates(counts, corrected=True)
         for rec, v, e in zip(recs, value, var):
-            corr = subtract_accidentals(rec)
-            assert (v, math.sqrt(e)) == (corr.value, corr.std_error)
+            assert (v, math.sqrt(e)) == subtract_accidentals(rec)
         raw, raw_var = cell_estimates(counts, corrected=False)
         assert raw.tolist() == raw_var.tolist() == [20.0, 0.0, 1.0]
+        # the raw estimate reads the coincidences alone
+        assert [a.tolist() for a in cell_estimates(counts[:1], corrected=False)] == [
+            raw.tolist()] * 2
         # trailing axes are kept: a leading replica axis reads cell by cell
         stacked, _ = cell_estimates(np.stack([counts, counts], axis=1), corrected=True)
         assert stacked.shape == (2, 3)
@@ -399,7 +407,7 @@ class TestTables(object):
         # the table's count columns are int64
         path = tmp_path / "big.csv"
         path.write_text(",".join(CSV_HEADER) + "\na,0,0,1,10,10," + str(2**63) + "\n")
-        with pytest.raises(ValidationError, match="big.csv: counts exceed the 64-bit"):
+        with pytest.raises(ValidationError, match="big.csv:2: counts or labels exceed the 64-bit"):
             load_table(path)
 
     def test_unknown_columns_rejected(self, tmp_path):
@@ -662,6 +670,85 @@ class TestTableProperties:
         assert {r.key: tuple(getattr(r, f) for f in fields) for r in merged.records} == expected
         assert set(merged.settings()) == set(a.settings()) | set(b.settings())
 
+    @settings(deadline=None, max_examples=60)
+    @given(table_rows, table_rows, st.sets(st.sampled_from(["a", "b", "c", "absent"])))
+    def test_column_table_is_the_record_table(self, rows, other_rows, names):
+        pairs = [(table_from_rows(rows), column_table(rows)),
+                 (table_from_rows(other_rows), column_table(other_rows))]
+        (first, by_columns), (other, other_columns) = pairs
+        pairs += [(first.restricted(names), by_columns.restricted(names)),
+                  (first.merged(other), by_columns.merged(other_columns))]
+        assert list(by_columns.records) == [
+            CountRecord(name, a, b, c, c + extra_s, c + extra_i, 200)
+            for name, a, b, c, extra_s, extra_i in rows]
+        for by_records, built in pairs:
+            assert built.records == by_records.records
+            assert built.counts.dtype == built.labels.dtype == np.int64
+            assert np.array_equal(built.counts, by_records.counts)
+            assert built.settings() == by_records.settings()
+            for name in ("a", "b", "c", "absent"):
+                assert built.by_setting(name) == by_records.by_setting(name)
+
+    @settings(deadline=None, max_examples=60)
+    @given(table_rows, st.data())
+    def test_invalid_row_is_named(self, rows, data):
+        cells = [(name, a, b, c, c + extra_s, c + extra_i, 200)
+                 for name, a, b, c, extra_s, extra_i in rows]
+        at = data.draw(st.integers(0, len(cells)))
+        if cells and data.draw(st.booleans()):
+            copied = data.draw(st.integers(0, len(cells) - 1))
+            bad, reason = cells[copied], "duplicate record key"
+            row = max(at, copied + (at <= copied))   # the later of the two
+        else:
+            bad, reason = data.draw(st.sampled_from(INVALID_ROWS))
+            row = at
+        cells.insert(at, bad)
+        with pytest.raises(ValidationError, match=rf"^row {row} .*: {reason}"):
+            CoincidenceTable(*columns_of(cells))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "counts.csv"
+            path.write_text("\n".join(",".join(map(str, cell))
+                                      for cell in [CSV_HEADER, *cells]) + "\n")
+            # the header is line 1
+            with pytest.raises(ValidationError, match=rf"counts.csv:{row + 2}: {reason}"):
+                load_table(path)
+
+    @settings(deadline=None, max_examples=60)
+    @given(table_rows, st.integers(0, 2**64), st.integers(1, 40))
+    def test_raw_replicas_draw_the_coincidences_of_the_full_draw(self, rows, seed, n_replicas):
+        # trials as tight as the table allows, so draws often reach the cap
+        table = table_from_rows(rows, max([1] + [c + max(es, ei) for *_, c, es, ei in rows]))
+        full, raw = (np.concatenate(list(counting._replica_blocks(table, seed, n_replicas,
+                                                                  singles)), axis=1)
+                     for singles in (True, False))
+        assert raw.dtype == np.int64
+        assert raw.shape == (1,) + full.shape[1:]
+        assert np.array_equal(raw[0], full[0])
+
+
+# an invalid cell named "bad", so its key is new, and the rule it breaks
+INVALID_ROWS = [
+    (("bad", 0, 0, -1, 0, 0, 5), "counts must be non-negative"),
+    (("bad", 0, 0, 0, 3, -1, 5), "counts must be non-negative"),
+    (("bad", 0, 0, 0, 0, 0, 0), "trials must be at least 1"),
+    (("bad", 0, 0, 4, 3, 5, 9), "coincidences exceed the singles counts"),
+    (("bad", 0, 0, 2, 6, 2, 5), "counts exceed the trial count"),
+    (("bad", 0, 0, 1, 2, 2, 2**63), "counts or labels exceed the 64-bit integer range"),
+    (("bad", -2**63 - 1, 0, 1, 2, 2, 5), "counts or labels exceed the 64-bit integer range"),
+]
+
+
+def columns_of(cells):
+    """The (setting, labels, counts) columns of cells laid out as CSV_HEADER."""
+    return ([cell[0] for cell in cells], [[cell[k] for cell in cells] for k in (1, 2)],
+            [[cell[k] for cell in cells] for k in (3, 4, 5, 6)])
+
+
+def column_table(rows, trials=200) -> CoincidenceTable:
+    """table_from_rows' cells, built from columns."""
+    return CoincidenceTable(*columns_of([(name, a, b, c, c + extra_s, c + extra_i, trials)
+                                         for name, a, b, c, extra_s, extra_i in rows]))
+
 
 # Keyed streams: the batched seeding must reproduce numpy's
 # SeedSequence([seed, word]) -> PCG64 construction exactly.
@@ -865,7 +952,7 @@ class TestSimulatePlan:
         sub_plan = [PlannedSetting(plan[k].name, reversed_basis(plan[k].basis_s),
                                    reversed_basis(plan[k].basis_i)) for k in picked]
         got = simulate_plan(pipeline.sampling_state(cfg), sub_plan, cfg.trials_per_setting,
-                            pipeline.effective_params(cfg), cfg.seed)
+                            pipeline.effective_params(cfg), cfg.seed).records
         run = {rec.key: rec for rec in pipeline.run_simulation(cfg).records}
         assert [rec.setting for rec in got] == [
             setting.name for setting in sub_plan for row in setting.cells for _ in row]
@@ -903,7 +990,7 @@ class TestSimulatePlan:
         assert abs(corr.mean()) < 4 / np.sqrt(105 * n)
 
     def test_empty_plan_draws_nothing(self):
-        assert simulate_plan(rho2(), [], 10, CountingParams(), seed=1) == []
+        assert simulate_plan(rho2(), [], 10, CountingParams(), seed=1).records == ()
 
     # eta_r <= 0.4 and P_bg_idler <= 0.1 keep eta_r + P_I <= 1 with the
     # config's accidental noise added (P_bg_idler + eta_r / 4)
@@ -918,3 +1005,29 @@ class TestSimulatePlan:
         assert (c <= np.minimum(s, i)).all()
         assert (np.maximum(c, np.maximum(s, i)) <= n).all()
         assert (n == trials).all()
+
+
+def test_simulate_and_certify_build_no_records(monkeypatch):
+    """The count path stays columnar: simulating a run and certifying it, raw
+    and corrected, builds no CountRecord and never reads ``table.records``."""
+    def refuse(self):
+        raise AssertionError("a CountRecord was built on the count path")
+
+    monkeypatch.setattr(CountRecord, "__post_init__", refuse)
+    monkeypatch.setattr(CoincidenceTable, "records", property(refuse))
+    table = pipeline.run_simulation(small_plan_config(seed=3))
+    for corrected in (False, True):
+        witness(table, "X", corrected=corrected)
+        eof_bound(table, corrected=corrected, n_bootstrap=5, seed=3)
+        for d in (2, 3):
+            cglmp(table, d, corrected=corrected)
+        reconstruct(table, (0, 2), corrected=corrected, n_bootstrap=5, seed=3)
+
+
+@pytest.mark.parametrize("seed", [0, 40])
+def test_raw_statistic_reads_the_same_replicas_without_singles(seed):
+    # a statistic that reads only C gets the same error from C-only replicas
+    table = TestTables().make_table()
+    total = TestBootstrapStd.total
+    assert bootstrap_std(table, total, 12, seed, singles=False) == bootstrap_std(
+        table, total, 12, seed)

@@ -62,17 +62,31 @@ def test_run_simulation_accepts_workers():
 
 def test_perfbench_reads_tables_as_records(monkeypatch):
     """perfbench builds tables with ``CoincidenceTable(records=...)`` and reads
-    ``table.records`` and ``r.setting``, which the import check cannot see."""
+    ``table.records``, ``len(table.records)`` and ``r.setting``, which the
+    import check cannot see.  The tables are column-built (run_simulation's,
+    the sub-table and its bootstrap replica), and reading their records
+    checks no record again."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     layers = importlib.import_module("layers")
     cfg = SimulationConfig(source=SourceConfig.uniform(4, noise_fraction=0.1),
                            trials_per_setting=10**4, spaces=("X",), bell_dimensions=(),
                            tomo_pair=(0, 1))
-    sub = layers.eof_subtable(run_simulation(cfg), 4)
+    table = run_simulation(cfg)
+
+    def refuse(self):
+        raise AssertionError("a record was checked again")
+
+    monkeypatch.setattr(CountRecord, "__post_init__", refuse)
+    assert len(table.records) == table.counts.shape[1]
+    sub = layers.eof_subtable(table, 4)
     boot = bootstrap_table(sub, seed=3)
-    for table in (sub, boot):
-        assert table.records
-        assert all(isinstance(r, CountRecord) for r in table.records)
+    for t in (table, sub, boot):
+        assert t.records
+        assert all(isinstance(r, CountRecord) for r in t.records)
+        assert [(r.setting, r.outcome_s, r.outcome_i) for r in t.records] == list(
+            zip(t.setting, *t.labels.tolist()))
+        assert [(r.coincidences, r.singles_s, r.singles_i, r.trials)
+                for r in t.records] == list(zip(*t.counts.tolist()))
     assert {r.setting for r in sub.records} == {
         naming.diag_setting("X")} | {naming.witness_setting("X", j, k, ax)
                                      for j in range(4) for k in range(j + 1, 4) for ax in "xy"}

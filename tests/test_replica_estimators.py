@@ -51,7 +51,7 @@ def statistic_values(monkeypatch, module, estimate, empty=(), cleared=3):
     statistic's values."""
     seen = {}
 
-    def direct(table, statistic, n_bootstrap, seed):
+    def direct(table, statistic, n_bootstrap, seed, singles=True):
         counts = replica_counts(table, seed, n_bootstrap)
         for b, name in empty:
             rows = [row for row, rec in enumerate(table.records) if rec.setting == name]

@@ -201,7 +201,7 @@ class TestCountReconstruction:
             reconstruct(table, (0, 5), n_bootstrap=n_bootstrap)
 
     def test_error_is_nan_when_no_replica_survives(self, monkeypatch):
-        def empty_replicas(table, seed, n_replicas):
+        def empty_replicas(table, seed, n_replicas, singles=True):
             counts = np.zeros((4, n_replicas, len(table.records)), dtype=np.int64)
             counts[3] = table.counts[3]   # every count zero, trials kept
             yield counts
