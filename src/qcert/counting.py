@@ -21,9 +21,9 @@ Each stream is the one numpy's SeedSequence([seed, setting word]) -> PCG64
 gives, and it makes one Poisson call on the setting's means in sorted-label
 order: the cells by (a, b), then the signal singles top-ups, then the idler
 ones.  ``simulate_plan`` tabulates a whole setting plan with one table
-product per block of settings of one cell shape, seeds every stream in one
-vectorized pass bit-identical to that construction, and writes the table's
-columns directly, capped at the trial count.
+product per block of settings of one cell shape, draws each setting from
+its own stream, and writes the table's columns directly, capped at the trial
+count.
 
 A table is columns first: a setting name per row, int64 outcome labels and
 int64 counts C, S_s, S_i, N, checked by one array pass; its CountRecords are
@@ -243,75 +243,11 @@ def setting_means(
     return SettingMeans(coincidences=lam[0], singles_s=singles_s[0], singles_i=singles_i[0])
 
 
-# numpy's SeedSequence entropy mixing (numpy/random/bit_generator.pyx): a
-# pool of four uint32 words, hashmix constants INIT_A/MULT_A, mix
-# multipliers MIX_MULT_L/MIX_MULT_R, output constants INIT_B/MULT_B.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = np.uint32(16)
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG_DEFAULT_MULTIPLIER_128
-
-
 def _key_word(setting: str, *key_parts) -> int:
     """The 64-bit entropy word of one key (independent of the seed)."""
     text = "\x1f".join([setting, *map(str, key_parts)])
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def _uint32_words(n: int) -> list[int]:
-    """SeedSequence's little-endian uint32 split of a non-negative int."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _mix_pool(entropy: np.ndarray) -> list[np.ndarray]:
-    """SeedSequence's entropy pool, one row per (N, L) uint32 entropy row."""
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * _MULT_A & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return result ^ (result >> _XSHIFT)
-
-    length = entropy.shape[1]
-    # entropy shorter than the pool is hashed as if padded with zero words
-    pool = [hashmix(entropy[:, i] if i < length else np.zeros(len(entropy), np.uint32))
-            for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, length):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
-    return pool
-
-
-def _generate_state(pool: list[np.ndarray]) -> np.ndarray:
-    """SeedSequence.generate_state(4, np.uint64) from each row of a pool."""
-    const = _INIT_B
-    halves = []
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
-        const = const * _MULT_B & _MASK32
-        value = value * np.uint32(const)
-        halves.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
-    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(halves[::2], halves[1::2])],
-                    axis=1)
 
 
 def _checked_seed(seed) -> int:
@@ -321,49 +257,12 @@ def _checked_seed(seed) -> int:
     return seed
 
 
-def _seed_states(seed: int, words) -> np.ndarray:
-    """Row i is ``np.random.SeedSequence([seed, words[i]]).generate_state(4, np.uint64)``.
-
-    The entropy of a row is the uint32 words of the seed followed by those of
-    the key word: one word below 2**32, else two.  Rows are mixed in groups of
-    equal entropy length, so seeds of any size stay exact.
-    """
-    seed = _checked_seed(seed)
-    words = np.asarray(words, dtype=np.uint64).reshape(-1)
-    lo = (words & np.uint64(_MASK32)).astype(np.uint32)
-    hi = (words >> np.uint64(32)).astype(np.uint32)
-    seed_words = _uint32_words(seed)
-    states = np.empty((len(words), 4), dtype=np.uint64)
-    one_word = hi == 0
-    for rows, tail in ((one_word, (lo,)), (~one_word, (lo, hi))):
-        if rows.any():
-            entropy = np.empty((int(rows.sum()), len(seed_words) + len(tail)), np.uint32)
-            entropy[:, :len(seed_words)] = seed_words
-            for col, part in enumerate(tail, start=len(seed_words)):
-                entropy[:, col] = part[rows]
-            states[rows] = _generate_state(_mix_pool(entropy))
-    return states
-
-
-def _keyed_streams(seed: int, words):
-    """Yield, per key word, a generator at the start of the stream that
-    ``np.random.PCG64(np.random.SeedSequence([seed, word]))`` would give.
-
-    One Generator serves the whole batch: each step loads the next stream's
-    PCG64 state (``pcg_setseq_128_srandom_r`` applied to the seed state), so
-    draw from it before advancing.
-    """
-    states = _seed_states(seed, words)
-    # each stream loads its own state before its first draw; seed 0 is never used
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    for row in states:
-        s_hi, s_lo, i_hi, i_lo = row.tolist()
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        yield rng
+def _stream(seed, word: int) -> np.random.Generator:
+    """The keyed stream of (seed, key word): numpy's
+    ``PCG64(SeedSequence([seed, word]))``.  A negative seed raises
+    ValidationError."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([_checked_seed(seed),
+                                                                        word])))
 
 
 # bounded, since setting names come from callers; a full plan at MAX_MODES
@@ -394,10 +293,9 @@ def simulate_plan(
 
     The means come a block of settings at a time; each setting then makes
     one ``poisson`` call on its means in sorted-label order, from its own
-    keyed stream, and the streams of the whole plan are seeded together.
-    Singles are the sum of the setting's coincidences in that outcome plus
-    an independent top-up, which keeps C_SI <= min(C_S, C_I) row by row;
-    coincidences and singles are capped at the trial count, as in the
+    keyed stream.  Singles are the sum of the setting's coincidences in that
+    outcome plus an independent top-up, which keeps C_SI <= min(C_S, C_I) row
+    by row; coincidences and singles are capped at the trial count, as in the
     bootstrap.
     """
     if not plan:
@@ -405,7 +303,6 @@ def simulate_plan(
     blocks = list(_mean_blocks(rho, [(st.basis_s, st.basis_i) for st in plan], trials, params))
     plan_labels = [(st.basis_s.labels, st.basis_i.labels) for st in plan]
     keys = [_setting_key(st.name, *pair) for st, pair in zip(plan, plan_labels)]
-    streams = _keyed_streams(seed, [keys[k][0] for idx, *_ in blocks for k in idx])
     sizes = [len(labels_s) * len(labels_i) for labels_s, labels_i in plan_labels]
     start = np.cumsum([0] + sizes)
     labels = np.empty((2, start[-1]), dtype=np.int64)
@@ -418,10 +315,9 @@ def simulate_plan(
             lam.reshape(m, -1), mean_s - lam.sum(axis=2),
             mean_i - np.ascontiguousarray(lam.transpose(0, 2, 1)).sum(axis=2)], axis=1), 0.0)
         draws = np.empty(means.shape, dtype=np.int64)
-        # idx first: zip stops on it without advancing the streams
-        for r, (k, rng) in enumerate(zip(idx, streams)):
-            order = keys[k][1]
-            draws[r, order] = rng.poisson(means[r, order])
+        for r, k in enumerate(idx):
+            word, order = keys[k]
+            draws[r, order] = _stream(seed, word).poisson(means[r, order])
         cells = np.minimum(draws[:, :n_s * n_i].reshape(m, n_s, n_i), trials)
         rows = start[idx][:, None] + np.arange(n_s * n_i)
         counts[0, rows] = cells.reshape(m, -1)
@@ -503,6 +399,7 @@ class CoincidenceTable:
         self.setting, self.labels, self.counts = setting, labels, counts
         self.metadata = {} if metadata is None else metadata
         self._cell_rows = {}
+        self._restricted = {}
 
     @functools.cached_property
     def records(self) -> tuple[CountRecord, ...]:
@@ -528,11 +425,16 @@ class CoincidenceTable:
         return {cell: self.records[row] for cell, row in self._index.get(setting, {}).items()}
 
     def restricted(self, settings) -> "CoincidenceTable":
-        """The rows of the given settings only, in table order."""
-        wanted = set(settings)
-        keep = [name in wanted for name in self.setting]
-        return CoincidenceTable(itertools.compress(self.setting, keep), self.labels[:, keep],
-                                self.counts[:, keep], dict(self.metadata))
+        """The rows of the given settings only, in table order.  The result
+        depends only on the set of names, so one sub-table per set is built
+        and shared, with its caches, by later calls."""
+        wanted = frozenset(settings)
+        if wanted not in self._restricted:
+            keep = [name in wanted for name in self.setting]
+            self._restricted[wanted] = CoincidenceTable(
+                itertools.compress(self.setting, keep), self.labels[:, keep],
+                self.counts[:, keep], dict(self.metadata))
+        return self._restricted[wanted]
 
     def merged(self, other: "CoincidenceTable") -> "CoincidenceTable":
         """Cell-wise merge of two tables from identically configured runs:
@@ -683,7 +585,7 @@ def _replica_blocks(table: CoincidenceTable, seed: int, n_replicas: int,
     """Yield the (4, replicas, rows) counts of Poisson replicas seed, seed + 1,
     ... (``n_replicas`` in all), a block of replicas at a time.  Replica b
     makes one ``poisson`` call on the (3, rows) means C, S_s - C and S_i - C
-    in sorted-key order, from the generator of SeedSequence([b, word]) with
+    in sorted-key order, from the stream ``_stream(b, word)`` with
     ``word`` the key word of the table's sorted row keys.  Coincidences and
     singles (coincidences plus top-up) are capped at the trial count, so
     every replica keeps 0 <= C <= min(S_s, S_i) and max(C, S_s, S_i) <= N.
@@ -699,8 +601,7 @@ def _replica_blocks(table: CoincidenceTable, seed: int, n_replicas: int,
     for first in range(seed, seed + n_replicas, block):
         draws = np.empty((min(block, seed + n_replicas - first),) + means.shape, np.int64)
         for b in range(len(draws)):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([first + b, word])))
-            draws[b] = rng.poisson(means)
+            draws[b] = _stream(first + b, word).poisson(means)
         counts = draws.transpose(1, 0, 2)[..., np.argsort(order)]
         counts[0] = np.minimum(counts[0], n)
         counts[1:] = np.minimum(counts[0] + counts[1:], n)

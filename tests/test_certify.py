@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -405,6 +406,24 @@ class TestEofCounts:
             errs.append(res.ebits_err)
         sigma_mean = np.mean(errs) / math.sqrt(len(vals))
         assert abs(np.mean(vals) - exact) < 4 * sigma_mean
+
+    def test_raw_and_corrected_share_one_sub_table(self, monkeypatch):
+        index = CoincidenceTable._index.func
+        indexed = []
+
+        def counted(table):
+            indexed.append(table)
+            return index(table)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(CoincidenceTable, "_index")
+        monkeypatch.setattr(CoincidenceTable, "_index", prop)
+        table = self.build_table(0.2, 10**5, 1, d=3)
+        raw = eof_bound(table, n_bootstrap=5, seed=2)
+        corrected = eof_bound(table, corrected=True, n_bootstrap=5, seed=2)
+        # the restricted table, its row index and its cell rows are built once
+        assert len(indexed) == 1 and indexed[0] is not table
+        assert raw.ebits != corrected.ebits
 
     @pytest.mark.parametrize("path", ["exact", "counts"])
     def test_descending_pair_matches_ascending(self, path):

@@ -41,8 +41,7 @@ from qcert.bases import MAX_MODES, MeasurementBasis, PlannedSetting, scan_settin
 from qcert.counting import CSV_HEADER
 from qcert.counting import (
     _key_word,
-    _keyed_streams,
-    _seed_states,
+    _stream,
     bootstrap_std,
     cell_estimates,
     simulate_plan,
@@ -453,6 +452,10 @@ class TestTables(object):
         part = other.restricted(["diagX"])
         assert part.records == t.records
         assert part.metadata == t.metadata
+        # one sub-table per set of names, whatever their order
+        names = ["other", "diagX"]
+        assert other.restricted(names) is other.restricted(reversed(names))
+        assert other.restricted(names).records == other.records
 
     def test_corrupt_sidecar_names_the_file(self, tmp_path):
         path = tmp_path / "counts.csv"
@@ -750,14 +753,6 @@ def column_table(rows, trials=200) -> CoincidenceTable:
                                          for name, a, b, c, extra_s, extra_i in rows]))
 
 
-# Keyed streams: the batched seeding must reproduce numpy's
-# SeedSequence([seed, word]) -> PCG64 construction exactly.
-EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 1)
-EDGE_WORDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-key_words = st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1)),
-                     min_size=1, max_size=12)
-
-
 def oracle_replica_stream(table, seed):
     """Bootstrap replica ``seed``'s one generator, built with numpy's own
     constructors: SeedSequence([seed, word]) -> PCG64, ``word`` hashing the
@@ -789,31 +784,10 @@ def oracle_bootstrap(table, seed):
 
 
 class TestKeyedStreams:
-    @settings(deadline=None, max_examples=150)
-    @given(st.integers(0, 2**70 - 1), key_words)
-    @example(EDGE_SEEDS[0], EDGE_WORDS)
-    @example(EDGE_SEEDS[1], EDGE_WORDS)
-    @example(EDGE_SEEDS[2], EDGE_WORDS)
-    @example(EDGE_SEEDS[3], EDGE_WORDS)
-    @example(EDGE_SEEDS[4], EDGE_WORDS)
-    def test_seed_states_match_seed_sequence(self, seed, words):
-        expected = [np.random.SeedSequence([seed, w]).generate_state(4, np.uint64)
-                    for w in words]
-        got = _seed_states(seed, words)
-        assert got.dtype == np.uint64
-        assert np.array_equal(got, np.array(expected))
-
-    @settings(deadline=None, max_examples=40)
-    @given(st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**70 - 1)), key_words)
-    def test_loaded_state_matches_pcg64(self, seed, words):
-        states = [rng.bit_generator.state for rng in _keyed_streams(seed, words)]
-        assert states == [np.random.PCG64(np.random.SeedSequence([seed, w])).state
-                          for w in words]
-
     @pytest.mark.parametrize("seed", [0, 7, 2**64 + 1])
     def test_setting_stream_draws_like_numpy(self, seed):
         word = counting._setting_key("X|K", (3, -1, 0), (1, -1))[0]
-        got = next(_keyed_streams(seed, [word]))
+        got = _stream(seed, word)
         ref = oracle_stream(seed, "X|K", (3, -1, 0), (1, -1))
         assert got.bit_generator.state == ref.bit_generator.state
         assert np.array_equal(got.poisson(37.5, 20), ref.poisson(37.5, 20))
@@ -845,7 +819,7 @@ class TestKeyedStreams:
         assert list(bootstrap_table(table, seed).records) == oracle_bootstrap(table, seed)
 
     @pytest.mark.parametrize("draw", [
-        lambda: next(_keyed_streams(-1, [counting._setting_key("s", (0,), (0,))[0]])),
+        lambda: _stream(-1, counting._setting_key("s", (0,), (0,))[0]),
         lambda: simulate_setting(rho2(), *full_bases(), 100, CountingParams(), seed=-1),
         lambda: bootstrap_table(TestTables().make_table(), seed=-5),
     ])
@@ -876,8 +850,10 @@ class TestSimulatePlan:
         cfg = small_plan_config(seed)
         assert list(pipeline.run_simulation(cfg).records) == oracle_run(cfg)
 
-    def test_calibrated_witness_matches_oracle(self):
-        cfg = replace(pipeline.preset("calibrated-witness"), seed=7)
+    @pytest.mark.parametrize("name", ["ideal", "calibrated-witness", "calibrated-eof",
+                                      "calibrated-bell", "calibrated-tomo"])
+    def test_preset_matches_oracle(self, name):
+        cfg = replace(pipeline.preset(name), seed=7)
         assert list(pipeline.run_simulation(cfg).records) == oracle_run(cfg)
 
     def test_draw_means_are_the_per_setting_means_bit_for_bit(self, monkeypatch):
@@ -893,8 +869,7 @@ class TestSimulatePlan:
                 drawn.append((self.word, means.tolist()))
                 return np.zeros(len(means), dtype=np.int64)
 
-        monkeypatch.setattr(counting, "_keyed_streams", lambda seed, words: (
-            Recorder(word) for word in words))
+        monkeypatch.setattr(counting, "_stream", lambda seed, word: Recorder(word))
         # uneven amplitudes and phases, so the sums over 8 or more cells see
         # distinct values
         rng = np.random.default_rng(5)
@@ -919,24 +894,37 @@ class TestSimulatePlan:
         assert len(drawn) == len(expected)
         assert dict(drawn) == expected
 
-    def test_one_seeding_call_and_cached_key_words(self, monkeypatch):
-        calls = {"seed": 0, "word": 0}
-        seed_states, key_word = counting._seed_states, counting._key_word
+    def test_one_stream_constructor_and_cached_key_words(self, monkeypatch):
+        streams, words = [], []
+        stream, key_word = counting._stream, counting._key_word
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
+        def counted_stream(seed, word):
+            streams.append((seed, word))
+            return stream(seed, word)
 
-        monkeypatch.setattr(counting, "_seed_states", counted("seed", seed_states))
-        monkeypatch.setattr(counting, "_key_word", counted("word", key_word))
-        first = pipeline.run_simulation(small_plan_config(seed=3))
-        assert calls["seed"] == 1
-        calls["word"] = 0
+        def counted_word(*args):
+            words.append(args)
+            return key_word(*args)
+
+        monkeypatch.setattr(counting, "_stream", counted_stream)
+        monkeypatch.setattr(counting, "_key_word", counted_word)
+        cfg = small_plan_config(seed=3)
+        first = pipeline.run_simulation(cfg)
+        setting_words = [counting._setting_key(st.name, st.basis_s.labels, st.basis_i.labels)[0]
+                         for st in pipeline.build_settings(cfg)]
+        # one stream per setting, keyed by its setting word
+        assert sorted(streams) == sorted((3, word) for word in setting_words)
+        streams.clear()
+        words.clear()
         second = pipeline.run_simulation(small_plan_config(seed=4))
-        assert calls == {"seed": 2, "word": 0}
+        assert sorted(streams) == sorted((4, word) for word in setting_words)
+        assert words == []
         assert first.records != second.records
+        # one stream per bootstrap replica, seeds s .. s + B - 1, one table word
+        streams.clear()
+        bootstrap_std(first, lambda stack: stack.counts[0].sum(axis=-1), n_bootstrap=5, seed=11)
+        assert [seed for seed, _ in streams] == list(range(11, 16))
+        assert len({word for _, word in streams}) == 1
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 2**64), st.data())
