@@ -6,7 +6,6 @@ from .errors import ComputationError, QcertError, ValidationError
 from .linalg import (
     DensityOperator,
     PairRestriction,
-    Projector,
     StateVector,
     density_from_ket,
     fidelity_to_pure,
@@ -18,7 +17,6 @@ from .bases import (
     MeasurementBasis,
     RfToneProgram,
     cglmp_basis,
-    joint_probability_table,
     k_basis,
     ket_from_tone_program,
     mode_vector,

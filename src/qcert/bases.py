@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import DensityOperator, Projector, marginal_probabilities, outcome_probabilities
+from .linalg import ATOL_NORM, DensityOperator, marginal_probabilities
 from . import naming
 
 MAX_MODES = 10
@@ -49,7 +49,6 @@ __all__ = [
     "mode_vector",
     "rf_tone_program",
     "ket_from_tone_program",
-    "joint_probability_table",
     "PlannedSetting",
     "witness_settings",
     "scan_setting",
@@ -60,66 +59,58 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementBasis:
-    """An ordered set of orthonormal outcome projectors with labels.
+    """An ordered set of orthonormal outcome kets with labels.
 
-    ``dim`` is the embedding dimension; a basis is complete when it has one
-    outcome per dimension.  Incomplete (embedded) bases model post-selection:
-    the remaining weight falls on an implicit no-click outcome spanning the
-    orthogonal complement.
+    ``vector_matrix`` holds the kets as rows, shape (outcomes, dim), one row
+    per entry of ``labels``; it is checked once, each row scaled to unit norm
+    and frozen.  ``dim`` is the embedding dimension; a basis is complete when
+    it has one outcome per dimension.  Incomplete (embedded) bases model
+    post-selection: the remaining weight falls on an implicit no-click
+    outcome spanning the orthogonal complement.
     """
 
     name: str
     side: str
-    dim: int
-    projectors: tuple[Projector, ...]
-    # outcome kets stacked as rows, shape (n_outcomes, dim); built once, read-only
-    vector_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    labels: tuple
+    vector_matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.side not in ("signal", "idler"):
             raise ValidationError(f"side must be 'signal' or 'idler', got {self.side!r}")
-        if not self.projectors:
-            raise ValidationError("a basis needs at least one outcome")
-        mat = np.array([p.vector for p in self.projectors])
-        mat.setflags(write=False)
-        object.__setattr__(self, "vector_matrix", mat)
-        if mat.shape[1] != self.dim:
-            raise ValidationError("projector vectors do not match the basis dimension")
-        gram = mat.conj() @ mat.T
-        if not np.max(np.abs(gram - np.eye(len(self.projectors)))) <= 1e-10:
+        labels = tuple(self.labels)
+        kets = np.array(self.vector_matrix, dtype=complex)
+        if kets.ndim != 2 or not kets.size or len(kets) != len(labels):
+            raise ValidationError(
+                f"basis {self.name!r} needs a 2-D ket array with one row per label; got "
+                f"shape {kets.shape} for {len(labels)} labels")
+        norms = np.array([np.linalg.norm(row) for row in kets])
+        bad = ~(np.abs(norms - 1.0) <= ATOL_NORM)   # also catches a NaN or inf norm
+        if bad.any():
+            row = int(bad.argmax())
+            raise ValidationError(f"basis {self.name!r}: ket {row} has norm {norms[row]!r}, "
+                                  "not 1 within 1e-12")
+        kets /= norms[:, None]
+        gram = kets.conj() @ kets.T
+        if not np.max(np.abs(gram - np.eye(len(kets)))) <= 1e-10:
             raise ValidationError(f"basis {self.name!r} is not orthonormal within 1e-10")
+        kets.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "vector_matrix", kets)
 
     @property
-    def labels(self) -> tuple:
-        return tuple(p.label for p in self.projectors)
+    def dim(self) -> int:
+        return self.vector_matrix.shape[1]
 
     @property
     def complete(self) -> bool:
-        return len(self.projectors) == self.dim
+        return len(self.labels) == self.dim
 
     def lost_weight(self, rho: DensityOperator) -> float:
         """Probability routed to the no-click complement outcome."""
         marg = marginal_probabilities(rho, self.vector_matrix, self.side)
         return float(max(0.0, 1.0 - marg.sum()))
-
-    def to_json_dict(self) -> dict:
-        mat = self.vector_matrix
-        return {
-            "name": self.name,
-            "side": self.side,
-            "dim": self.dim,
-            "labels": list(self.labels),
-            "vectors_re": mat.real.tolist(),
-            "vectors_im": mat.imag.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MeasurementBasis":
-        vecs = np.asarray(data["vectors_re"]) + 1j * np.asarray(data["vectors_im"])
-        projs = tuple(Projector(v, lab) for v, lab in zip(vecs, data["labels"]))
-        return cls(name=data["name"], side=data["side"], dim=int(data["dim"]), projectors=projs)
 
 
 @dataclass(frozen=True)
@@ -155,23 +146,11 @@ def _check_mode_count(d: int) -> None:
         raise ValidationError(f"mode count must be between 1 and {MAX_MODES}, got {d}")
 
 
-def _embed(vec: np.ndarray, dim: int) -> np.ndarray:
-    if dim == vec.size:
-        return vec
-    out = np.zeros(dim, dtype=complex)
-    out[: vec.size] = vec
-    return out
-
-
-def _unit(label: int, dim: int) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[label] = 1.0
-    return v
-
-
-def _fourier(k: float, d: int) -> np.ndarray:
+def _fourier(k, d: int) -> np.ndarray:
+    """Kets (1/sqrt(d)) sum_x e^{2 pi i x k / d} |x>: one for a scalar k, one
+    row per entry for an array of k."""
     x = np.arange(d)
-    return np.exp(2j * np.pi * x * k / d) / np.sqrt(d)
+    return np.exp(2j * np.pi * x * np.asarray(k)[..., None] / d) / np.sqrt(d)
 
 
 def mode_vector(space: str, label: int, d: int, side: str = "signal") -> np.ndarray:
@@ -179,7 +158,7 @@ def mode_vector(space: str, label: int, d: int, side: str = "signal") -> np.ndar
     if not (0 <= label < d):
         raise ValidationError(f"mode label {label} outside 0..{d - 1}")
     if space == "X":
-        return _unit(label, d)
+        return np.eye(d, dtype=complex)[label]
     if space == "K":
         vec = _fourier(label, d)
         return vec.conj() if side == "idler" else vec
@@ -187,10 +166,9 @@ def mode_vector(space: str, label: int, d: int, side: str = "signal") -> np.ndar
 
 
 def x_basis(d: int, side: str = "signal") -> MeasurementBasis:
-    """The spatial basis: one projector per mode label."""
+    """The spatial basis: one ket per mode label."""
     _check_mode_count(d)
-    projs = tuple(Projector(_unit(x, d), x) for x in range(d))
-    return MeasurementBasis(name=f"X{d}", side=side, dim=d, projectors=projs)
+    return MeasurementBasis(f"X{d}", side, tuple(range(d)), np.eye(d, dtype=complex))
 
 
 def k_basis(d: int, side: str = "signal") -> MeasurementBasis:
@@ -200,10 +178,9 @@ def k_basis(d: int, side: str = "signal") -> MeasurementBasis:
     correlated outcomes of the diagonal source.
     """
     _check_mode_count(d)
-    projs = tuple(
-        Projector(mode_vector("K", k, d, side=side), k) for k in range(d)
-    )
-    return MeasurementBasis(name=f"K{d}", side=side, dim=d, projectors=projs)
+    kets = _fourier(np.arange(d), d)
+    return MeasurementBasis(f"K{d}", side, tuple(range(d)),
+                            kets.conj() if side == "idler" else kets)
 
 
 def _pair_vectors(u: np.ndarray, v: np.ndarray, axis: str):
@@ -231,10 +208,8 @@ def pair_basis(
         raise ValidationError("pair modes must differ")
     u = mode_vector(space, j, d_total, side=side)
     v = mode_vector(space, k, d_total, side=side)
-    plus, minus = _pair_vectors(u, v, axis)
-    projs = (Projector(plus, 1), Projector(minus, -1))
-    name = f"pair{space}:{j}-{k}:{axis}"
-    return MeasurementBasis(name=name, side=side, dim=d_total, projectors=projs)
+    return MeasurementBasis(f"pair{space}:{j}-{k}:{axis}", side, (1, -1),
+                            np.array(_pair_vectors(u, v, axis)))
 
 
 def cglmp_basis(side: str, setting: int, d: int, embed_dim: int | None = None) -> MeasurementBasis:
@@ -253,25 +228,23 @@ def cglmp_basis(side: str, setting: int, d: int, embed_dim: int | None = None) -
     dim = embed_dim if embed_dim is not None else d
     if dim < d:
         raise ValidationError("embedding dimension smaller than the basis")
-    projs = []
-    for out in range(d):
-        if side == "signal":
-            vec = _fourier(out + SIGNAL_SETTING_OFFSETS[setting], d)
-        elif side == "idler":
-            vec = _fourier(-out + IDLER_SETTING_OFFSETS[setting], d)
-        else:
-            raise ValidationError(f"side must be 'signal' or 'idler', got {side!r}")
-        projs.append(Projector(_embed(vec, dim), out))
-    name = f"bell{side[0].upper()}{setting}:d{d}"
-    return MeasurementBasis(name=name, side=side, dim=dim, projectors=tuple(projs))
+    out = np.arange(d)
+    if side == "signal":
+        k = out + SIGNAL_SETTING_OFFSETS[setting]
+    elif side == "idler":
+        k = -out + IDLER_SETTING_OFFSETS[setting]
+    else:
+        raise ValidationError(f"side must be 'signal' or 'idler', got {side!r}")
+    kets = np.zeros((d, dim), dtype=complex)
+    kets[:, :d] = _fourier(k, d)
+    return MeasurementBasis(f"bell{side[0].upper()}{setting}:d{d}", side, tuple(range(d)), kets)
 
 
-def rf_tone_program(outcome, tone_spacing_mhz: float = TONE_SPACING_MHZ) -> RfToneProgram:
+def rf_tone_program(ket, tone_spacing_mhz: float = TONE_SPACING_MHZ) -> RfToneProgram:
     """Tone program realizing one measurement ket: tone x at offset x*spacing
     carries amplitude |v_x| and phase arg(v_x); zero-amplitude modes are omitted."""
-    vec = outcome.vector if isinstance(outcome, Projector) else np.asarray(outcome, dtype=complex)
     tones = []
-    for x, amp in enumerate(vec):
+    for x, amp in enumerate(np.asarray(ket, dtype=complex)):
         mag = abs(amp)
         if mag < 1e-15:
             continue
@@ -288,13 +261,6 @@ def ket_from_tone_program(program: RfToneProgram, dim: int) -> np.ndarray:
             raise ValidationError(f"tone at {f} MHz maps outside the {dim}-mode space")
         vec[mode] = amp * np.exp(1j * phase)
     return vec
-
-
-def joint_probability_table(
-    rho: DensityOperator, basis_s: MeasurementBasis, basis_i: MeasurementBasis
-) -> np.ndarray:
-    """Outcome-pair probabilities Tr(rho (P_a x P_b)), shape (n_s, n_i)."""
-    return outcome_probabilities(rho, basis_s.vector_matrix, basis_i.vector_matrix)
 
 
 # ---------------------------------------------------------------------------

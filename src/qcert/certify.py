@@ -121,9 +121,6 @@ class WitnessResult:
     margin: float
     certified_dimension: int
 
-    def bound(self, d: int) -> int:
-        return witness_bound(self.num_modes, d)
-
 
 def _visibilities(values, variances, exact: bool = False):
     """V, its propagated variance and its status for each setting of

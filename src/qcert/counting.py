@@ -52,7 +52,7 @@ import numpy as np
 from .errors import ValidationError
 from . import linalg
 from .linalg import DensityOperator
-from .bases import MAX_MODES, MeasurementBasis, PlannedSetting, joint_probability_table
+from .bases import MAX_MODES, MeasurementBasis, PlannedSetting
 
 __all__ = [
     "CountingParams",
@@ -202,7 +202,7 @@ def _mean_blocks(rho: DensityOperator, pairs, trials: int, params: CountingParam
         raise ValidationError("measurement vectors do not match the state dimensions")
     groups: dict[tuple, list[int]] = {}
     for k, (b_s, b_i) in enumerate(pairs):
-        groups.setdefault((len(b_s.projectors), len(b_i.projectors)), []).append(k)
+        groups.setdefault((len(b_s.labels), len(b_i.labels)), []).append(k)
     blocks = []
     for (n_s, n_i), members in groups.items():
         step = max(1, _TABLE_ROWS // (n_s * n_i))
@@ -411,6 +411,16 @@ class CoincidenceTable:
         return tuple(records)
 
     @functools.cached_property
+    def _replica_key(self):
+        """The rows in sorted-key order, the inverse of that order and the
+        bootstrap key word hashing the sorted keys: what every replica of the
+        table draws by, hashed once."""
+        keys = list(zip(self.setting, *self.labels.tolist()))
+        order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
+        word = _key_word("bootstrap", *(part for row in order for part in keys[row]))
+        return order, np.argsort(order), word
+
+    @functools.cached_property
     def _index(self) -> dict:
         """Each setting's (outcome_s, outcome_i) cells to their rows."""
         index: dict[str, dict[tuple[int, int], int]] = {}
@@ -484,7 +494,8 @@ def setting_cells(data, settings, corrected: bool = False):
     missing, incomplete or labelled otherwise raises one ValidationError.
     """
     if isinstance(data, DensityOperator):
-        tables = np.array([joint_probability_table(data, st.basis_s, st.basis_i)
+        tables = np.array([linalg.outcome_probabilities(data, st.basis_s.vector_matrix,
+                                                        st.basis_i.vector_matrix)
                            for st in settings])
         return tables, np.zeros(tables.shape)
     table = data.table if isinstance(data, ReplicaStack) else data
@@ -586,23 +597,22 @@ def _replica_blocks(table: CoincidenceTable, seed: int, n_replicas: int,
     ... (``n_replicas`` in all), a block of replicas at a time.  Replica b
     makes one ``poisson`` call on the (3, rows) means C, S_s - C and S_i - C
     in sorted-key order, from the stream ``_stream(b, word)`` with
-    ``word`` the key word of the table's sorted row keys.  Coincidences and
-    singles (coincidences plus top-up) are capped at the trial count, so
-    every replica keeps 0 <= C <= min(S_s, S_i) and max(C, S_s, S_i) <= N.
-    Without ``singles`` a replica draws the C row alone, which is the first
-    row of that call bit for bit, and a block holds (1, replicas, rows)."""
+    ``word`` the key word of the table's sorted row keys, hashed once per
+    table.  Coincidences and singles (coincidences plus top-up) are capped
+    at the trial count, so every replica keeps 0 <= C <= min(S_s, S_i) and
+    max(C, S_s, S_i) <= N.  Without ``singles`` a replica draws the C row
+    alone, which is the first row of that call bit for bit, and a block
+    holds (1, replicas, rows)."""
     seed = _checked_seed(seed)
-    keys = list(zip(table.setting, *table.labels.tolist()))
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    word = _key_word("bootstrap", *(part for row in order for part in keys[row]))
+    order, inverse, word = table._replica_key
     c, s, i, n = table.counts
     means = np.stack([c, s - c, i - c][:3 if singles else 1])[:, order].astype(float)
-    block = max(1, _BLOCK_CELLS // max(len(keys), 1))
+    block = max(1, _BLOCK_CELLS // max(len(order), 1))
     for first in range(seed, seed + n_replicas, block):
         draws = np.empty((min(block, seed + n_replicas - first),) + means.shape, np.int64)
         for b in range(len(draws)):
             draws[b] = _stream(first + b, word).poisson(means)
-        counts = draws.transpose(1, 0, 2)[..., np.argsort(order)]
+        counts = draws.transpose(1, 0, 2)[..., inverse]
         counts[0] = np.minimum(counts[0], n)
         counts[1:] = np.minimum(counts[0] + counts[1:], n)
         yield np.concatenate([counts, np.broadcast_to(n, counts[:1].shape)]) if singles else counts

@@ -37,7 +37,6 @@ ATOL_IMAG = 1e-10
 __all__ = [
     "StateVector",
     "DensityOperator",
-    "Projector",
     "PairRestriction",
     "density_from_ket",
     "outcome_probabilities",
@@ -149,25 +148,6 @@ class DensityOperator:
 
     def __repr__(self) -> str:
         return f"DensityOperator({self.dim_signal}x{self.dim_idler})"
-
-
-class Projector:
-    """A rank-one outcome projector given by a normalized ket on one subsystem."""
-
-    def __init__(self, vector, label) -> None:
-        vec = np.asarray(vector, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(vec)
-        if not abs(norm - 1.0) <= ATOL_NORM:  # also rejects a NaN norm
-            raise ValidationError(f"projector vector norm {norm!r} is not 1 within 1e-12")
-        self.vector = _frozen(vec / norm)
-        self.label = label
-
-    @property
-    def dim(self) -> int:
-        return self.vector.size
-
-    def __repr__(self) -> str:
-        return f"Projector(label={self.label!r}, dim={self.dim})"
 
 
 @dataclass(frozen=True)

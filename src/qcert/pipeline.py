@@ -82,6 +82,7 @@ class SimulationConfig:
     repetition_rate_hz: float = 16000.0
 
     def __post_init__(self) -> None:
+        bases._check_mode_count(self.source.num_modes)
         if self.trials_per_setting < 1:
             raise ValidationError("trials_per_setting must be at least 1")
         for space in self.spaces:

@@ -8,12 +8,11 @@ from pathlib import Path
 import numpy as np
 
 import qcert
-from qcert import (CountRecord, DensityOperator, Projector, StateVector, bases, density_from_ket,
+from qcert import (CountRecord, DensityOperator, StateVector, bases, density_from_ket,
                    eof_bound, fidelity_to_pure, mean_pair_visibility, noisy_state, pipeline,
                    restrict_to_pair)
-from qcert.bases import (AXES, MeasurementBasis, cglmp_basis, joint_probability_table, k_basis,
-                         pair_basis, x_basis)
-from qcert.linalg import marginal_probabilities
+from qcert.bases import (AXES, MeasurementBasis, cglmp_basis, k_basis, pair_basis, x_basis)
+from qcert.linalg import marginal_probabilities, outcome_probabilities
 from qcert.errors import ComputationError
 
 
@@ -81,8 +80,7 @@ def oracle_states(d_s, d_i, seed):
 
 
 def _unitary_basis(u, side):
-    projs = tuple(Projector(vec, a) for a, vec in enumerate(u))
-    return MeasurementBasis(name=f"U{len(u)}", side=side, dim=u.shape[1], projectors=projs)
+    return MeasurementBasis(f"U{len(u)}", side, tuple(range(len(u))), u)
 
 
 def oracle_bases(d_s, d_i, seed):
@@ -107,7 +105,7 @@ def oracle_bases(d_s, d_i, seed):
 def oracle_means(rho, basis_s, basis_i, trials, params):
     """A setting's count means as setting_means computed them before plans
     were tabulated a block at a time: one table and two marginal calls."""
-    table = joint_probability_table(rho, basis_s, basis_i)
+    table = outcome_probabilities(rho, basis_s.vector_matrix, basis_i.vector_matrix)
     marg_s = marginal_probabilities(rho, basis_s.vector_matrix, "signal")
     marg_i = marginal_probabilities(rho, basis_i.vector_matrix, "idler")
     n = float(trials)

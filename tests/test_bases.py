@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,20 +5,24 @@ from scipy.linalg import dft
 
 from qcert import (
     MeasurementBasis,
-    Projector,
     RfToneProgram,
     SourceConfig,
     ValidationError,
     cglmp_basis,
     density_from_ket,
     ideal_state,
-    joint_probability_table,
     k_basis,
     ket_from_tone_program,
+    mode_vector,
+    outcome_probabilities,
     pair_basis,
     rf_tone_program,
     x_basis,
 )
+
+
+def joint_table(rho, basis_s, basis_i):
+    return outcome_probabilities(rho, basis_s.vector_matrix, basis_i.vector_matrix)
 
 
 def gram(basis):
@@ -36,7 +38,7 @@ class TestXBasis:
 
     def test_ten_modes(self):
         b = x_basis(10)
-        assert len(b.projectors) == 10
+        assert len(b.labels) == 10
         assert b.complete
 
     @pytest.mark.parametrize("d", range(1, 11))
@@ -51,14 +53,14 @@ class TestXBasis:
         b = k_basis(4)
         assert b.vector_matrix is b.vector_matrix
         assert not b.vector_matrix.flags.writeable
-        assert np.array_equal(b.vector_matrix, np.array([p.vector for p in b.projectors]))
+        assert np.array_equal(b.vector_matrix, np.array([mode_vector("K", k, 4) for k in range(4)]))
 
 
 class TestKBasis:
     def test_qubit_vectors(self):
         b = k_basis(2)
-        assert_allclose(b.projectors[0].vector, np.array([1, 1]) / np.sqrt(2), atol=1e-12)
-        assert_allclose(b.projectors[1].vector, np.array([1, -1]) / np.sqrt(2), atol=1e-12)
+        assert_allclose(b.vector_matrix[0], np.array([1, 1]) / np.sqrt(2), atol=1e-12)
+        assert_allclose(b.vector_matrix[1], np.array([1, -1]) / np.sqrt(2), atol=1e-12)
 
     def test_fourier_orthogonality_ten_modes(self):
         assert_allclose(gram(k_basis(10)), np.eye(10), atol=1e-12)
@@ -80,7 +82,7 @@ class TestKBasis:
         # correlates k_s with (-k_i) mod 10
         rho = density_from_ket(ideal_state(SourceConfig.uniform(10)))
         b = k_basis(10, side="signal")
-        table = joint_probability_table(rho, b, b)
+        table = joint_table(rho, b, b)
         for ks in range(10):
             for ki in range(10):
                 expected = 0.1 if ks == (-ki) % 10 else 0.0
@@ -88,7 +90,7 @@ class TestKBasis:
 
     def test_label_convention_correlates_at_equal_labels(self):
         rho = density_from_ket(ideal_state(SourceConfig.uniform(10)))
-        table = joint_probability_table(rho, k_basis(10, "signal"), k_basis(10, "idler"))
+        table = joint_table(rho, k_basis(10, "signal"), k_basis(10, "idler"))
         assert_allclose(table, np.eye(10) / 10, atol=1e-12)
 
 
@@ -100,7 +102,7 @@ class TestPairBases:
 
     def test_x_axis_eigenvectors(self):
         b = pair_basis("X", 0, 1, "x", 2)
-        assert_allclose(b.projectors[0].vector, np.array([1, 1]) / np.sqrt(2), atol=1e-12)
+        assert_allclose(b.vector_matrix[0], np.array([1, 1]) / np.sqrt(2), atol=1e-12)
 
     def test_pairwise_unbiasedness(self):
         for ax_a, ax_b in [("x", "y"), ("y", "z"), ("z", "x")]:
@@ -121,7 +123,7 @@ class TestPairBases:
 
     def test_k_space_pair_uses_fourier_vectors(self):
         b = pair_basis("K", 0, 5, "z", 10, side="signal")
-        assert_allclose(b.projectors[0].vector, k_basis(10).projectors[0].vector, atol=1e-12)
+        assert_allclose(b.vector_matrix[0], k_basis(10).vector_matrix[0], atol=1e-12)
 
     def test_lost_weight_models_postselection(self):
         rho = density_from_ket(ideal_state(SourceConfig.uniform(10)))
@@ -175,18 +177,18 @@ class TestCglmpBases:
 
 class TestToneProgram:
     def test_uniform_superposition_two_tones(self):
-        prog = rf_tone_program(k_basis(2).projectors[0])
+        prog = rf_tone_program(k_basis(2).vector_matrix[0])
         assert prog.tones == ((0.0, pytest.approx(1 / np.sqrt(2)), 0.0),
                               (0.8, pytest.approx(1 / np.sqrt(2)), 0.0))
 
     def test_pi_phase_on_second_tone(self):
-        prog = rf_tone_program(k_basis(2).projectors[1])
+        prog = rf_tone_program(k_basis(2).vector_matrix[1])
         phases = [t[2] for t in prog.tones]
         assert phases[0] == pytest.approx(0.0, abs=1e-12)
         assert abs(phases[1]) == pytest.approx(np.pi, abs=1e-12)
 
     def test_zero_amplitude_modes_omitted(self):
-        prog = rf_tone_program(pair_basis("X", 0, 5, "z", 10).projectors[0])
+        prog = rf_tone_program(pair_basis("X", 0, 5, "z", 10).vector_matrix[0])
         assert len(prog.tones) == 1
         assert prog.tones[0][0] == 0.0
 
@@ -200,7 +202,7 @@ class TestToneProgram:
         assert_allclose(back, vec, atol=1e-12)
 
     def test_offsets_on_spacing_grid(self):
-        prog = rf_tone_program(k_basis(10).projectors[3])
+        prog = rf_tone_program(k_basis(10).vector_matrix[3])
         for f, _, _ in prog.tones:
             assert (f / 0.8) == pytest.approx(round(f / 0.8), abs=1e-12)
 
@@ -209,13 +211,40 @@ class TestNonFiniteInputs:
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_basis_with_a_nan_ket_rejected(self):
         with pytest.raises(ValidationError, match="norm"):
-            MeasurementBasis(name="n", side="signal", dim=2,
-                             projectors=(Projector([np.nan, 0], 0), Projector([0, 1], 1)))
-        # the Gram check on its own: an outcome that skipped Projector's checks
-        nan_outcome = SimpleNamespace(vector=np.array([np.nan, 0], dtype=complex), label=0)
+            MeasurementBasis("n", "signal", (0, 1), [[np.nan, 0], [0, 1]])
+        # the Gram check on its own: unit rows that are not orthogonal
         with pytest.raises(ValidationError, match="orthonormal"):
-            MeasurementBasis(name="n", side="signal", dim=2,
-                             projectors=(nan_outcome, Projector([0, 1], 1)))
+            MeasurementBasis("n", "signal", (0, 1), [[1, 0], [1, 0]])
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("vector", [[np.nan, 0], [1, np.nan], [complex(0, np.nan), 0],
+                                        [np.inf, 0], [2, 0]])
+    def test_non_unit_or_non_finite_kets_rejected(self, vector):
+        with pytest.raises(ValidationError, match="norm"):
+            MeasurementBasis("n", "idler", (0, 1), [[0, 1], vector])
+
+    @pytest.mark.parametrize("labels, kets", [
+        ((0,), np.eye(2)),
+        ((0, 1, 2), np.eye(2)),
+        ((0,), [1, 0]),
+        ((), np.zeros((0, 2))),
+        ((0,), [[[1, 0]]]),
+    ])
+    def test_ket_array_shape_must_match_the_labels(self, labels, kets):
+        with pytest.raises(ValidationError, match="one row per label"):
+            MeasurementBasis("n", "signal", labels, kets)
+
+    def test_side_must_be_signal_or_idler(self):
+        with pytest.raises(ValidationError, match="side"):
+            MeasurementBasis("n", "both", (0, 1), np.eye(2))
+
+    def test_kets_are_copied_scaled_and_frozen(self):
+        kets = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        b = MeasurementBasis("h", "signal", [1, -1], kets)
+        assert b.labels == (1, -1) and b.dim == 2 and b.complete
+        assert b.vector_matrix is not kets and not b.vector_matrix.flags.writeable
+        assert np.array_equal(b.vector_matrix,
+                              np.array([row / np.linalg.norm(row) for row in kets]))
 
     @pytest.mark.parametrize("tones, spacing", [
         (((0.0, np.nan, 0.0),), 0.8),

@@ -27,8 +27,9 @@ from qcert import (
     witness,
     witness_bound,
 )
-from qcert.bases import (cglmp_basis, joint_probability_table, mode_vector, pair_basis,
-                         scan_setting, witness_settings, x_basis)
+from qcert.bases import (cglmp_basis, mode_vector, pair_basis, scan_setting, witness_settings,
+                         x_basis)
+from qcert.linalg import outcome_probabilities
 from qcert.certify import (certified_dimension_from_witness, _ebits_from_b, _saturated_ebits,
                            _visibilities)
 from qcert.errors import ComputationError
@@ -536,7 +537,8 @@ class TestSharedCellReader:
                                tomo_pair=(1, d - 1))
         records = []
         for st in build_settings(cfg):
-            counts = np.rint(self.N * joint_probability_table(rho, st.basis_s, st.basis_i))
+            counts = np.rint(self.N * outcome_probabilities(rho, st.basis_s.vector_matrix,
+                                                            st.basis_i.vector_matrix))
             rows, cols = counts.sum(axis=1), counts.sum(axis=0)
             for a, lab_a in enumerate(st.basis_s.labels):
                 for b, lab_b in enumerate(st.basis_i.labels):

@@ -114,6 +114,18 @@ class TestSimulate:
         assert "noise fraction 0.2" in res.stderr and "0.28125" in res.stderr
         assert not (tmp_path / "run").exists()
 
+    def test_too_many_modes_exit_2_before_any_output(self, tmp_path):
+        cfg = SimulationConfig(source=SourceConfig.uniform(4), bell_dimensions=(2,),
+                               tomo_pair=(0, 1)).to_json_dict()
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({**cfg, "source": SourceConfig.uniform(11).to_json_dict()}))
+        for args in (["simulate", "--out-dir", "run"], ["sweep", "--grid", "0,0.1"]):
+            res = run_cli(args[0], "--config", "cfg.json", *args[1:], cwd=tmp_path)
+            assert res.returncode == 2, res.stderr
+            assert "Traceback" not in res.stderr
+            assert "mode count must be between 1 and 10, got 11" in res.stderr
+            assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_invalid_config_exits_2(self, small_config):
         bad = small_config.parent / "bad.json"
         bad.write_text('{"source": {"D": 3}}')

@@ -15,7 +15,6 @@ from qcert import (
     CountingParams,
     CountRecord,
     DensityOperator,
-    Projector,
     SourceConfig,
     ValidationError,
     bootstrap_table,
@@ -23,10 +22,10 @@ from qcert import (
     density_from_ket,
     eof_bound,
     ideal_state,
-    joint_probability_table,
     k_basis,
     load_table,
     noisy_state,
+    outcome_probabilities,
     pair_basis,
     reconstruct,
     save_table,
@@ -120,15 +119,15 @@ class TestSettingMeans:
         assert mapped.P_I / mapped.eta_r == pytest.approx(p / (1 - p), abs=1e-15)
         means = setting_means(density_from_ket(ideal_state(cfg)), basis_s, basis_i,
                               trials=10**6, params=mapped)
-        exact = joint_probability_table(noisy_state(cfg.with_noise(p)), basis_s, basis_i)
+        exact = outcome_probabilities(noisy_state(cfg.with_noise(p)), basis_s.vector_matrix,
+                                      basis_i.vector_matrix)
         ratio = means.coincidences / exact
         assert np.max(ratio) / np.min(ratio) == pytest.approx(1.0, abs=1e-9)
 
     def test_probability_overflow_rejected(self):
         # a fake basis with duplicated outcome vectors breaks completeness
-        proj = x_basis(2).projectors
-        bad = MeasurementBasis(name="dup", side="signal", dim=2,
-                               projectors=(proj[0], proj[1]))
+        bad = MeasurementBasis(name="dup", side="signal", labels=(0, 1),
+                               vector_matrix=x_basis(2).vector_matrix)
         good = x_basis(2, side="idler")
         rng_state = np.eye(4) / 4.0
         from qcert import DensityOperator
@@ -198,8 +197,7 @@ class TestPlanMeans:
         rho.matrix = np.diag([0.75, 0, 0, 0, 0.75, 0, 0, 0, 0]).astype(complex)
 
         def modes(side, *labels):
-            return MeasurementBasis(name=f"m{labels}", side=side, dim=3, projectors=tuple(
-                Projector(np.eye(3)[x], x) for x in labels))
+            return MeasurementBasis(f"m{labels}", side, labels, np.eye(3)[list(labels)])
 
         fine = PlannedSetting("fine", modes("signal", 0, 2), modes("idler", 0, 2))
         full = PlannedSetting("full", modes("signal", 0, 1), modes("idler", 0, 1))
@@ -243,11 +241,10 @@ class TestSimulateSetting:
         assert a != c
 
     def test_outcome_keyed_streams_relabel_invariant(self):
-        # reversing the projector order must not change any labeled count
+        # reversing the outcome order must not change any labeled count
         params = CountingParams(P_S=0.01, eta_r=0.2, P_bg_idler=0.001)
         b_s, b_i = full_bases()
-        rev_i = MeasurementBasis(name=b_i.name, side="idler", dim=2,
-                                 projectors=tuple(reversed(b_i.projectors)))
+        rev_i = MeasurementBasis(b_i.name, "idler", b_i.labels[::-1], b_i.vector_matrix[::-1])
         fwd = simulate_setting(rho2(), b_s, b_i, 10**6, params, seed=9, setting_name="s")
         rev = simulate_setting(rho2(), b_s, rev_i, 10**6, params, seed=9, setting_name="s")
         assert {r.key: r for r in fwd} == {r.key: r for r in rev}
@@ -920,11 +917,16 @@ class TestSimulatePlan:
         assert sorted(streams) == sorted((4, word) for word in setting_words)
         assert words == []
         assert first.records != second.records
-        # one stream per bootstrap replica, seeds s .. s + B - 1, one table word
-        streams.clear()
-        bootstrap_std(first, lambda stack: stack.counts[0].sum(axis=-1), n_bootstrap=5, seed=11)
-        assert [seed for seed, _ in streams] == list(range(11, 16))
-        assert len({word for _, word in streams}) == 1
+        # one stream per bootstrap replica, seeds s .. s + B - 1, one table word,
+        # hashed on the first bootstrap of the table only
+        for hashed in (1, 0):
+            streams.clear()
+            words.clear()
+            bootstrap_std(first, lambda stack: stack.counts[0].sum(axis=-1), n_bootstrap=5,
+                          seed=11)
+            assert [seed for seed, _ in streams] == list(range(11, 16))
+            assert len({word for _, word in streams}) == 1
+            assert len(words) == hashed
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 2**64), st.data())
@@ -935,7 +937,8 @@ class TestSimulatePlan:
         picked = order[:data.draw(st.integers(1, len(plan)))]
 
         def reversed_basis(basis):
-            return replace(basis, projectors=basis.projectors[::-1])
+            return replace(basis, labels=basis.labels[::-1],
+                           vector_matrix=basis.vector_matrix[::-1])
 
         sub_plan = [PlannedSetting(plan[k].name, reversed_basis(plan[k].basis_s),
                                    reversed_basis(plan[k].basis_i)) for k in picked]

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from qcert import (
     DensityOperator,
-    Projector,
     SourceConfig,
     StateVector,
     ValidationError,
@@ -231,15 +230,6 @@ class TestJointProbability:
             outcome_probabilities(rho, [[bad, 0]], [[1, 0]])
         with pytest.raises(ValidationError, match="finite"):
             outcome_probabilities(rho, [[1, 0]], [[0, 1], [bad, 1]])
-
-
-class TestProjector:
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("vector", [[np.nan, 0], [1, np.nan], [complex(0, np.nan), 0],
-                                        [np.inf, 0], [2, 0]])
-    def test_non_unit_or_non_finite_kets_rejected(self, vector):
-        with pytest.raises(ValidationError, match="norm"):
-            Projector(vector, 0)
 
 
 class TestProductKetOracle:

@@ -93,6 +93,22 @@ def test_perfbench_reads_tables_as_records(monkeypatch):
     assert [r.key for r in boot.records] == [r.key for r in sub.records]
 
 
+def test_perfbench_reads_basis_kets(monkeypatch):
+    """perfbench's traced replay reads ``vector_matrix`` on the pair, Bell and
+    tomography bases it synthesizes and on the planned settings, which the
+    import check cannot see: one ket row per label, over the full mode space."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    cfg = SimulationConfig(source=SourceConfig.uniform(4), bell_dimensions=(2, 3),
+                           tomo_pair=(0, 1))
+    pairs = (layers._witness_bases("X", 4) + layers._witness_bases("K", 4)
+             + layers._cglmp_bases(3, 4) + layers._tomo_bases(0, 3, 4)
+             + [(st.basis_s, st.basis_i) for st in build_settings(cfg)])
+    for basis in (b for pair in pairs for b in pair):
+        assert basis.dim == 4
+        assert basis.vector_matrix.shape == (len(basis.labels), basis.dim)
+
+
 def test_check_counts_passes_a_saturated_corrected_bound(monkeypatch):
     """perfbench's counts-certify checks accept a table whose corrected
     formation bound saturates."""
