@@ -23,10 +23,15 @@ order: the cells by (a, b), then the signal singles top-ups, then the idler
 ones.  ``simulate_plan`` tabulates a whole setting plan with one table
 product per block of settings of one cell shape, draws each setting from
 its own stream, and writes the table's columns directly, capped at the trial
-count.
+count.  Its seed-free part, ``plan_means``, holds the means, stream keys and
+row keys, so a run's seed-free inputs can be computed once per configuration
+and drawn with each seed (``pipeline.run_simulation`` does).
 
-A table is columns first: a setting name per row, int64 outcome labels and
-int64 counts C, S_s, S_i, N, checked by one array pass; its CountRecords are
+A table is shared row keys plus its own counts: ``RowKeys`` holds a setting
+name per row and the int64 outcome labels, checked for repeats once, and
+every cache derived from them (setting index, bootstrap order and word,
+cell rows, sub-keys of ``restricted``); the table holds int64 counts C, S_s,
+S_i, N, checked by one array pass, and its metadata.  Its CountRecords are
 a view built on first read.  Bootstrap replica b of a table has one
 generator, SeedSequence([seed + b, table word]) -> PCG64, the table word
 hashing its sorted row keys, and draws every row in sorted-key order, so a
@@ -63,6 +68,8 @@ __all__ = [
     "setting_cells",
     "SettingMeans",
     "setting_means",
+    "PlanMeans",
+    "plan_means",
     "simulate_plan",
     "simulate_setting",
     "cell_estimates",
@@ -281,6 +288,68 @@ def _setting_key(name: str, labels_s: tuple, labels_i: tuple):
     return _key_word(name, tuple(sorted(labels_s)), tuple(sorted(labels_i))), order
 
 
+@dataclass(frozen=True)
+class PlanMeans:
+    """The seed-free part of a plan's simulation: the table's row keys, the
+    trial count and, per block of one cell shape (n_s, n_i), its table rows
+    and each setting's stream word, sorted-label order and means in that
+    order.  ``draw`` makes the seeded part."""
+
+    row_keys: RowKeys
+    trials: int
+    blocks: tuple
+
+    def draw(self, seed: int) -> CoincidenceTable:
+        """The table of ``seed``: each setting makes one ``poisson`` call on
+        its sorted means from its own keyed stream.  Singles are the sum of
+        the setting's coincidences in that outcome plus an independent
+        top-up, which keeps C_SI <= min(C_S, C_I) row by row; coincidences
+        and singles are capped at the trial count, as in the bootstrap."""
+        trials = self.trials
+        counts = np.empty((4, len(self.row_keys.setting)), dtype=np.int64)
+        counts[3] = trials
+        for rows, n_s, n_i, streams in self.blocks:
+            draws = np.empty((len(streams), n_s * n_i + n_s + n_i), dtype=np.int64)
+            for r, (word, order, means) in enumerate(streams):
+                draws[r, order] = _stream(seed, word).poisson(means)
+            cells = np.minimum(draws[:, :n_s * n_i].reshape(-1, n_s, n_i), trials)
+            counts[0, rows] = cells.reshape(len(streams), -1)
+            counts[1, rows] = np.repeat(np.minimum(cells.sum(axis=2) + draws[:, n_s * n_i:-n_i],
+                                                   trials), n_i, axis=1)
+            counts[2, rows] = np.tile(np.minimum(cells.sum(axis=1) + draws[:, -n_i:], trials),
+                                      (1, n_s))
+        return _table(self.row_keys, counts)
+
+
+def plan_means(rho: DensityOperator, plan: list[PlannedSetting], trials: int,
+               params: CountingParams) -> PlanMeans:
+    """The seed-free part of ``simulate_plan``: the means a block of settings
+    at a time, each setting's stream key, and the row keys of the table."""
+    plan_labels = [(st.basis_s.labels, st.basis_i.labels) for st in plan]
+    keys = [_setting_key(st.name, *pair) for st, pair in zip(plan, plan_labels)]
+    sizes = [len(labels_s) * len(labels_i) for labels_s, labels_i in plan_labels]
+    start = np.cumsum([0] + sizes)
+    labels = np.empty((2, start[-1]), dtype=np.int64)
+    blocks = []
+    for idx, lam, mean_s, mean_i in _mean_blocks(
+            rho, [(st.basis_s, st.basis_i) for st in plan], trials, params):
+        m, n_s, n_i = lam.shape
+        # sums over a contiguous last axis add in the order lam[a, :].sum() does
+        means = np.maximum(np.concatenate([
+            lam.reshape(m, -1), mean_s - lam.sum(axis=2),
+            mean_i - np.ascontiguousarray(lam.transpose(0, 2, 1)).sum(axis=2)], axis=1), 0.0)
+        rows = start[idx][:, None] + np.arange(n_s * n_i)
+        labels[0, rows] = np.repeat([plan_labels[k][0] for k in idx], n_i, axis=1)
+        labels[1, rows] = np.tile([plan_labels[k][1] for k in idx], (1, n_s))
+        streams = tuple((*keys[k], means[r, keys[k][1]]) for r, k in enumerate(idx))
+        for array in (rows, *(sorted_means for *_, sorted_means in streams)):
+            array.setflags(write=False)   # shared by every draw of a cached plan
+        blocks.append((rows, n_s, n_i, streams))
+    setting = tuple(itertools.chain.from_iterable(
+        itertools.repeat(st.name, size) for st, size in zip(plan, sizes)))
+    return PlanMeans(RowKeys(setting, labels), trials, tuple(blocks))
+
+
 def simulate_plan(
     rho: DensityOperator,
     plan: list[PlannedSetting],
@@ -289,47 +358,12 @@ def simulate_plan(
     seed: int,
 ) -> CoincidenceTable:
     """Draw the count tables of planned settings as one table, settings in
-    plan order and each setting's cells in basis label order.
-
-    The means come a block of settings at a time; each setting then makes
-    one ``poisson`` call on its means in sorted-label order, from its own
-    keyed stream.  Singles are the sum of the setting's coincidences in that
-    outcome plus an independent top-up, which keeps C_SI <= min(C_S, C_I) row
-    by row; coincidences and singles are capped at the trial count, as in the
-    bootstrap.
+    plan order and each setting's cells in basis label order:
+    ``plan_means(...).draw(seed)``, uncached.
     """
     if not plan:
         return CoincidenceTable()
-    blocks = list(_mean_blocks(rho, [(st.basis_s, st.basis_i) for st in plan], trials, params))
-    plan_labels = [(st.basis_s.labels, st.basis_i.labels) for st in plan]
-    keys = [_setting_key(st.name, *pair) for st, pair in zip(plan, plan_labels)]
-    sizes = [len(labels_s) * len(labels_i) for labels_s, labels_i in plan_labels]
-    start = np.cumsum([0] + sizes)
-    labels = np.empty((2, start[-1]), dtype=np.int64)
-    counts = np.empty((4, start[-1]), dtype=np.int64)
-    counts[3] = trials
-    for idx, lam, mean_s, mean_i in blocks:
-        m, n_s, n_i = lam.shape
-        # sums over a contiguous last axis add in the order lam[a, :].sum() does
-        means = np.maximum(np.concatenate([
-            lam.reshape(m, -1), mean_s - lam.sum(axis=2),
-            mean_i - np.ascontiguousarray(lam.transpose(0, 2, 1)).sum(axis=2)], axis=1), 0.0)
-        draws = np.empty(means.shape, dtype=np.int64)
-        for r, k in enumerate(idx):
-            word, order = keys[k]
-            draws[r, order] = _stream(seed, word).poisson(means[r, order])
-        cells = np.minimum(draws[:, :n_s * n_i].reshape(m, n_s, n_i), trials)
-        rows = start[idx][:, None] + np.arange(n_s * n_i)
-        counts[0, rows] = cells.reshape(m, -1)
-        counts[1, rows] = np.repeat(np.minimum(cells.sum(axis=2) + draws[:, n_s * n_i:-n_i],
-                                               trials), n_i, axis=1)
-        counts[2, rows] = np.tile(np.minimum(cells.sum(axis=1) + draws[:, -n_i:], trials),
-                                  (1, n_s))
-        labels[0, rows] = np.repeat([plan_labels[k][0] for k in idx], n_i, axis=1)
-        labels[1, rows] = np.tile([plan_labels[k][1] for k in idx], (1, n_s))
-    setting = tuple(itertools.chain.from_iterable(
-        itertools.repeat(st.name, size) for st, size in zip(plan, sizes)))
-    return CoincidenceTable(setting, labels, counts)
+    return plan_means(rho, plan, trials, params).draw(seed)
 
 
 def simulate_setting(
@@ -354,13 +388,105 @@ def _columns(rows):
     return setting, columns[:2], columns[2:]
 
 
+def _checked_counts(counts: np.ndarray, key_of) -> np.ndarray:
+    """(4, rows) int64 counts, made read-only, after one array check refuses,
+    naming it by ``key_of(row)``, a row that breaks 0 <= C <= min(S_s, S_i),
+    max(C, S_s, S_i) <= N or N >= 1."""
+    c, s, i, n = counts
+    bad = np.stack([np.minimum(c, np.minimum(s, i)) < 0, n < 1, c > np.minimum(s, i),
+                    np.maximum(c, np.maximum(s, i)) > n])
+    if bad.any():
+        row = int(bad.any(axis=0).argmax())
+        raise _RowError(row, key_of(row), (
+            "counts must be non-negative", "trials must be at least 1",
+            "coincidences exceed the singles counts",
+            "counts exceed the trial count")[int(bad[:, row].argmax())])
+    counts.setflags(write=False)
+    return counts
+
+
+class RowKeys:
+    """The row keys of count tables: a setting name per row (``setting``) and
+    (2, rows) int64 outcome ``labels``, refused, naming the row, if a key
+    repeats.  Tables drawn from one configuration share one RowKeys, and with
+    it every cache derived from the keys: the setting index, the bootstrap
+    order and key word, the cell rows per settings plan and the sub-keys per
+    set of setting names."""
+
+    def __init__(self, setting: tuple, labels: np.ndarray):
+        keys = tuple(zip(setting, *labels.tolist()))
+        if len(set(keys)) < len(keys):
+            seen = set()
+            row = next(r for r, key in enumerate(keys) if key in seen or seen.add(key))
+            raise _RowError(row, keys[row], "duplicate record key")
+        labels.setflags(write=False)
+        self.setting, self.labels, self.keys = setting, labels, keys
+        self._cell_rows = {}
+        self._sub_keys = {}
+
+    @functools.cached_property
+    def index(self) -> dict:
+        """Each setting's (outcome_s, outcome_i) cells to their rows."""
+        index: dict[str, dict[tuple[int, int], int]] = {}
+        for row, (name, a, b) in enumerate(self.keys):
+            index.setdefault(name, {})[a, b] = row
+        return index
+
+    @functools.cached_property
+    def replica_key(self):
+        """The rows in sorted-key order, the inverse of that order and the
+        bootstrap key word hashing the sorted keys: what every replica draws
+        by."""
+        keys = self.keys
+        order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
+        word = _key_word("bootstrap", *(part for row in order for part in keys[row]))
+        return order, np.argsort(order), word
+
+    def cell_rows(self, settings: tuple) -> np.ndarray:
+        """The (settings, n_s, n_i) rows of settings that share one cell shape,
+        cells in basis label order; cached per settings sequence, which is
+        kept alive so its ids stay unique.  A setting whose cells are
+        missing, incomplete or labelled otherwise raises one ValidationError."""
+        plan = tuple(map(id, settings))
+        if plan not in self._cell_rows:
+            rows = []
+            for setting in settings:
+                recs = self.index.get(setting.name, {})
+                keys = [key for row in setting.cells for key in row]
+                present = sum(key in recs for key in keys)
+                if present != len(keys) or len(recs) != len(keys):
+                    raise ValidationError(
+                        f"setting {setting.name!r} missing, incomplete or mislabelled: "
+                        f"{present} of its {len(keys)} outcome cells among {len(recs)} records")
+                rows.append([[recs[key] for key in row] for row in setting.cells])
+            self._cell_rows[plan] = settings, np.array(rows, dtype=np.intp)
+        return self._cell_rows[plan][1]
+
+    def sub_keys(self, wanted: frozenset):
+        """The rows of the named settings, in order, and their RowKeys."""
+        if wanted not in self._sub_keys:
+            rows = np.array([r for r, name in enumerate(self.setting) if name in wanted],
+                            dtype=np.intp)
+            self._sub_keys[wanted] = rows, RowKeys(tuple(self.setting[r] for r in rows),
+                                                   self.labels[:, rows])
+        return self._sub_keys[wanted]
+
+
+def _table(row_keys: RowKeys, counts: np.ndarray, metadata=None) -> "CoincidenceTable":
+    """A table on shared row keys: its counts are checked as any table's."""
+    table = object.__new__(CoincidenceTable)
+    table._init(row_keys, _checked_counts(counts, row_keys.keys.__getitem__), metadata)
+    return table
+
+
 class CoincidenceTable:
-    """An immutable count table plus run metadata, held as columns: a setting
-    name per row (``setting``), (2, rows) int64 outcome ``labels`` and (4, rows)
-    int64 ``counts`` C, S_s, S_i and N.  One array check refuses, naming it, a
-    row that breaks 0 <= C <= min(S_s, S_i), max(C, S_s, S_i) <= N, N >= 1 or
-    the int64 range, or repeats a key.  ``records=`` gives the columns as
-    CountRecords; ``records`` reads them back, built once and not rechecked.
+    """An immutable count table plus run metadata: shared ``row_keys`` (a
+    setting name per row, ``setting``, and (2, rows) int64 outcome
+    ``labels``) and its own (4, rows) int64 ``counts`` C, S_s, S_i and N.
+    One array check refuses, naming it, a row that breaks
+    0 <= C <= min(S_s, S_i), max(C, S_s, S_i) <= N, N >= 1 or the int64
+    range, or repeats a key.  ``records=`` gives the columns as CountRecords;
+    ``records`` reads them back, built once and not rechecked.
     """
 
     def __init__(self, setting=(), labels=(), counts=(), metadata=None, *, records=None):
@@ -380,25 +506,13 @@ class CoincidenceTable:
         if not len(setting) == labels.shape[1] == counts.shape[1]:
             raise ValidationError(f"{len(setting)} setting names, {labels.shape[1]} label "
                                   f"rows and {counts.shape[1]} count rows differ")
-        c, s, i, n = counts
-        bad = np.stack([np.minimum(c, np.minimum(s, i)) < 0, n < 1, c > np.minimum(s, i),
-                        np.maximum(c, np.maximum(s, i)) > n])
-        keys = list(zip(setting, *labels.tolist()))
-        if bad.any():
-            row = int(bad.any(axis=0).argmax())
-            raise _RowError(row, keys[row], (
-                "counts must be non-negative", "trials must be at least 1",
-                "coincidences exceed the singles counts",
-                "counts exceed the trial count")[int(bad[:, row].argmax())])
-        if len(set(keys)) < len(keys):
-            seen = set()
-            row = next(r for r, key in enumerate(keys) if key in seen or seen.add(key))
-            raise _RowError(row, keys[row], "duplicate record key")
-        labels.setflags(write=False)
-        counts.setflags(write=False)
-        self.setting, self.labels, self.counts = setting, labels, counts
+        counts = _checked_counts(counts, lambda row: (setting[row], *labels[:, row].tolist()))
+        self._init(RowKeys(setting, labels), counts, metadata)
+
+    def _init(self, row_keys: RowKeys, counts: np.ndarray, metadata) -> None:
+        self.row_keys, self.setting, self.labels = row_keys, row_keys.setting, row_keys.labels
+        self.counts = counts
         self.metadata = {} if metadata is None else metadata
-        self._cell_rows = {}
         self._restricted = {}
 
     @functools.cached_property
@@ -410,40 +524,22 @@ class CoincidenceTable:
             records.append(rec)
         return tuple(records)
 
-    @functools.cached_property
-    def _replica_key(self):
-        """The rows in sorted-key order, the inverse of that order and the
-        bootstrap key word hashing the sorted keys: what every replica of the
-        table draws by, hashed once."""
-        keys = list(zip(self.setting, *self.labels.tolist()))
-        order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
-        word = _key_word("bootstrap", *(part for row in order for part in keys[row]))
-        return order, np.argsort(order), word
-
-    @functools.cached_property
-    def _index(self) -> dict:
-        """Each setting's (outcome_s, outcome_i) cells to their rows."""
-        index: dict[str, dict[tuple[int, int], int]] = {}
-        for row, (name, a, b) in enumerate(zip(self.setting, *self.labels.tolist())):
-            index.setdefault(name, {})[a, b] = row
-        return index
-
     def settings(self) -> list[str]:
         return list(dict.fromkeys(self.setting))
 
     def by_setting(self, setting: str) -> dict[tuple[int, int], CountRecord]:
-        return {cell: self.records[row] for cell, row in self._index.get(setting, {}).items()}
+        return {cell: self.records[row]
+                for cell, row in self.row_keys.index.get(setting, {}).items()}
 
     def restricted(self, settings) -> "CoincidenceTable":
         """The rows of the given settings only, in table order.  The result
-        depends only on the set of names, so one sub-table per set is built
-        and shared, with its caches, by later calls."""
+        depends only on the set of names: one sub-table per set is built and
+        shared by later calls, and its row keys by every table on these."""
         wanted = frozenset(settings)
         if wanted not in self._restricted:
-            keep = [name in wanted for name in self.setting]
-            self._restricted[wanted] = CoincidenceTable(
-                itertools.compress(self.setting, keep), self.labels[:, keep],
-                self.counts[:, keep], dict(self.metadata))
+            rows, sub_keys = self.row_keys.sub_keys(wanted)
+            self._restricted[wanted] = _table(sub_keys, self.counts[:, rows],
+                                              dict(self.metadata))
         return self._restricted[wanted]
 
     def merged(self, other: "CoincidenceTable") -> "CoincidenceTable":
@@ -501,22 +597,7 @@ def setting_cells(data, settings, corrected: bool = False):
     table = data.table if isinstance(data, ReplicaStack) else data
     if not isinstance(table, CoincidenceTable):
         raise ValidationError("expected a DensityOperator or a CoincidenceTable")
-    # cached per table and settings sequence, kept alive so its ids stay unique
-    settings = tuple(settings)
-    plan = tuple(map(id, settings))
-    if plan not in table._cell_rows:
-        rows = []
-        for setting in settings:
-            recs = table._index.get(setting.name, {})
-            keys = [key for row in setting.cells for key in row]
-            present = sum(key in recs for key in keys)
-            if present != len(keys) or len(recs) != len(keys):
-                raise ValidationError(
-                    f"setting {setting.name!r} missing, incomplete or mislabelled: {present} "
-                    f"of its {len(keys)} outcome cells among {len(recs)} records")
-            rows.append([[recs[key] for key in row] for row in setting.cells])
-        table._cell_rows[plan] = settings, np.array(rows, dtype=np.intp)
-    rows = table._cell_rows[plan][1]
+    rows = table.row_keys.cell_rows(tuple(settings))
     return cell_estimates((data.counts if corrected else data.counts[:1])[..., rows], corrected)
 
 
@@ -604,7 +685,7 @@ def _replica_blocks(table: CoincidenceTable, seed: int, n_replicas: int,
     alone, which is the first row of that call bit for bit, and a block
     holds (1, replicas, rows)."""
     seed = _checked_seed(seed)
-    order, inverse, word = table._replica_key
+    order, inverse, word = table.row_keys.replica_key
     c, s, i, n = table.counts
     means = np.stack([c, s - c, i - c][:3 if singles else 1])[:, order].astype(float)
     block = max(1, _BLOCK_CELLS // max(len(order), 1))
@@ -623,7 +704,7 @@ def bootstrap_table(table: CoincidenceTable, seed: int) -> CoincidenceTable:
     one-replica view of the draw ``bootstrap_std`` stacks (no draw of its
     own).  A negative seed raises ValidationError."""
     counts = next(_replica_blocks(table, seed, 1))[:, 0]
-    return CoincidenceTable(table.setting, table.labels, counts, dict(table.metadata))
+    return _table(table.row_keys, counts, dict(table.metadata))
 
 
 def bootstrap_std(table: CoincidenceTable, statistic, n_bootstrap: int, seed: int,

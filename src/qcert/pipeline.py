@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from .errors import ValidationError
 from .linalg import DensityOperator, StateVector, density_from_ket, fidelity_to_pure, restrict_to_pair
 from . import bases
 from .bases import PlannedSetting
-from .counting import (CoincidenceTable, CountingParams, setting_cells, simulate_plan,
+from .counting import (CoincidenceTable, CountingParams, PlanMeans, plan_means, setting_cells,
                        with_accidental_noise)
 from .certify import (_b_from_terms, _ebits_from_b, _eof_exact_elements, _eof_exact_terms,
                       _visibilities, _witness_pairs, cglmp)
@@ -82,11 +83,17 @@ class SimulationConfig:
     repetition_rate_hz: float = 16000.0
 
     def __post_init__(self) -> None:
+        for name in ("spaces", "bell_dimensions", "tomo_pair"):   # hashable, as a cache key
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         bases._check_mode_count(self.source.num_modes)
         if self.trials_per_setting < 1:
             raise ValidationError("trials_per_setting must be at least 1")
         for space in self.spaces:
             naming.require_space(space)
+        for name in ("spaces", "bell_dimensions"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValidationError(f"{name} repeats an entry: {list(values)}")
         for d in self.bell_dimensions:
             if not (2 <= d <= self.source.num_modes):
                 raise ValidationError(f"bell dimension {d} outside 2..{self.source.num_modes}")
@@ -95,6 +102,9 @@ class SimulationConfig:
             raise ValidationError(f"invalid tomography pair {self.tomo_pair}")
         if self.noise_channel not in ("counting", "state"):
             raise ValidationError("noise_channel must be 'counting' or 'state'")
+        if not (0.0 < self.repetition_rate_hz < math.inf):
+            raise ValidationError(f"repetition_rate_hz must be finite and positive, "
+                                  f"got {self.repetition_rate_hz!r}")
         # the counting channel's accidental noise must leave valid parameters
         effective_params(self)
 
@@ -312,10 +322,24 @@ def effective_params(cfg: SimulationConfig) -> CountingParams:
     return cfg.counting
 
 
-def _simulate(cfg: SimulationConfig, plan: list[PlannedSetting]) -> CoincidenceTable:
-    """The count table of the planned settings, in plan order."""
-    return simulate_plan(sampling_state(cfg), plan, cfg.trials_per_setting,
-                         effective_params(cfg), cfg.seed)
+def _bell_plan(cfg: SimulationConfig) -> list[PlannedSetting]:
+    """The Bell settings of every requested dimension, in canonical order."""
+    return [st for d in cfg.bell_dimensions for st in bases.bell_settings(d, cfg.source.num_modes)]
+
+
+# Seed-free plan inputs of the last few configurations: counts-certify and
+# seeded coverage studies redraw one configuration with many seeds.
+@functools.lru_cache(maxsize=4)
+def _plan_means(plan_of, cfg: SimulationConfig) -> PlanMeans:
+    return plan_means(sampling_state(cfg), plan_of(cfg), cfg.trials_per_setting,
+                      effective_params(cfg))
+
+
+def _simulate(cfg: SimulationConfig, plan_of=build_settings) -> CoincidenceTable:
+    """The count table of the settings ``plan_of(cfg)``, in plan order: the
+    seed-free inputs are computed once per configuration (every field but
+    the seed, arrays compared by dtype and bytes) and drawn with its seed."""
+    return _plan_means(plan_of, replace(cfg, seed=0)).draw(cfg.seed)
 
 
 def run_simulation(cfg: SimulationConfig, workers: int = 1) -> CoincidenceTable:
@@ -325,7 +349,7 @@ def run_simulation(cfg: SimulationConfig, workers: int = 1) -> CoincidenceTable:
     working.  (A two-thread pool measured about twice as slow as one
     thread.)
     """
-    table = _simulate(cfg, build_settings(cfg))
+    table = _simulate(cfg)
     table.metadata.update({
         "seed": cfg.seed,
         "P_S": cfg.counting.P_S,
@@ -392,8 +416,7 @@ def violation_curve(
     sim = SimulationConfig(source=cfg, counting=params, trials_per_setting=trials, seed=seed,
                            spaces=(), bell_dimensions=tuple(d_list), tomo_pair=(0, 1),
                            noise_channel=noise_channel)
-    plan = [st for d in d_list for st in bases.bell_settings(d, cfg.num_modes)]
-    table = _simulate(sim, plan)
+    table = _simulate(sim, _bell_plan)
     for d in d_list:
         for variant, corrected in (("raw", False), ("corrected", True)):
             res = cglmp(table, d, corrected=corrected, margin=margin)

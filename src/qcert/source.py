@@ -33,12 +33,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SourceConfig:
     """Source description: mode count, amplitudes, phases, noise weight.
 
     ``coefficients`` must already be normalized (sum |C_i|^2 = 1 within
-    1e-12); use the factories to build normalized configs.
+    1e-12); use the factories to build normalized configs.  Configs are
+    equal, and hash alike, when their values are: arrays by dtype and bytes.
     """
 
     num_modes: int = 10
@@ -72,6 +73,18 @@ class SourceConfig:
         phases.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "phase_mismatch", phases)
+
+    def _value(self) -> tuple:
+        return (self.num_modes, self.noise_fraction,
+                *((a.dtype.str, a.tobytes()) for a in (self.coefficients, self.phase_mismatch)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SourceConfig):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
 
     @classmethod
     def uniform(cls, num_modes: int = 10, noise_fraction: float = 0.0,

@@ -409,21 +409,22 @@ class TestEofCounts:
         assert abs(np.mean(vals) - exact) < 4 * sigma_mean
 
     def test_raw_and_corrected_share_one_sub_table(self, monkeypatch):
-        index = CoincidenceTable._index.func
+        index = counting.RowKeys.index.func
         indexed = []
 
-        def counted(table):
-            indexed.append(table)
-            return index(table)
+        def counted(keys):
+            indexed.append(keys)
+            return index(keys)
 
         prop = functools.cached_property(counted)
-        prop.__set_name__(CoincidenceTable, "_index")
-        monkeypatch.setattr(CoincidenceTable, "_index", prop)
+        prop.__set_name__(counting.RowKeys, "index")
+        monkeypatch.setattr(counting.RowKeys, "index", prop)
         table = self.build_table(0.2, 10**5, 1, d=3)
         raw = eof_bound(table, n_bootstrap=5, seed=2)
         corrected = eof_bound(table, corrected=True, n_bootstrap=5, seed=2)
-        # the restricted table, its row index and its cell rows are built once
-        assert len(indexed) == 1 and indexed[0] is not table
+        # the restricted table, the row index of its keys and its cell rows are
+        # built once
+        assert len(indexed) == 1 and indexed[0] is not table.row_keys
         assert raw.ebits != corrected.ebits
 
     @pytest.mark.parametrize("path", ["exact", "counts"])

@@ -126,6 +126,25 @@ class TestSimulate:
             assert "mode count must be between 1 and 10, got 11" in res.stderr
             assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("spaces", ["X", "X"], "spaces repeats an entry"),
+        ("bell_dimensions", [3, 3], "bell_dimensions repeats an entry"),
+        ("repetition_rate_hz", math.nan, "finite and positive, got nan"),
+        ("repetition_rate_hz", math.inf, "finite and positive, got inf"),
+        ("repetition_rate_hz", -5, "finite and positive, got -5.0"),
+    ])
+    def test_malformed_config_exit_2_before_any_output(self, tmp_path, field, value, message):
+        cfg = SimulationConfig(source=SourceConfig.uniform(4), bell_dimensions=(2, 3),
+                               tomo_pair=(0, 1)).to_json_dict()
+        # json writes NaN and Infinity, and reads them back as floats
+        (tmp_path / "cfg.json").write_text(json.dumps({**cfg, field: value}))
+        for args in (["simulate", "--out-dir", "run"], ["sweep", "--grid", "0,0.1"]):
+            res = run_cli(args[0], "--config", "cfg.json", *args[1:], cwd=tmp_path)
+            assert res.returncode == 2, res.stderr
+            assert "Traceback" not in res.stderr
+            assert message in res.stderr
+            assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_invalid_config_exits_2(self, small_config):
         bad = small_config.parent / "bad.json"
         bad.write_text('{"source": {"D": 3}}')

@@ -905,6 +905,7 @@ class TestSimulatePlan:
 
         monkeypatch.setattr(counting, "_stream", counted_stream)
         monkeypatch.setattr(counting, "_key_word", counted_word)
+        pipeline._plan_means.cache_clear()   # fresh row keys, whatever ran before
         cfg = small_plan_config(seed=3)
         first = pipeline.run_simulation(cfg)
         setting_words = [counting._setting_key(st.name, st.basis_s.labels, st.basis_i.labels)[0]
@@ -918,11 +919,12 @@ class TestSimulatePlan:
         assert words == []
         assert first.records != second.records
         # one stream per bootstrap replica, seeds s .. s + B - 1, one table word,
-        # hashed on the first bootstrap of the table only
-        for hashed in (1, 0):
+        # hashed once per row-key layout: the second run's table shares it
+        assert second.row_keys is first.row_keys
+        for table, hashed in ((first, 1), (first, 0), (second, 0)):
             streams.clear()
             words.clear()
-            bootstrap_std(first, lambda stack: stack.counts[0].sum(axis=-1), n_bootstrap=5,
+            bootstrap_std(table, lambda stack: stack.counts[0].sum(axis=-1), n_bootstrap=5,
                           seed=11)
             assert [seed for seed, _ in streams] == list(range(11, 16))
             assert len({word for _, word in streams}) == 1

@@ -127,6 +127,20 @@ class TestSourceConfigValidation:
         with pytest.raises(ValidationError, match="D must be an integer"):
             SourceConfig.from_json_dict(data)
 
+    def test_equal_by_value_and_hashed_alike(self):
+        a, b = SourceConfig.uniform(4), SourceConfig.uniform(4)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert SourceConfig(4, np.full(4, 0.5), np.zeros(4)) == a
+        assert {a: 1}[b] == 1
+        assert a != "uniform" and a != a.with_noise(0.1)
+        # arrays compare by bytes: one ulp in one phase or amplitude differs
+        tiny = np.zeros(4)
+        tiny[2] = np.nextafter(0.0, 1.0)
+        assert SourceConfig.uniform(4, phases=tiny) != a
+        coeffs = a.coefficients.copy()
+        coeffs[0] = np.nextafter(coeffs[0].real, 1.0)
+        assert SourceConfig(4, coeffs) != a
+
     def test_truncated_renormalizes(self):
         cfg = SourceConfig.uniform(10).truncated(4)
         assert cfg.num_modes == 4
