@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__ as VERSION
@@ -97,7 +98,7 @@ def _load_config(args, default_preset: str) -> SimulationConfig:
     else:
         cfg = preset(args.preset or default_preset)
     if seed is not None:
-        cfg = SimulationConfig.from_json_dict({**cfg.to_json_dict(), "seed": seed})
+        cfg = replace(cfg, seed=seed)
     return cfg
 
 

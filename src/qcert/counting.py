@@ -527,10 +527,6 @@ class CoincidenceTable:
     def settings(self) -> list[str]:
         return list(dict.fromkeys(self.setting))
 
-    def by_setting(self, setting: str) -> dict[tuple[int, int], CountRecord]:
-        return {cell: self.records[row]
-                for cell, row in self.row_keys.index.get(setting, {}).items()}
-
     def restricted(self, settings) -> "CoincidenceTable":
         """The rows of the given settings only, in table order.  The result
         depends only on the set of names: one sub-table per set is built and

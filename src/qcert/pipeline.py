@@ -61,11 +61,54 @@ TOMO_PHASE_DEG = 17.0
 TOMO_PAIR = (0, 5)
 
 
-def _integer(value, name: str) -> int:
-    """A config value that must be a JSON integer (no float, no bool)."""
-    if type(value) is not int:
-        raise ValidationError(f"bad simulation config: {name}: expected an integer, got {value!r}")
-    return value
+# The config file: one table per JSON block, mapping each key to its JSON
+# type.  A number is read as a float and a list as a tuple; a bool is
+# neither an int nor a number.  A missing key takes the dataclass default;
+# the source block has none, so it and all of its keys are required.
+CONFIG_FORMAT = {
+    "config": {"schema_version": "int", "source": "object", "counting": "object",
+               "trials_per_setting": "int", "seed": "int", "spaces": "list of str",
+               "bell_dimensions": "list of int", "tomo_pair": "list of int",
+               "noise_channel": "str", "repetition_rate_hz": "number"},
+    "source": {"D": "int", "coefficients_re": "list of number",
+               "coefficients_im": "list of number", "phases_deg": "list of number",
+               "noise_fraction": "number"},
+    "counting": {"P_S": "number", "eta_r": "number", "P_bg_idler": "number"},
+}
+_REQUIRED_KEYS = {"config": ("source",), "source": tuple(CONFIG_FORMAT["source"]), "counting": ()}
+_JSON_TYPES = {"int": (int,), "number": (int, float), "str": (str,)}
+
+
+def _config_error(message: str) -> ValidationError:
+    return ValidationError(f"bad simulation config: {message}")
+
+
+def _read_block(name: str, data) -> dict:
+    """One JSON block of the config file, each value read as its key's type."""
+    keys = CONFIG_FORMAT[name]
+    if type(data) is not dict:
+        raise _config_error(f"{name} must be a JSON object")
+    for key in data:
+        if key not in keys:
+            raise _config_error(f"{name}: unknown key {key!r}")
+    for key in _REQUIRED_KEYS[name]:
+        if key not in data:
+            raise _config_error(f"{name}.{key} is missing")
+    return {key: _read_value(name, key, value) for key, value in data.items()}
+
+
+def _read_value(block: str, key: str, value):
+    kind = CONFIG_FORMAT[block][key]
+    if kind == "object":
+        return _read_block(key, value)
+    item = kind.removeprefix("list of ")
+    listed = item != kind
+    items = value if listed and type(value) is list else [value]
+    if (listed and type(value) is not list) or any(type(v) not in _JSON_TYPES[item] for v in items):
+        raise _config_error(f"{block}.{key}: expected {kind}, got {value!r}")
+    if item == "number":
+        items = [float(v) for v in items]
+    return tuple(items) if listed else items[0]
 
 
 @dataclass(frozen=True)
@@ -88,6 +131,8 @@ class SimulationConfig:
         bases._check_mode_count(self.source.num_modes)
         if self.trials_per_setting < 1:
             raise ValidationError("trials_per_setting must be at least 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed}")
         for space in self.spaces:
             naming.require_space(space)
         for name in ("spaces", "bell_dimensions"):
@@ -97,6 +142,8 @@ class SimulationConfig:
         for d in self.bell_dimensions:
             if not (2 <= d <= self.source.num_modes):
                 raise ValidationError(f"bell dimension {d} outside 2..{self.source.num_modes}")
+        if len(self.tomo_pair) != 2:
+            raise ValidationError(f"tomo_pair must name two modes, got {list(self.tomo_pair)}")
         j, k = self.tomo_pair
         if j == k or not (0 <= j < self.source.num_modes) or not (0 <= k < self.source.num_modes):
             raise ValidationError(f"invalid tomography pair {self.tomo_pair}")
@@ -109,50 +156,37 @@ class SimulationConfig:
         effective_params(self)
 
     def to_json_dict(self) -> dict:
-        return {
+        src = self.source
+        data = {
             "schema_version": SCHEMA_VERSION,
-            "source": self.source.to_json_dict(),
-            "counting": {
-                "P_S": self.counting.P_S,
-                "eta_r": self.counting.eta_r,
-                "P_bg_idler": self.counting.P_bg_idler,
-            },
-            "trials_per_setting": self.trials_per_setting,
-            "seed": self.seed,
-            "spaces": list(self.spaces),
-            "bell_dimensions": list(self.bell_dimensions),
-            "tomo_pair": list(self.tomo_pair),
-            "noise_channel": self.noise_channel,
-            "repetition_rate_hz": self.repetition_rate_hz,
+            "source": {"D": src.num_modes, "coefficients_re": src.coefficients.real.tolist(),
+                       "coefficients_im": src.coefficients.imag.tolist(),
+                       "phases_deg": np.degrees(src.phase_mismatch).tolist(),
+                       "noise_fraction": src.noise_fraction},
+            "counting": {key: getattr(self.counting, key) for key in CONFIG_FORMAT["counting"]},
         }
+        for key in CONFIG_FORMAT["config"].keys() - data.keys():   # the dataclass fields
+            value = getattr(self, key)
+            data[key] = list(value) if isinstance(value, tuple) else value
+        return data
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "SimulationConfig":
-        if not isinstance(data, dict) or not isinstance(data.get("counting", {}), dict):
-            raise ValidationError(
-                "bad simulation config: the config and its counting block must be JSON objects")
-        try:
-            counting = data.get("counting", {})
-            return cls(
-                source=SourceConfig.from_json_dict(data["source"]),
-                counting=CountingParams(
-                    P_S=float(counting.get("P_S", 0.006)),
-                    eta_r=float(counting.get("eta_r", 0.1)),
-                    P_bg_idler=float(counting.get("P_bg_idler", 0.0)),
-                ),
-                trials_per_setting=_integer(data.get("trials_per_setting", 100_000),
-                                            "trials_per_setting"),
-                seed=_integer(data.get("seed", DEFAULT_SEED), "seed"),
-                spaces=tuple(data.get("spaces", ["X", "K"])),
-                bell_dimensions=tuple(_integer(d, "bell_dimensions")
-                                      for d in data.get("bell_dimensions", range(2, 11))),
-                tomo_pair=tuple(_integer(m, "tomo_pair")
-                                for m in data.get("tomo_pair", TOMO_PAIR)),
-                noise_channel=data.get("noise_channel", "counting"),
-                repetition_rate_hz=float(data.get("repetition_rate_hz", 16000.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad simulation config: {exc}") from exc
+    def from_json_dict(cls, data) -> "SimulationConfig":
+        fields = _read_block("config", data)
+        version = fields.pop("schema_version", SCHEMA_VERSION)
+        if version != SCHEMA_VERSION:
+            raise _config_error(f"config.schema_version: expected {SCHEMA_VERSION}, got {version}")
+        src = fields.pop("source")
+        real = src["coefficients_re"]
+        for key in ("coefficients_im", "phases_deg"):
+            if len(src[key]) != len(real):
+                raise _config_error(f"source.{key}: {len(src[key])} entries, "
+                                    f"coefficients_re has {len(real)}")
+        source = SourceConfig(src["D"], [complex(*c) for c in zip(real, src["coefficients_im"])],
+                              np.radians(src["phases_deg"]), src["noise_fraction"])
+        if "counting" in fields:
+            fields["counting"] = CountingParams(**fields["counting"])
+        return cls(source=source, **fields)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -343,7 +377,8 @@ def _simulate(cfg: SimulationConfig, plan_of=build_settings) -> CoincidenceTable
 
 
 def run_simulation(cfg: SimulationConfig, workers: int = 1) -> CoincidenceTable:
-    """Simulate every planned setting in one pass (``simulate_plan``).
+    """Simulate every planned setting: the configuration's cached seed-free
+    inputs (``counting.PlanMeans``) drawn with its seed.
 
     ``workers`` has no effect; it is accepted so existing callers keep
     working.  (A two-thread pool measured about twice as slow as one

@@ -65,8 +65,10 @@ class SourceConfig:
         if phases.size != self.num_modes:
             raise ValidationError("phase_mismatch length must equal num_modes")
         total = float(np.sum(np.abs(coeffs) ** 2))
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:   # NaN too
             raise ValidationError(f"sum |C_i|^2 = {total!r}, expected 1 within 1e-12")
+        if not np.isfinite(phases).all():
+            raise ValidationError("phase_mismatch must be finite")
         if not (0.0 <= self.noise_fraction <= 1.0):
             raise ValidationError("noise_fraction must lie in [0, 1]")
         coeffs.setflags(write=False)
@@ -107,48 +109,8 @@ class SourceConfig:
         amps /= np.linalg.norm(amps)
         return cls(num_modes=num_modes, coefficients=amps, noise_fraction=noise_fraction)
 
-    def truncated(self, d: int) -> "SourceConfig":
-        """Source restricted to the first d modes, renormalized."""
-        if not (1 <= d <= self.num_modes):
-            raise ValidationError(f"cannot truncate {self.num_modes} modes to {d}")
-        coeffs = self.coefficients[:d].copy()
-        norm = np.linalg.norm(coeffs)
-        if norm < 1e-300:
-            raise ValidationError("truncated coefficients vanish")
-        return SourceConfig(
-            num_modes=d,
-            coefficients=coeffs / norm,
-            phase_mismatch=self.phase_mismatch[:d].copy(),
-            noise_fraction=self.noise_fraction,
-        )
-
     def with_noise(self, noise_fraction: float) -> "SourceConfig":
         return replace(self, noise_fraction=noise_fraction)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "D": self.num_modes,
-            "coefficients_re": self.coefficients.real.tolist(),
-            "coefficients_im": self.coefficients.imag.tolist(),
-            "phases_deg": np.degrees(self.phase_mismatch).tolist(),
-            "noise_fraction": self.noise_fraction,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SourceConfig":
-        try:
-            num_modes = data["D"]
-            if type(num_modes) is not int:
-                raise ValidationError(f"source config: D must be an integer, got {num_modes!r}")
-            coeffs = np.asarray(data["coefficients_re"], dtype=float) + 1j * np.asarray(
-                data["coefficients_im"], dtype=float
-            )
-            phases = np.radians(np.asarray(data["phases_deg"], dtype=float))
-            noise = float(data["noise_fraction"])
-        except KeyError as exc:
-            raise ValidationError(f"source config missing field {exc}") from exc
-        return cls(num_modes=num_modes, coefficients=coeffs,
-                   phase_mismatch=phases, noise_fraction=noise)
 
 
 def ideal_state(cfg: SourceConfig) -> StateVector:

@@ -163,7 +163,7 @@ def oracle_estimate(rec, corrected):
 
 def oracle_setting_cells(table, setting, corrected):
     """One setting's cell values and variances as nested lists."""
-    recs = table.by_setting(setting.name)
+    recs = {(r.outcome_s, r.outcome_i): r for r in table.records if r.setting == setting.name}
     ests = [[oracle_estimate(recs[key], corrected) for key in row] for row in setting.cells]
     return ([[value for value, _ in row] for row in ests],
             [[err**2 for _, err in row] for row in ests])

@@ -117,8 +117,9 @@ class TestSimulate:
     def test_too_many_modes_exit_2_before_any_output(self, tmp_path):
         cfg = SimulationConfig(source=SourceConfig.uniform(4), bell_dimensions=(2,),
                                tomo_pair=(0, 1)).to_json_dict()
-        (tmp_path / "cfg.json").write_text(
-            json.dumps({**cfg, "source": SourceConfig.uniform(11).to_json_dict()}))
+        source = {"D": 11, "coefficients_re": [11 ** -0.5] * 11, "coefficients_im": [0.0] * 11,
+                  "phases_deg": [0.0] * 11, "noise_fraction": 0.0}
+        (tmp_path / "cfg.json").write_text(json.dumps({**cfg, "source": source}))
         for args in (["simulate", "--out-dir", "run"], ["sweep", "--grid", "0,0.1"]):
             res = run_cli(args[0], "--config", "cfg.json", *args[1:], cwd=tmp_path)
             assert res.returncode == 2, res.stderr

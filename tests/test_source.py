@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcert import (
+    SimulationConfig,
     SourceConfig,
     ValidationError,
     density_from_ket,
@@ -113,19 +114,22 @@ class TestSourceConfigValidation:
         assert np.std(np.abs(cfg.coefficients)) > 0
 
     def test_json_round_trip(self):
-        cfg = SourceConfig.uniform(4, noise_fraction=0.3,
+        src = SourceConfig.uniform(4, noise_fraction=0.3,
                                    phases=np.radians([0, 5, -10, 90]))
-        back = SourceConfig.from_json_dict(cfg.to_json_dict())
+        cfg = SimulationConfig(source=src, bell_dimensions=(2,), tomo_pair=(0, 1))
+        back = SimulationConfig.from_json_dict(cfg.to_json_dict()).source
         assert back.num_modes == 4
         assert back.noise_fraction == pytest.approx(0.3)
-        assert_allclose(back.coefficients, cfg.coefficients, atol=1e-15)
-        assert_allclose(back.phase_mismatch, cfg.phase_mismatch, atol=1e-15)
+        assert_allclose(back.coefficients, src.coefficients, atol=1e-15)
+        assert_allclose(back.phase_mismatch, src.phase_mismatch, atol=1e-15)
 
     @pytest.mark.parametrize("dim", [4.7, 4.0, True, "4"])
     def test_json_non_integer_mode_count_rejected(self, dim):
-        data = {**SourceConfig.uniform(4).to_json_dict(), "D": dim}
-        with pytest.raises(ValidationError, match="D must be an integer"):
-            SourceConfig.from_json_dict(data)
+        data = SimulationConfig(source=SourceConfig.uniform(4), bell_dimensions=(2,),
+                                tomo_pair=(0, 1)).to_json_dict()
+        data["source"]["D"] = dim
+        with pytest.raises(ValidationError, match="source.D: expected int"):
+            SimulationConfig.from_json_dict(data)
 
     def test_equal_by_value_and_hashed_alike(self):
         a, b = SourceConfig.uniform(4), SourceConfig.uniform(4)
@@ -140,11 +144,6 @@ class TestSourceConfigValidation:
         coeffs = a.coefficients.copy()
         coeffs[0] = np.nextafter(coeffs[0].real, 1.0)
         assert SourceConfig(4, coeffs) != a
-
-    def test_truncated_renormalizes(self):
-        cfg = SourceConfig.uniform(10).truncated(4)
-        assert cfg.num_modes == 4
-        assert np.sum(np.abs(cfg.coefficients) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFitNoise:
