@@ -14,7 +14,7 @@ import numpy as np
 
 from qcert import SourceConfig, density_from_ket, ideal_state, x_basis
 from qcert.bases import PlannedSetting
-from qcert.counting import CountingParams, cell_estimates, setting_means, simulate_plan
+from qcert.counting import CountingParams, cell_estimates, plan_means, setting_means
 
 SETTING = PlannedSetting("demo", x_basis(2, "signal"), x_basis(2, "idler"))
 
@@ -23,8 +23,9 @@ def summarize(label, rho, params, trials, seeds=400):
     means = setting_means(rho, SETTING.basis_s, SETTING.basis_i, trials, params)
     true_total = trials * params.P_S * params.eta_r  # complete bases
     raw_totals, corr_totals = [], []
+    plan = plan_means(rho, [SETTING], trials, params)
     for seed in range(seeds):
-        counts = simulate_plan(rho, [SETTING], trials, params, seed).counts
+        counts = plan.draw(seed).counts
         raw_totals.append(counts[0].sum())
         corr_totals.append(cell_estimates(counts, corrected=True)[0].sum())
     print(f"{label}")
@@ -45,8 +46,8 @@ def main():
     summarize("no retrieval, accidentals only:",
               rho, CountingParams(P_S=0.006, eta_r=0.0, P_bg_idler=0.004), trials)
 
-    table = simulate_plan(rho, [SETTING], trials,
-                          CountingParams(P_S=0.006, eta_r=0.1, P_bg_idler=0.004), seed=1)
+    table = plan_means(rho, [SETTING], trials,
+                       CountingParams(P_S=0.006, eta_r=0.1, P_bg_idler=0.004)).draw(seed=1)
     c, s, i, n = table.counts[:, 0]
     value, var = cell_estimates(table.counts[:, :1], corrected=True)
     print("one record in detail:")

@@ -306,14 +306,14 @@ def cmd_sweep(args) -> int:
     grid = args.grid
     from .source import noisy_state
 
+    sources = [cfg.source.with_noise(value) for value in grid]   # refused before any output
     out = Path(args.out) if args.out else Path("sweep.csv")
     dims = list(cfg.bell_dimensions)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["noise_fraction", "W_X", "certified_dimension", "E_F_X"]
                         + [f"S_{d}" for d in dims])
-        for value in grid:
-            src = cfg.source.with_noise(value)
+        for value, src in zip(grid, sources):
             rho = noisy_state(src)
             wit = witness(rho, space="X", margin=args.margin)
             eof = eof_bound(rho, space="X")
@@ -349,7 +349,8 @@ def _pair(text: str) -> tuple[int, int]:
 
 
 def _d_range(text: str) -> list[int]:
-    """Dimension range 'lo:hi' (inclusive) or comma list."""
+    """Dimension range 'lo:hi' (inclusive) or comma list, as the sorted
+    distinct dimensions."""
     lo, colon, hi = text.partition(":")
     try:
         dims = (list(range(int(lo), int(hi) + 1)) if colon
@@ -359,7 +360,7 @@ def _d_range(text: str) -> list[int]:
             f"expected lo:hi or a comma list of integers, got {text!r}") from None
     if not dims:
         raise argparse.ArgumentTypeError(f"empty dimension range {text!r}")
-    return dims
+    return sorted(set(dims))
 
 
 def _grid(text: str) -> list[float]:

@@ -20,12 +20,12 @@ tables are reproducible regardless of execution order or outcome ordering.
 Each stream is the one numpy's SeedSequence([seed, setting word]) -> PCG64
 gives, and it makes one Poisson call on the setting's means in sorted-label
 order: the cells by (a, b), then the signal singles top-ups, then the idler
-ones.  ``simulate_plan`` tabulates a whole setting plan with one table
-product per block of settings of one cell shape, draws each setting from
-its own stream, and writes the table's columns directly, capped at the trial
-count.  Its seed-free part, ``plan_means``, holds the means, stream keys and
-row keys, so a run's seed-free inputs can be computed once per configuration
-and drawn with each seed (``pipeline.run_simulation`` does).
+ones.  ``plan_means`` tabulates a whole setting plan with one table product
+per block of settings of one cell shape and holds the seed-free part: the
+means, stream keys and row keys.  ``PlanMeans.draw(seed)`` draws each
+setting from its own stream and writes the table's columns directly, capped
+at the trial count, so a run's seed-free inputs can be computed once per
+configuration and drawn with each seed (``pipeline.run_simulation`` does).
 
 A table is shared row keys plus its own counts: ``RowKeys`` holds a setting
 name per row and the int64 outcome labels, checked for repeats once, and
@@ -70,7 +70,6 @@ __all__ = [
     "setting_means",
     "PlanMeans",
     "plan_means",
-    "simulate_plan",
     "simulate_setting",
     "cell_estimates",
     "with_accidental_noise",
@@ -245,7 +244,7 @@ def setting_means(
     params: CountingParams,
 ) -> SettingMeans:
     """Expected counts for every cell of one setting: the one-setting view of
-    the plan means ``simulate_plan`` draws from."""
+    the means ``plan_means`` tabulates."""
     ((_, lam, singles_s, singles_i),) = _mean_blocks(rho, [(basis_s, basis_i)], trials, params)
     return SettingMeans(coincidences=lam[0], singles_s=singles_s[0], singles_i=singles_i[0])
 
@@ -272,9 +271,6 @@ def _stream(seed, word: int) -> np.random.Generator:
                                                                         word])))
 
 
-# bounded, since setting names come from callers; a full plan at MAX_MODES
-# (both spaces, Bell d = 2..10, tomography) has 317 settings
-@functools.lru_cache(maxsize=1024)
 def _setting_key(name: str, labels_s: tuple, labels_i: tuple):
     """A setting's stream word, hashing its name and sorted labels, and the
     sorted-label order of its means laid out as its cells in label order,
@@ -323,8 +319,11 @@ class PlanMeans:
 
 def plan_means(rho: DensityOperator, plan: list[PlannedSetting], trials: int,
                params: CountingParams) -> PlanMeans:
-    """The seed-free part of ``simulate_plan``: the means a block of settings
-    at a time, each setting's stream key, and the row keys of the table."""
+    """The seed-free part of a plan's table (settings in plan order, cells in
+    basis label order): the means a block of settings at a time, each
+    setting's stream key and the row keys.  An empty plan raises ValidationError."""
+    if not plan:
+        raise ValidationError("a settings plan needs at least one setting")
     plan_labels = [(st.basis_s.labels, st.basis_i.labels) for st in plan]
     keys = [_setting_key(st.name, *pair) for st, pair in zip(plan, plan_labels)]
     sizes = [len(labels_s) * len(labels_i) for labels_s, labels_i in plan_labels]
@@ -350,22 +349,6 @@ def plan_means(rho: DensityOperator, plan: list[PlannedSetting], trials: int,
     return PlanMeans(RowKeys(setting, labels), trials, tuple(blocks))
 
 
-def simulate_plan(
-    rho: DensityOperator,
-    plan: list[PlannedSetting],
-    trials: int,
-    params: CountingParams,
-    seed: int,
-) -> CoincidenceTable:
-    """Draw the count tables of planned settings as one table, settings in
-    plan order and each setting's cells in basis label order:
-    ``plan_means(...).draw(seed)``, uncached.
-    """
-    if not plan:
-        return CoincidenceTable()
-    return plan_means(rho, plan, trials, params).draw(seed)
-
-
 def simulate_setting(
     rho: DensityOperator,
     basis_s: MeasurementBasis,
@@ -376,10 +359,10 @@ def simulate_setting(
     setting_name: str | None = None,
 ) -> list[CountRecord]:
     """Draw one setting's count records from the detection model: the
-    records of ``simulate_plan``'s one-setting table (no draw of its own)."""
+    records of a one-setting plan's table (no draw of its own)."""
     name = setting_name or f"{basis_s.name}|{basis_i.name}"
-    return list(simulate_plan(rho, [PlannedSetting(name, basis_s, basis_i)], trials, params,
-                              seed).records)
+    return list(plan_means(rho, [PlannedSetting(name, basis_s, basis_i)], trials,
+                           params).draw(seed).records)
 
 
 def _columns(rows):
@@ -513,7 +496,6 @@ class CoincidenceTable:
         self.row_keys, self.setting, self.labels = row_keys, row_keys.setting, row_keys.labels
         self.counts = counts
         self.metadata = {} if metadata is None else metadata
-        self._restricted = {}
 
     @functools.cached_property
     def records(self) -> tuple[CountRecord, ...]:
@@ -529,14 +511,10 @@ class CoincidenceTable:
 
     def restricted(self, settings) -> "CoincidenceTable":
         """The rows of the given settings only, in table order.  The result
-        depends only on the set of names: one sub-table per set is built and
-        shared by later calls, and its row keys by every table on these."""
-        wanted = frozenset(settings)
-        if wanted not in self._restricted:
-            rows, sub_keys = self.row_keys.sub_keys(wanted)
-            self._restricted[wanted] = _table(sub_keys, self.counts[:, rows],
-                                              dict(self.metadata))
-        return self._restricted[wanted]
+        depends only on the set of names; its row keys are shared by every
+        table on these keys restricted to that set."""
+        rows, sub_keys = self.row_keys.sub_keys(frozenset(settings))
+        return _table(sub_keys, self.counts[:, rows], dict(self.metadata))
 
     def merged(self, other: "CoincidenceTable") -> "CoincidenceTable":
         """Cell-wise merge of two tables from identically configured runs:

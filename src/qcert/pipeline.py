@@ -356,35 +356,24 @@ def effective_params(cfg: SimulationConfig) -> CountingParams:
     return cfg.counting
 
 
-def _bell_plan(cfg: SimulationConfig) -> list[PlannedSetting]:
-    """The Bell settings of every requested dimension, in canonical order."""
-    return [st for d in cfg.bell_dimensions for st in bases.bell_settings(d, cfg.source.num_modes)]
-
-
 # Seed-free plan inputs of the last few configurations: counts-certify and
 # seeded coverage studies redraw one configuration with many seeds.
 @functools.lru_cache(maxsize=4)
-def _plan_means(plan_of, cfg: SimulationConfig) -> PlanMeans:
-    return plan_means(sampling_state(cfg), plan_of(cfg), cfg.trials_per_setting,
+def _plan_means(cfg: SimulationConfig) -> PlanMeans:
+    return plan_means(sampling_state(cfg), build_settings(cfg), cfg.trials_per_setting,
                       effective_params(cfg))
 
 
-def _simulate(cfg: SimulationConfig, plan_of=build_settings) -> CoincidenceTable:
-    """The count table of the settings ``plan_of(cfg)``, in plan order: the
-    seed-free inputs are computed once per configuration (every field but
-    the seed, arrays compared by dtype and bytes) and drawn with its seed."""
-    return _plan_means(plan_of, replace(cfg, seed=0)).draw(cfg.seed)
-
-
 def run_simulation(cfg: SimulationConfig, workers: int = 1) -> CoincidenceTable:
-    """Simulate every planned setting: the configuration's cached seed-free
-    inputs (``counting.PlanMeans``) drawn with its seed.
+    """Simulate every planned setting: the configuration's seed-free inputs
+    (``counting.PlanMeans``), computed once per configuration (every field
+    but the seed, arrays compared by dtype and bytes), drawn with its seed.
 
     ``workers`` has no effect; it is accepted so existing callers keep
     working.  (A two-thread pool measured about twice as slow as one
     thread.)
     """
-    table = _simulate(cfg)
+    table = _plan_means(replace(cfg, seed=0)).draw(cfg.seed)
     table.metadata.update({
         "seed": cfg.seed,
         "P_S": cfg.counting.P_S,
@@ -447,11 +436,12 @@ def violation_curve(
         raise ValidationError(f"path must be 'exact' or 'sampled', got {path!r}")
     if params is None or trials is None:
         raise ValidationError("sampled curves need counting params and a trial count")
-    # only the Bell settings are simulated, so no space and any valid tomo pair
+    # no space and a valid tomo pair: its 9 settings draw from their own keyed
+    # streams, so the Bell counts are those of any run of this source and seed
     sim = SimulationConfig(source=cfg, counting=params, trials_per_setting=trials, seed=seed,
                            spaces=(), bell_dimensions=tuple(d_list), tomo_pair=(0, 1),
                            noise_channel=noise_channel)
-    table = _simulate(sim, _bell_plan)
+    table = run_simulation(sim)
     for d in d_list:
         for variant, corrected in (("raw", False), ("corrected", True)):
             res = cglmp(table, d, corrected=corrected, margin=margin)

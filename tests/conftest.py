@@ -115,7 +115,7 @@ def oracle_means(rho, basis_s, basis_i, trials, params):
 
 
 # Keyed-stream simulation built with numpy's own constructors, one setting at
-# a time.  The oracle for simulate_plan.
+# a time.  The oracle for plan_means(...).draw.
 
 def oracle_stream(seed, setting, labels_s, labels_i):
     """A setting's stream: SeedSequence([seed, word]) -> PCG64, the word

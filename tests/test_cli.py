@@ -266,6 +266,28 @@ class TestBell:
         assert [r["d"] for r in rows] == ["2", "3"]
 
 
+    def test_repeated_d_range_gives_one_row_set_on_both_paths(self, small_config, sim_run,
+                                                              tmp_path):
+        # the config's sampled curve draws the run's Bell counts, so the two
+        # paths write the same rows, each dimension once and in order
+        common = ["--d-range", "3,2,3", "--no-timestamp"]
+        from_counts = run_cli("bell", "--counts", str(sim_run / "counts.csv"),
+                              "--subtract-accidentals", "--out", "counts.csv", *common,
+                              cwd=tmp_path)
+        from_config = run_cli("bell", "--config", str(small_config), "--out", "config.csv",
+                              *common, cwd=tmp_path)
+        assert from_counts.returncode == from_config.returncode == 0
+        rows = (tmp_path / "counts.csv").read_text()
+        assert rows == (tmp_path / "config.csv").read_text()
+        assert [line.split(",")[:2] for line in rows.splitlines()[1:]] == [
+            ["2", "raw"], ["2", "corrected"], ["3", "raw"], ["3", "corrected"]]
+        exact = run_cli("bell", "--config", str(small_config), "--exact", "--out", "exact.csv",
+                        *common, cwd=tmp_path)
+        assert exact.returncode == 0, exact.stderr
+        assert [line.split(",")[0] for line in
+                (tmp_path / "exact.csv").read_text().splitlines()[1:]] == ["2", "3"]
+
+
 class TestTomo:
     def test_both_variants_emitted(self, sim_run):
         out = sim_run / "tomo.json"
@@ -337,6 +359,10 @@ class TestInvalidInput:
         ["simulate", "--config", "list.json"],
         ["simulate", "--config", "source_D.json"],
         ["sweep", "--config", "list.json", "--grid", "0,0.1"],
+        ["sweep", "--preset", "ideal", "--grid", "0:1.5:3"],
+        ["sweep", "--preset", "ideal", "--grid", "nan"],
+        ["sweep", "--preset", "ideal", "--grid", "inf"],
+        ["sweep", "--preset", "ideal", "--grid", "0.2,-0.1"],
     ])
     def test_exits_2_without_traceback(self, tmp_path, args):
         (tmp_path / "counts.csv").write_text(
@@ -351,10 +377,12 @@ class TestInvalidInput:
         cfg = base.to_json_dict()
         (tmp_path / "source_D.json").write_text(
             json.dumps({**cfg, "source": {**cfg["source"], "D": 4.7}}))
+        files = sorted(tmp_path.iterdir())
         res = run_cli(*args, cwd=tmp_path)
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr
         assert "error" in res.stderr
+        assert sorted(tmp_path.iterdir()) == files
 
     @pytest.mark.parametrize("args, binary", [
         (["certify", "--counts", "bin.csv"], "bin.csv"),

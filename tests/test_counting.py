@@ -43,7 +43,7 @@ from qcert.counting import (
     _stream,
     bootstrap_std,
     cell_estimates,
-    simulate_plan,
+    plan_means,
 )
 from qcert.pipeline import SimulationConfig
 
@@ -203,13 +203,13 @@ class TestPlanMeans:
         full = PlannedSetting("full", modes("signal", 0, 1), modes("idler", 0, 1))
         assert setting_means(rho, fine.basis_s, fine.basis_i, 100, CountingParams())
         with pytest.raises(ValidationError, match="joint probability table sums to 1.5"):
-            simulate_plan(rho, [fine, full], 100, CountingParams(), seed=1)
+            plan_means(rho, [fine, full], 100, CountingParams())
 
 
     def test_bases_of_another_dimension_rejected(self):
         plan = [PlannedSetting("two", *full_bases(2)), PlannedSetting("three", *full_bases(3))]
         with pytest.raises(ValidationError, match="do not match the state dimensions"):
-            simulate_plan(rho2(), plan, 100, CountingParams(), seed=1)
+            plan_means(rho2(), plan, 100, CountingParams())
 
 
 class TestNoPlannedEinsum:
@@ -449,10 +449,14 @@ class TestTables(object):
         part = other.restricted(["diagX"])
         assert part.records == t.records
         assert part.metadata == t.metadata
-        # one sub-table per set of names, whatever their order
+        # the same sub-table for a set of names, whatever their order, on
+        # sub-keys shared by every call
         names = ["other", "diagX"]
-        assert other.restricted(names) is other.restricted(reversed(names))
-        assert other.restricted(names).records == other.records
+        forward, backward = other.restricted(names), other.restricted(reversed(names))
+        assert forward.records == backward.records == other.records
+        assert forward.metadata == backward.metadata == other.metadata
+        assert forward.row_keys is backward.row_keys
+        assert other.restricted(["diagX"]).row_keys is part.row_keys
 
     def test_corrupt_sidecar_names_the_file(self, tmp_path):
         path = tmp_path / "counts.csv"
@@ -949,8 +953,8 @@ class TestSimulatePlan:
 
         sub_plan = [PlannedSetting(plan[k].name, reversed_basis(plan[k].basis_s),
                                    reversed_basis(plan[k].basis_i)) for k in picked]
-        got = simulate_plan(pipeline.sampling_state(cfg), sub_plan, cfg.trials_per_setting,
-                            pipeline.effective_params(cfg), cfg.seed).records
+        got = plan_means(pipeline.sampling_state(cfg), sub_plan, cfg.trials_per_setting,
+                         pipeline.effective_params(cfg)).draw(cfg.seed).records
         run = {rec.key: rec for rec in pipeline.run_simulation(cfg).records}
         assert [rec.setting for rec in got] == [
             setting.name for setting in sub_plan for row in setting.cells for _ in row]
@@ -987,8 +991,9 @@ class TestSimulatePlan:
         assert np.all(np.abs(corr) < 4 / np.sqrt(n))
         assert abs(corr.mean()) < 4 / np.sqrt(105 * n)
 
-    def test_empty_plan_draws_nothing(self):
-        assert simulate_plan(rho2(), [], 10, CountingParams(), seed=1).records == ()
+    def test_empty_plan_is_refused(self):
+        with pytest.raises(ValidationError, match="at least one setting"):
+            plan_means(rho2(), [], 10, CountingParams())
 
     # eta_r <= 0.4 and P_bg_idler <= 0.1 keep eta_r + P_I <= 1 with the
     # config's accidental noise added (P_bg_idler + eta_r / 4)

@@ -11,9 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qcert import CountingParams, SourceConfig, pipeline, save_table
-from qcert.counting import simulate_plan
-from qcert.pipeline import (PRESET_NAMES, SimulationConfig, build_settings, preset,
+from qcert import CountingParams, SourceConfig, bases, cglmp, pipeline, save_table
+from qcert.counting import plan_means
+from qcert.pipeline import (PRESET_NAMES, CurvePoint, SimulationConfig, build_settings, preset,
                             run_simulation, violation_curve)
 
 
@@ -25,9 +25,9 @@ def small_config(seed=0):
 
 
 def uncached(cfg):
-    """The run's table straight from ``simulate_plan``, through no cache."""
-    return simulate_plan(pipeline.sampling_state(cfg), build_settings(cfg),
-                         cfg.trials_per_setting, pipeline.effective_params(cfg), cfg.seed)
+    """The run's table straight from ``plan_means(...).draw``, through no cache."""
+    return plan_means(pipeline.sampling_state(cfg), build_settings(cfg), cfg.trials_per_setting,
+                      pipeline.effective_params(cfg)).draw(cfg.seed)
 
 
 def assert_same_table(a, b):
@@ -63,6 +63,29 @@ def test_cached_sampled_curve_equals_a_cold_one():
         assert warm == violation_curve(cfg.source, [2, 5, 9], seed=seed, **kwargs)
 
 
+@pytest.mark.parametrize("cfg", [
+    replace(preset("calibrated-bell"), seed=4, bell_dimensions=(2, 6, 7, 10)),
+    replace(small_config(seed=6), noise_channel="state"),
+], ids=["calibrated-bell", "D4-state"])
+def test_sampled_curve_reads_a_bell_only_draw(cfg):
+    """The curve's rows are cglmp's on an uncached draw of the Bell settings
+    alone: the run it simulates adds settings, each on its own stream."""
+    dims = cfg.bell_dimensions
+    plan = [st for d in dims for st in bases.bell_settings(d, cfg.source.num_modes)]
+    table = plan_means(pipeline.sampling_state(cfg), plan, cfg.trials_per_setting,
+                       pipeline.effective_params(cfg)).draw(cfg.seed)
+    expected = []
+    for d in dims:
+        for variant, corrected in (("raw", False), ("corrected", True)):
+            res = cglmp(table, d, corrected=corrected)
+            expected.append(CurvePoint(d, variant, res.bell_parameter, res.bell_parameter_err,
+                                       res.violated))
+    pipeline._plan_means.cache_clear()
+    assert violation_curve(cfg.source, dims, path="sampled", params=cfg.counting,
+                           trials=cfg.trials_per_setting, seed=cfg.seed,
+                           noise_channel=cfg.noise_channel) == expected
+
+
 def test_one_changed_field_never_shares_an_entry():
     base = small_config()
     phases = np.zeros(4)
@@ -78,11 +101,11 @@ def test_one_changed_field_never_shares_an_entry():
         replace(base, bell_dimensions=(2,)),
     ]
     pipeline._plan_means.cache_clear()
-    base_means = pipeline._plan_means(build_settings, base)
+    base_means = pipeline._plan_means(base)
     for cfg in variants:
-        means = pipeline._plan_means(build_settings, replace(cfg, seed=0))
+        means = pipeline._plan_means(replace(cfg, seed=0))
         assert means is not base_means
-        assert pipeline._plan_means(build_settings, base) is base_means
+        assert pipeline._plan_means(base) is base_means
         assert_same_table(run_simulation(replace(cfg, seed=5)), uncached(replace(cfg, seed=5)))
     # the seed alone keys no entry
     assert run_simulation(replace(base, seed=9)).row_keys is base_means.row_keys
