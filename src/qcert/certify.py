@@ -318,6 +318,8 @@ def eof_bound(
     bad = [(j, k) for j, k in pairs if j == k or not (0 <= j < d and 0 <= k < d)]
     if bad:
         raise ValidationError(f"pair_set needs two different modes in 0..{d - 1}; got {bad}")
+    if len({frozenset(pair) for pair in pairs}) < len(pairs):
+        raise ValidationError(f"pair_set repeats a pair, in either order: {list(pairs)}")
     j, k = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     if isinstance(data, DensityOperator):
         coherences, cross_terms = _eof_exact_terms(*_eof_exact_elements(data, space, j, k))

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import __version__ as VERSION
 from .errors import ComputationError, QcertError, ValidationError
-from .counting import load_table, save_table
+from .counting import _meta_path, load_table, save_table
 from .certify import cglmp, eof_bound, witness, witness_bound
 from . import naming
 from .pipeline import (
@@ -43,12 +43,13 @@ from .tomo import reconstruct
 SEED_ENV = "QCERT_SEED"
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
-def _sha256_json(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
+def _config_sha256(cfg: SimulationConfig) -> str:
+    """The one config hash: of the text ``SimulationConfig.save`` writes."""
+    return _sha256(cfg.to_json_text().encode("utf-8"))
 
 
 def _write_json(obj: dict, path: Path, timestamp: bool) -> None:
@@ -69,13 +70,13 @@ def _manifest(command: str, seed, inputs: dict, extra: dict) -> dict:
         "toolkit_version": VERSION,
         **extra,
     }
-    body["manifest_hash"] = _sha256_json(body)
+    body["manifest_hash"] = _sha256(json.dumps(body, sort_keys=True).encode("utf-8"))
     return body
 
 
 def _requested_seed(args) -> int | None:
     """--seed, else a non-empty $QCERT_SEED (a non-negative integer), else None."""
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get(SEED_ENV)
     if not env:
@@ -91,15 +92,28 @@ def _default_seed(args) -> int:
     return DEFAULT_SEED if seed is None else seed
 
 
-def _load_config(args, default_preset: str) -> SimulationConfig:
+def _load_config(args) -> SimulationConfig:
     seed = _requested_seed(args)
-    if getattr(args, "config", None):
-        cfg = SimulationConfig.load(args.config)
-    else:
-        cfg = preset(args.preset or default_preset)
+    cfg = (SimulationConfig.load(args.config) if args.config
+           else preset(args.preset or args.default_preset))
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     return cfg
+
+
+def _counts(args):
+    """The --counts table and the provenance that links a result to it."""
+    path = Path(args.counts)
+    table = load_table(path)
+    return table, {"counts_sha256": _sha256(path.read_bytes()),
+                   "manifest_hash": table.metadata.get("manifest_hash")}
+
+
+def _bell_dimensions(table) -> list[int]:
+    """The sorted distinct d of the table's Bell settings; ``cglmp`` refuses
+    a dimension whose settings are incomplete."""
+    return sorted({parsed[0] for parsed in map(naming.parse_bell_setting, table.settings())
+                   if parsed is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +121,15 @@ def _load_config(args, default_preset: str) -> SimulationConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args, "calibrated-witness")
+    cfg = _load_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table = run_simulation(cfg)
 
-    config_path = out_dir / "config.json"
-    cfg.save(config_path)
+    cfg.save(out_dir / "config.json")
     manifest = _manifest(
         "simulate", cfg.seed,
-        inputs={"config_sha256": _sha256_file(config_path)},
+        inputs={"config_sha256": _config_sha256(cfg)},
         extra={"trials_per_setting": cfg.trials_per_setting,
                "settings": len(table.settings())},
     )
@@ -167,24 +180,13 @@ def _eof_block(result) -> dict:
 
 
 def cmd_certify(args) -> int:
-    counts_path = Path(args.counts)
-    table = load_table(counts_path)
+    table, provenance = _counts(args)
     space = args.space
     corrected = args.subtract_accidentals
     wit = witness(table, space=space, corrected=corrected, margin=args.margin)
     eof = eof_bound(table, space=space, corrected=corrected, seed=_default_seed(args))
-    bell_rows = []
-    for name in table.settings():
-        parsed = naming.parse_bell_setting(name)
-        if parsed and parsed[1] == 0 and parsed[2] == 0:
-            d = parsed[0]
-            res = cglmp(table, d, corrected=corrected, margin=args.margin)
-            bell_rows.append({
-                "d": d,
-                "bell_parameter": res.bell_parameter,
-                "std_error": res.bell_parameter_err,
-                "violated": res.violated,
-            })
+    bell = [(d, cglmp(table, d, corrected=corrected, margin=args.margin))
+            for d in _bell_dimensions(table)]
     report = {
         "schema_version": SCHEMA_VERSION,
         "space": space,
@@ -192,15 +194,16 @@ def cmd_certify(args) -> int:
         "margin": args.margin,
         "witness": _witness_block(wit),
         "entanglement_of_formation": _eof_block(eof),
-        "cglmp": sorted(bell_rows, key=lambda row: row["d"]),
+        "cglmp": [{"d": d, "bell_parameter": res.bell_parameter,
+                   "std_error": res.bell_parameter_err, "violated": res.violated}
+                  for d, res in bell],
         "provenance": {
-            "counts_sha256": _sha256_file(counts_path),
+            **provenance,
             "seed": table.metadata.get("seed"),
             "bootstrap_seed": _default_seed(args),
-            "manifest_hash": table.metadata.get("manifest_hash"),
         },
     }
-    out = Path(args.out) if args.out else counts_path.with_name("report.json")
+    out = Path(args.out) if args.out else Path(args.counts).with_name("report.json")
     _write_json(report, out, timestamp=args.timestamp)
     print(f"W_{space} = {wit.total:.3f} +- {wit.total_err:.3f} "
           f"-> certified dimension {wit.certified_dimension}")
@@ -212,45 +215,38 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bell(args) -> int:
-    rows = []
+    if args.exact and args.counts:
+        raise ValidationError("argument --exact: not allowed with argument --counts")
+    if args.exact and args.subtract_accidentals:
+        raise ValidationError("argument --subtract-accidentals: not allowed with argument "
+                              "--exact (exact probabilities have no accidentals)")
     seed = _default_seed(args)
-    provenance = {}
     if args.counts:
-        table = load_table(Path(args.counts))
-        provenance = {
-            "counts_sha256": _sha256_file(Path(args.counts)),
-            "manifest_hash": table.metadata.get("manifest_hash"),
-        }
-        available = sorted({
-            parsed[0] for parsed in map(naming.parse_bell_setting, table.settings())
-            if parsed is not None
-        })
-        wanted = args.d_range or available
+        table, provenance = _counts(args)
+        wanted = args.d_range or _bell_dimensions(table)
         if not wanted:
             raise ValidationError(f"{args.counts}: the counts hold no Bell settings")
         variants = [("raw", False)]
         if args.subtract_accidentals:
             variants.append(("corrected", True))
+        rows = []
         for d in wanted:
             for variant, corrected in variants:
                 res = cglmp(table, d, corrected=corrected, margin=args.margin)
                 rows.append((d, variant, res.bell_parameter,
                              res.bell_parameter_err, res.violated))
     else:
-        cfg = _load_config(args, "calibrated-bell")
-        wanted = args.d_range or list(cfg.bell_dimensions)
-        if args.exact:
-            points = violation_curve(cfg.source, wanted, path="exact", margin=args.margin)
-        else:
-            points = violation_curve(
-                cfg.source, wanted, path="sampled", params=cfg.counting,
-                trials=cfg.trials_per_setting, seed=cfg.seed, margin=args.margin,
-                noise_channel=cfg.noise_channel,
-            )
+        cfg = _load_config(args)
+        points = violation_curve(
+            cfg.source, args.d_range or cfg.bell_dimensions,
+            path="exact" if args.exact else "sampled", params=cfg.counting,
+            trials=cfg.trials_per_setting, seed=cfg.seed, margin=args.margin,
+            noise_channel=cfg.noise_channel,
+        )
         rows = [(p.d, p.variant, p.bell_parameter, p.bell_parameter_err, p.violated)
                 for p in points]
         seed = cfg.seed
-        provenance = {"config_sha256": _sha256_json(cfg.to_json_dict())}
+        provenance = {"config_sha256": _config_sha256(cfg)}
     out = Path(args.out) if args.out else Path("bell_curve.csv")
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -261,7 +257,7 @@ def cmd_bell(args) -> int:
     _write_json(
         _manifest("bell", seed, inputs=provenance,
                   extra={"margin": args.margin, "output": out.name}),
-        out.with_name(out.stem + ".meta.json"),
+        _meta_path(out),
         timestamp=args.timestamp,
     )
     for d, variant, value, err, violated in rows:
@@ -272,7 +268,7 @@ def cmd_bell(args) -> int:
 
 
 def cmd_tomo(args) -> int:
-    table = load_table(Path(args.counts))
+    table, provenance = _counts(args)
     j, k = args.pair
     seed = _default_seed(args)
     out_obj = {"schema_version": SCHEMA_VERSION, "pair": [j, k], "space": args.space}
@@ -288,11 +284,7 @@ def cmd_tomo(args) -> int:
         }
         print(f"{variant:9s} fidelity = {res.fidelity:.4f} +- {res.fidelity_err:.4f}, "
               f"phase = {res.relative_phase_deg:+.2f} deg")
-    out_obj["provenance"] = {
-        "counts_sha256": _sha256_file(Path(args.counts)),
-        "manifest_hash": table.metadata.get("manifest_hash"),
-        "seed": seed,
-    }
+    out_obj["provenance"] = {**provenance, "seed": seed}
     out = Path(args.out) if args.out else Path(args.counts).with_name(f"tomo_{j}_{k}.json")
     _write_json(out_obj, out, timestamp=args.timestamp)
     print(f"result -> {out}")
@@ -300,9 +292,7 @@ def cmd_tomo(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args, "ideal")
-    if args.param != "noise_fraction":
-        raise ValidationError(f"unsupported sweep parameter {args.param!r}")
+    cfg = _load_config(args)
     grid = args.grid
     from .source import noisy_state
 
@@ -326,9 +316,9 @@ def cmd_sweep(args) -> int:
                   f"E_F={eof.ebits:.3f}")
     _write_json(
         _manifest("sweep", cfg.seed,
-                  inputs={"config_sha256": _sha256_json(cfg.to_json_dict())},
+                  inputs={"config_sha256": _config_sha256(cfg)},
                   extra={"param": args.param, "grid": grid, "output": out.name}),
-        out.with_name(out.stem + ".meta.json"),
+        _meta_path(out),
         timestamp=args.timestamp,
     )
     print(f"sweep -> {out}")
@@ -403,13 +393,23 @@ def _at_least(lowest: int):
     return parse
 
 
-def _add_common(parser, seed=True, timestamp=True):
-    if seed:
-        parser.add_argument("--seed", type=_at_least(0), default=None,
-                            help=f"random seed (default: ${SEED_ENV} or {DEFAULT_SEED})")
-    if timestamp:
-        parser.add_argument("--no-timestamp", dest="timestamp", action="store_false",
-                            help="omit timestamps for byte-identical reruns")
+def _add_common(parser):
+    parser.add_argument("--seed", type=_at_least(0), default=None,
+                        help=f"random seed (default: ${SEED_ENV} or {DEFAULT_SEED})")
+    parser.add_argument("--no-timestamp", dest="timestamp", action="store_false",
+                        help="omit timestamps for byte-identical reruns")
+
+
+def _add_inputs(parser, default_preset: str, counts: str | None = None):
+    """One input per run: --config or --preset (and --counts, when given its help)."""
+    group = parser.add_mutually_exclusive_group()
+    if counts:
+        group.add_argument("--counts", help=counts)
+    group.add_argument("--config", help="simulation config JSON")
+    # default None: argparse sees a conflict only for a value that is not the default
+    group.add_argument("--preset", choices=PRESET_NAMES, default=None,
+                       help=f"named operating point (default: {default_preset})")
+    parser.set_defaults(default_preset=default_preset)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,9 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="simulate count tables for all settings")
-    p.add_argument("--config", help="simulation config JSON")
-    p.add_argument("--preset", choices=PRESET_NAMES, default=None,
-                   help="named operating point (default: calibrated-witness)")
+    _add_inputs(p, "calibrated-witness")
     p.add_argument("--out-dir", "-o", default="run", help="output directory")
     p.add_argument("--workers", type=_at_least(1), default=1,
                    help="accepted for compatibility; simulation runs on one thread")
@@ -442,15 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("bell", help="Bell parameter versus dimension")
-    p.add_argument("--counts", help="counts CSV (otherwise simulate from config)")
-    p.add_argument("--config", help="simulation config JSON")
-    p.add_argument("--preset", choices=PRESET_NAMES, default=None,
-                   help="named operating point (default: calibrated-bell)")
+    _add_inputs(p, "calibrated-bell", counts="counts CSV (otherwise simulate from config)")
     p.add_argument("--d-range", type=_d_range, default=None, help="e.g. 2:10 or 2,4,6")
     p.add_argument("--subtract-accidentals", action="store_true",
                    help="also emit accidental-subtracted rows (counts input)")
     p.add_argument("--exact", action="store_true",
-                   help="exact probabilities instead of sampled counts")
+                   help="exact probabilities instead of sampled counts (not with --counts)")
     p.add_argument("--margin", type=_finite, default=1.0)
     p.add_argument("--out", help="output CSV path")
     _add_common(p)
@@ -467,10 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tomo)
 
     p = sub.add_parser("sweep", help="exact-path threshold study over a parameter grid")
-    p.add_argument("--config", help="simulation config JSON")
-    p.add_argument("--preset", choices=PRESET_NAMES, default=None,
-                   help="named operating point (default: ideal)")
-    p.add_argument("--param", default="noise_fraction")
+    _add_inputs(p, "ideal")
+    p.add_argument("--param", choices=["noise_fraction"], default="noise_fraction")
     p.add_argument("--grid", type=_grid, required=True, help="start:stop:steps or comma list")
     p.add_argument("--margin", type=_finite, default=1.0)
     p.add_argument("--out", help="output CSV path")

@@ -188,10 +188,12 @@ class SimulationConfig:
             fields["counting"] = CountingParams(**fields["counting"])
         return cls(source=source, **fields)
 
+    def to_json_text(self) -> str:
+        """The config file's text, as ``save`` writes it."""
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        Path(path).write_text(self.to_json_text(), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "SimulationConfig":

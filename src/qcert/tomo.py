@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError
-from .linalg import DensityOperator, restrict_to_pair
+from .linalg import DensityOperator
 from .bases import AXES, tomo_settings
 from .counting import CoincidenceTable, bootstrap_std, plan_modes, setting_cells
 
@@ -145,9 +145,8 @@ def _result_from_cells(cells: np.ndarray, fidelity_err: float,
 def reconstruct_exact(rho: DensityOperator, j: int, k: int, space: str = "X") -> TomoResult:
     """Reconstruction from exact probabilities; unbiased, zero error bars."""
     cells = exact_cells(rho, j, k, space=space)
-    # in K, the four z-axis cells sum to the in-subspace probability of the pair
-    weight = restrict_to_pair(rho, j, k).weight if space == "X" else float(cells[2, 2].sum())
-    return _result_from_cells(cells, fidelity_err=0.0, weight=weight)
+    # the four z-axis cells sum to the in-subspace probability of the pair
+    return _result_from_cells(cells, fidelity_err=0.0, weight=float(cells[2, 2].sum()))
 
 
 def reconstruct(

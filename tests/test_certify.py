@@ -490,6 +490,13 @@ class TestEofValidation:
         with pytest.raises(ValidationError):
             eof_bound(ten_mode_data, n_bootstrap=2, **kwargs)
 
+    @pytest.mark.parametrize("pair_set", [[(0, 1), (0, 1)], [(0, 1), (1, 0)],
+                                          [(2, 5), (0, 1), (5, 2)]])
+    def test_repeated_pair_rejected(self, ten_mode_data, pair_set):
+        # a repeated pair would add its coherence to the sum twice
+        with pytest.raises(ValidationError, match="repeats a pair"):
+            eof_bound(ten_mode_data, pair_set=pair_set, n_bootstrap=2)
+
     def test_edge_pair_accepted(self, ten_mode_data):
         res = eof_bound(ten_mode_data, pair_set=[(0, 9)], n_bootstrap=2)
         assert res.pair_set == ((0, 9),)

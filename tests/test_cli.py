@@ -288,6 +288,21 @@ class TestBell:
                 (tmp_path / "exact.csv").read_text().splitlines()[1:]] == ["2", "3"]
 
 
+    @pytest.mark.parametrize("command", ["certify", "bell"])
+    def test_incomplete_bell_dimension_exits_2(self, sim_run, tmp_path, command):
+        # both commands read every dimension with a Bell setting, and refuse
+        # one that lacks a setting rather than drop it
+        table = qcert.load_table(sim_run / "counts.csv")
+        kept = [name for name in table.settings() if name != "bell:d3:s0i0"]
+        save_table(table.restricted(kept), tmp_path / "counts.csv")
+        files = sorted(tmp_path.iterdir())
+        res = run_cli(command, "--counts", "counts.csv", "--no-timestamp", cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert "bell:d3:s0i0" in res.stderr
+        assert sorted(tmp_path.iterdir()) == files
+
+
 class TestTomo:
     def test_both_variants_emitted(self, sim_run):
         out = sim_run / "tomo.json"
@@ -328,6 +343,19 @@ class TestSweep:
         assert res.returncode == 2
 
 
+def test_config_runs_record_the_simulate_config_hash(tmp_path):
+    res = run_cli("simulate", "--preset", "calibrated-tomo", "--seed", "3", "--out-dir", "run",
+                  "--no-timestamp", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    expected = json.loads((tmp_path / "run" / "manifest.json").read_text())["inputs"]
+    for args in (["bell", "--exact", "--out", "bell.csv"],
+                 ["sweep", "--grid", "0,0.1", "--out", "sweep.csv"]):
+        res = run_cli(*args, "--config", "run/config.json", "--no-timestamp", cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        meta = json.loads((tmp_path / args[-1]).with_suffix(".meta.json").read_text())
+        assert meta["inputs"] == expected
+
+
 # config fields that must be rejected (exit 2), not truncated or crashed on
 BAD_CONFIG_FIELDS = {
     "bell_dimensions": [2.5],
@@ -363,6 +391,13 @@ class TestInvalidInput:
         ["sweep", "--preset", "ideal", "--grid", "nan"],
         ["sweep", "--preset", "ideal", "--grid", "inf"],
         ["sweep", "--preset", "ideal", "--grid", "0.2,-0.1"],
+        # one input per run, and no option that the input would ignore
+        ["simulate", "--config", "c", "--preset", "ideal"],
+        ["sweep", "--config", "c", "--preset", "ideal", "--grid", "0,0.1"],
+        ["bell", "--counts", "counts.csv", "--preset", "ideal"],
+        ["bell", "--counts", "counts.csv", "--config", "c"],
+        ["bell", "--counts", "counts.csv", "--exact"],
+        ["bell", "--preset", "ideal", "--exact", "--subtract-accidentals"],
     ])
     def test_exits_2_without_traceback(self, tmp_path, args):
         (tmp_path / "counts.csv").write_text(
@@ -374,6 +409,7 @@ class TestInvalidInput:
             (tmp_path / f"{field}.json").write_text(
                 json.dumps({**base.to_json_dict(), field: value}))
         (tmp_path / "list.json").write_text(json.dumps([base.to_json_dict()]))
+        (tmp_path / "c").write_text(json.dumps(base.to_json_dict()))
         cfg = base.to_json_dict()
         (tmp_path / "source_D.json").write_text(
             json.dumps({**cfg, "source": {**cfg["source"], "D": 4.7}}))
@@ -383,6 +419,36 @@ class TestInvalidInput:
         assert "Traceback" not in res.stderr
         assert "error" in res.stderr
         assert sorted(tmp_path.iterdir()) == files
+
+    @pytest.mark.parametrize("args, refused", [
+        (["bell", "--counts", "counts.csv", "--preset", "ideal"], "--preset"),
+        (["bell", "--counts", "counts.csv", "--config", "config.json"], "--config"),
+        (["bell", "--counts", "counts.csv", "--exact"], "--exact"),
+        (["bell", "--config", "config.json", "--exact", "--subtract-accidentals"],
+         "--subtract-accidentals"),
+        (["sweep", "--config", "config.json", "--preset", "ideal", "--grid", "0,0.1"],
+         "--preset"),
+    ])
+    def test_refused_combination_names_the_option(self, sim_run, args, refused, tmp_path):
+        # valid inputs, so only the combination is at fault
+        for name in ("counts.csv", "counts.meta.json", "config.json"):
+            (tmp_path / name).write_bytes((sim_run / name).read_bytes())
+        files = sorted(tmp_path.iterdir())
+        res = run_cli(*args, "--no-timestamp", cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert f"argument {refused}: not allowed with argument" in res.stderr
+        assert sorted(tmp_path.iterdir()) == files
+
+    @pytest.mark.parametrize("command, default", [("simulate", "calibrated-witness"),
+                                                  ("sweep", "ideal"), ("bell", "calibrated-bell")])
+    def test_default_preset_still_conflicts_in_process(self, capsys, command, default):
+        # argparse takes a value identical to the option's default for no value,
+        # and a string literal from the caller can be that very object
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", "c.json", "--preset", default])
+        assert exc.value.code == 2
+        assert "argument --preset: not allowed with argument --config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args, binary", [
         (["certify", "--counts", "bin.csv"], "bin.csv"),

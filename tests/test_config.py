@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from qcert import CountingParams, SourceConfig, ValidationError, cli
-from qcert.pipeline import CONFIG_FORMAT, PRESET_NAMES, SimulationConfig, preset
+from qcert.pipeline import CONFIG_FORMAT, PRESET_NAMES, SimulationConfig, preset, run_simulation
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -190,3 +190,14 @@ def test_readme_defaults_are_the_dataclass_defaults():
         if default.startswith("`"):
             assert json.loads(default.strip("`")) == (
                 saved if block == "config" else saved[block])[key], (block, key)
+
+
+def test_readme_documents_the_sidecar_keys():
+    # the keys a run's counts.meta.json carries: the run metadata plus the
+    # manifest hash that simulate adds
+    listed = re.search(r"sidecar carries `\{(.+?)\}`", README.read_text(encoding="utf-8"),
+                       flags=re.DOTALL).group(1)
+    documented = [key.strip() for key in listed.split(",")]
+    table = run_simulation(SimulationConfig.from_json_dict(small_config()))
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(table.metadata) | {"manifest_hash"}
