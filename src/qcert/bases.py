@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import ATOL_NORM, DensityOperator, marginal_probabilities
+from .linalg import ATOL_NORM
 from . import naming
 
 MAX_MODES = 10
@@ -106,11 +106,6 @@ class MeasurementBasis:
     @property
     def complete(self) -> bool:
         return len(self.labels) == self.dim
-
-    def lost_weight(self, rho: DensityOperator) -> float:
-        """Probability routed to the no-click complement outcome."""
-        marg = marginal_probabilities(rho, self.vector_matrix, self.side)
-        return float(max(0.0, 1.0 - marg.sum()))
 
 
 @dataclass(frozen=True)

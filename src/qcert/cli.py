@@ -26,13 +26,13 @@ from pathlib import Path
 
 from . import __version__ as VERSION
 from .errors import ComputationError, QcertError, ValidationError
-from .counting import _meta_path, load_table, save_table
+from .counting import load_table, save_table
+from .files import SCHEMA_VERSION, json_text, meta_path
 from .certify import cglmp, eof_bound, witness, witness_bound
 from . import naming
 from .pipeline import (
     DEFAULT_SEED,
     PRESET_NAMES,
-    SCHEMA_VERSION,
     SimulationConfig,
     preset,
     run_simulation,
@@ -54,11 +54,8 @@ def _config_sha256(cfg: SimulationConfig) -> str:
 
 def _write_json(obj: dict, path: Path, timestamp: bool) -> None:
     if timestamp:
-        obj = dict(obj)
-        obj["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        obj = {**obj, "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+    path.write_text(json_text(obj), encoding="utf-8")
 
 
 def _manifest(command: str, seed, inputs: dict, extra: dict) -> dict:
@@ -257,7 +254,7 @@ def cmd_bell(args) -> int:
     _write_json(
         _manifest("bell", seed, inputs=provenance,
                   extra={"margin": args.margin, "output": out.name}),
-        _meta_path(out),
+        meta_path(out),
         timestamp=args.timestamp,
     )
     for d, variant, value, err, violated in rows:
@@ -318,7 +315,7 @@ def cmd_sweep(args) -> int:
         _manifest("sweep", cfg.seed,
                   inputs={"config_sha256": _config_sha256(cfg)},
                   extra={"param": args.param, "grid": grid, "output": out.name}),
-        _meta_path(out),
+        meta_path(out),
         timestamp=args.timestamp,
     )
     print(f"sweep -> {out}")

@@ -47,7 +47,6 @@ import csv
 import functools
 import hashlib
 import itertools
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -55,6 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .files import CSV_HEADER, json_text, meta_path, read_block, read_json
 from . import linalg
 from .linalg import DensityOperator
 from .bases import MAX_MODES, MeasurementBasis, PlannedSetting
@@ -77,11 +77,11 @@ __all__ = [
     "load_table",
     "bootstrap_table",
     "bootstrap_std",
-    "CSV_HEADER",
+    "MAX_TRIALS",
 ]
 
-CSV_HEADER = ("setting", "outcome_s", "outcome_i",
-              "coincidences", "singles_s", "singles_i", "trials")
+# No Poisson mean exceeds its trial count, and numpy refuses means above about 9.2e18.
+MAX_TRIALS = 2**62   # the largest trial count simulated or bootstrapped
 
 
 @dataclass(frozen=True)
@@ -575,10 +575,6 @@ def setting_cells(data, settings, corrected: bool = False):
     return cell_estimates((data.counts if corrected else data.counts[:1])[..., rows], corrected)
 
 
-def _meta_path(path: Path) -> Path:
-    return path.with_name(path.stem + ".meta.json")
-
-
 def save_table(table: CoincidenceTable, path) -> None:
     """Write the counts CSV plus its JSON metadata sidecar."""
     path = Path(path)
@@ -590,13 +586,12 @@ def save_table(table: CoincidenceTable, path) -> None:
         writer.writerow(CSV_HEADER)
         for row in zip(table.setting, *table.labels.tolist(), *table.counts.tolist()):
             (quoted if "\r" in row[0] else writer).writerow(row)
-    with open(_meta_path(path), "w", encoding="utf-8") as fh:
-        json.dump(table.metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    meta_path(path).write_text(json_text(table.metadata), encoding="utf-8")
 
 
 def load_table(path) -> CoincidenceTable:
-    """Read a counts CSV (strict schema); parse errors name the line number."""
+    """Read a counts CSV (strict schema; parse errors name the line number)
+    and its sidecar, if there is one, read by ``files.SIDECAR_FORMAT``."""
     path = Path(path)
     rows, lines = [], []
     try:
@@ -621,20 +616,13 @@ def load_table(path) -> CoincidenceTable:
                 lines.append(lineno)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
-    meta = _meta_path(path)
-    metadata = {}
-    if meta.exists():
-        with open(meta, "r", encoding="utf-8") as fh:
-            try:
-                metadata = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise ValidationError(f"{meta}: not valid JSON ({exc})") from None
-        if not isinstance(metadata, dict):
-            raise ValidationError(f"{meta}: expected a JSON object")
-        dim = metadata.get("D")
-        if "D" in metadata and (type(dim) is not int or not 2 <= dim <= MAX_MODES):
-            raise ValidationError(
-                f"{meta}: D must be an integer from 2 to {MAX_MODES}, got {dim!r}")
+    meta = meta_path(path)
+    metadata = read_json(meta) if meta.exists() else {}
+    # D (up to the bases' mode limit) gets one message for a bad type or range
+    dim = metadata.get("D", 2) if type(metadata) is dict else 2
+    if type(dim) is not int or not 2 <= dim <= MAX_MODES:
+        raise ValidationError(f"{meta}: D must be an integer from 2 to {MAX_MODES}, got {dim!r}")
+    metadata = read_block("sidecar", metadata, f"{meta}: ")
     try:
         return CoincidenceTable(*_columns(rows), metadata)
     except _RowError as exc:
@@ -661,6 +649,8 @@ def _replica_blocks(table: CoincidenceTable, seed: int, n_replicas: int,
     seed = _checked_seed(seed)
     order, inverse, word = table.row_keys.replica_key
     c, s, i, n = table.counts
+    if n.max(initial=0) > MAX_TRIALS:
+        raise ValidationError(f"trial count {n.max()} above the bootstrap's limit {MAX_TRIALS}")
     means = np.stack([c, s - c, i - c][:3 if singles else 1])[:, order].astype(float)
     block = max(1, _BLOCK_CELLS // max(len(order), 1))
     for first in range(seed, seed + n_replicas, block):

@@ -78,14 +78,6 @@ class StateVector:
     def amplitude(self, x_s: int, x_i: int) -> complex:
         return complex(self.amplitudes[x_s * self.dim_idler + x_i])
 
-    def as_matrix(self) -> np.ndarray:
-        """Amplitudes as a (dim_signal, dim_idler) matrix."""
-        return self.amplitudes.reshape(self.dim_signal, self.dim_idler)
-
-    def schmidt_rank(self, tol: float = 1e-12) -> int:
-        svals = np.linalg.svd(self.as_matrix(), compute_uv=False)
-        return int(np.sum(svals > tol))
-
     def __repr__(self) -> str:
         return f"StateVector({self.dim_signal}x{self.dim_idler})"
 
@@ -142,9 +134,6 @@ class DensityOperator:
         """View as a rank-4 array rho[x, i, y, j] over (signal, idler) pairs."""
         d_s, d_i = self.dim_signal, self.dim_idler
         return self.matrix.reshape(d_s, d_i, d_s, d_i)
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
 
     def __repr__(self) -> str:
         return f"DensityOperator({self.dim_signal}x{self.dim_idler})"

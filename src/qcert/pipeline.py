@@ -17,7 +17,6 @@ state directly.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -25,11 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .files import CONFIG_FORMAT, SCHEMA_VERSION, json_text, read_block, read_json
 from .linalg import DensityOperator, StateVector, density_from_ket, fidelity_to_pure, restrict_to_pair
 from . import bases
 from .bases import PlannedSetting
-from .counting import (CoincidenceTable, CountingParams, PlanMeans, plan_means, setting_cells,
-                       with_accidental_noise)
+from .counting import (MAX_TRIALS, CoincidenceTable, CountingParams, PlanMeans, plan_means,
+                       setting_cells, with_accidental_noise)
 from .certify import (_b_from_terms, _ebits_from_b, _eof_exact_elements, _eof_exact_terms,
                       _visibilities, _witness_pairs, cglmp)
 from . import naming
@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 12345
-SCHEMA_VERSION = 1
 
 # Calibration targets for the preset operating points.
 WITNESS_TOTAL_TARGET = 111.6       # raw visibility sum over 45 pairs, X space
@@ -59,56 +58,7 @@ EOF_EBITS_TARGET = 1.79
 TOMO_FIDELITY_TARGET = 0.878
 TOMO_PHASE_DEG = 17.0
 TOMO_PAIR = (0, 5)
-
-
-# The config file: one table per JSON block, mapping each key to its JSON
-# type.  A number is read as a float and a list as a tuple; a bool is
-# neither an int nor a number.  A missing key takes the dataclass default;
-# the source block has none, so it and all of its keys are required.
-CONFIG_FORMAT = {
-    "config": {"schema_version": "int", "source": "object", "counting": "object",
-               "trials_per_setting": "int", "seed": "int", "spaces": "list of str",
-               "bell_dimensions": "list of int", "tomo_pair": "list of int",
-               "noise_channel": "str", "repetition_rate_hz": "number"},
-    "source": {"D": "int", "coefficients_re": "list of number",
-               "coefficients_im": "list of number", "phases_deg": "list of number",
-               "noise_fraction": "number"},
-    "counting": {"P_S": "number", "eta_r": "number", "P_bg_idler": "number"},
-}
-_REQUIRED_KEYS = {"config": ("source",), "source": tuple(CONFIG_FORMAT["source"]), "counting": ()}
-_JSON_TYPES = {"int": (int,), "number": (int, float), "str": (str,)}
-
-
-def _config_error(message: str) -> ValidationError:
-    return ValidationError(f"bad simulation config: {message}")
-
-
-def _read_block(name: str, data) -> dict:
-    """One JSON block of the config file, each value read as its key's type."""
-    keys = CONFIG_FORMAT[name]
-    if type(data) is not dict:
-        raise _config_error(f"{name} must be a JSON object")
-    for key in data:
-        if key not in keys:
-            raise _config_error(f"{name}: unknown key {key!r}")
-    for key in _REQUIRED_KEYS[name]:
-        if key not in data:
-            raise _config_error(f"{name}.{key} is missing")
-    return {key: _read_value(name, key, value) for key, value in data.items()}
-
-
-def _read_value(block: str, key: str, value):
-    kind = CONFIG_FORMAT[block][key]
-    if kind == "object":
-        return _read_block(key, value)
-    item = kind.removeprefix("list of ")
-    listed = item != kind
-    items = value if listed and type(value) is list else [value]
-    if (listed and type(value) is not list) or any(type(v) not in _JSON_TYPES[item] for v in items):
-        raise _config_error(f"{block}.{key}: expected {kind}, got {value!r}")
-    if item == "number":
-        items = [float(v) for v in items]
-    return tuple(items) if listed else items[0]
+_BAD_CONFIG = "bad simulation config: "   # the start of every config file error
 
 
 @dataclass(frozen=True)
@@ -129,8 +79,8 @@ class SimulationConfig:
         for name in ("spaces", "bell_dimensions", "tomo_pair"):   # hashable, as a cache key
             object.__setattr__(self, name, tuple(getattr(self, name)))
         bases._check_mode_count(self.source.num_modes)
-        if self.trials_per_setting < 1:
-            raise ValidationError("trials_per_setting must be at least 1")
+        if not 1 <= self.trials_per_setting <= MAX_TRIALS:
+            raise ValidationError(f"trials_per_setting must be from 1 to {MAX_TRIALS}")
         if self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed}")
         for space in self.spaces:
@@ -172,16 +122,14 @@ class SimulationConfig:
 
     @classmethod
     def from_json_dict(cls, data) -> "SimulationConfig":
-        fields = _read_block("config", data)
-        version = fields.pop("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise _config_error(f"config.schema_version: expected {SCHEMA_VERSION}, got {version}")
+        fields = read_block("config", data, _BAD_CONFIG)
+        fields.pop("schema_version", None)
         src = fields.pop("source")
         real = src["coefficients_re"]
         for key in ("coefficients_im", "phases_deg"):
             if len(src[key]) != len(real):
-                raise _config_error(f"source.{key}: {len(src[key])} entries, "
-                                    f"coefficients_re has {len(real)}")
+                raise ValidationError(f"{_BAD_CONFIG}source.{key}: {len(src[key])} entries, "
+                                      f"coefficients_re has {len(real)}")
         source = SourceConfig(src["D"], [complex(*c) for c in zip(real, src["coefficients_im"])],
                               np.radians(src["phases_deg"]), src["noise_fraction"])
         if "counting" in fields:
@@ -190,20 +138,14 @@ class SimulationConfig:
 
     def to_json_text(self) -> str:
         """The config file's text, as ``save`` writes it."""
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_json_dict())
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_json_text(), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "SimulationConfig":
-        path = Path(path)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------

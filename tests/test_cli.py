@@ -10,7 +10,7 @@ import pytest
 
 import qcert
 from qcert import CountingParams, SourceConfig, cli, naming, save_table
-from qcert.pipeline import SimulationConfig
+from qcert.pipeline import SimulationConfig, run_simulation
 
 from conftest import SATURATING_SEED, cli_env, saturating_table
 
@@ -511,6 +511,22 @@ class TestInvalidInput:
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr
         assert "counts.meta.json" in res.stderr
+
+    @pytest.mark.parametrize("args", [["certify"], ["tomo", "--pair", "0,1"]])
+    def test_counts_beyond_the_bootstrap_limit_exit_2(self, tmp_path, args):
+        # a valid int64 table whose Poisson means numpy refuses
+        cfg = SimulationConfig(source=SourceConfig.uniform(2), trials_per_setting=1000,
+                               bell_dimensions=(2,), tomo_pair=(0, 1))
+        table = run_simulation(cfg)
+        save_table(qcert.CoincidenceTable(table.setting, table.labels,
+                                          np.full_like(table.counts, 2**63 - 1), table.metadata),
+                   tmp_path / "counts.csv")
+        files = sorted(tmp_path.iterdir())
+        res = run_cli(*args, "--counts", "counts.csv", cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+        assert str(2**62) in res.stderr
+        assert sorted(tmp_path.iterdir()) == files
 
 
 def test_version_matches_pyproject(tmp_path):

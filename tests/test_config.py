@@ -1,10 +1,13 @@
-"""The simulation config file: one key table per JSON block, strict loading."""
+"""qcert's file formats: one key table per JSON block of the config file and
+of the counts sidecar, both loaded strictly."""
 
+import ast
 import contextlib
 import copy
 import io
 import json
 import re
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -13,8 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from qcert import CountingParams, SourceConfig, ValidationError, cli
-from qcert.pipeline import CONFIG_FORMAT, PRESET_NAMES, SimulationConfig, preset, run_simulation
+from qcert import CountingParams, SourceConfig, ValidationError, cli, files, save_table
+from qcert.counting import MAX_TRIALS
+from qcert.files import CONFIG_FORMAT, SIDECAR_FORMAT
+from qcert.pipeline import PRESET_NAMES, SimulationConfig, preset, run_simulation
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -59,6 +64,9 @@ REFUSED = [
     ("source", "coefficients_im", [0.0, 0.0, 0.0], "source.coefficients_im"),
     ("config", "seed", -1, "seed"),
     ("source", "phases_deg", [0.0, 0.0, float("nan"), 0.0], "phase_mismatch"),
+    # above MAX_TRIALS, beyond the Poisson means numpy draws
+    ("config", "trials_per_setting", 2**63, "trials_per_setting"),
+    ("config", "trials_per_setting", 2**62 + 1, "trials_per_setting"),
 ]
 
 
@@ -84,6 +92,16 @@ DEFAULTS = SimulationConfig(source=SourceConfig.uniform(10))
 def test_missing_keys_take_the_dataclass_defaults():
     source = DEFAULTS.to_json_dict()["source"]
     assert SimulationConfig.from_json_dict({"source": source}) == DEFAULTS
+
+
+def test_max_trials_draws_with_every_photon_detected():
+    # a product source and P_S = 1: Poisson means up to MAX_TRIALS
+    cfg = SimulationConfig(source=SourceConfig(2, [1, 0]), counting=CountingParams(1.0, 0.5),
+                           trials_per_setting=MAX_TRIALS, spaces=(), bell_dimensions=(2,),
+                           tomo_pair=(0, 1), noise_channel="state")
+    assert (run_simulation(cfg).counts[3] == MAX_TRIALS).all()
+    with pytest.raises(ValidationError, match="trials_per_setting"):
+        replace(cfg, trials_per_setting=2**63 - 1)
 
 
 def test_tomo_pair_of_three_modes_refused():
@@ -194,10 +212,55 @@ def test_readme_defaults_are_the_dataclass_defaults():
 
 def test_readme_documents_the_sidecar_keys():
     # the keys a run's counts.meta.json carries: the run metadata plus the
-    # manifest hash that simulate adds
-    listed = re.search(r"sidecar carries `\{(.+?)\}`", README.read_text(encoding="utf-8"),
-                       flags=re.DOTALL).group(1)
-    documented = [key.strip() for key in listed.split(",")]
+    # manifest hash that simulate adds, each of its JSON type
+    rows = re.findall(r"^\| sidecar \| `(\w+)` \| ([a-z ]+?) \| optional \|$",
+                      README.read_text(encoding="utf-8"), flags=re.MULTILINE)
+    assert {"sidecar": dict(rows)} == SIDECAR_FORMAT and len(rows) == len(dict(rows))
     table = run_simulation(SimulationConfig.from_json_dict(small_config()))
-    assert len(documented) == len(set(documented))
-    assert set(documented) == set(table.metadata) | {"manifest_hash"}
+    assert dict(rows).keys() == set(table.metadata) | {"manifest_hash"}
+
+
+def test_files_imports_only_the_stdlib_and_errors():
+    tree = ast.parse(Path(files.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] in sys.stdlib_module_names for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert ((node.level, node.module) == (1, "errors") if node.level
+                    else node.module.split(".")[0] in sys.stdlib_module_names), node.module
+
+
+SMALL_RUN = run_simulation(SimulationConfig.from_json_dict(small_config()))
+SIDECAR = {**SMALL_RUN.metadata, "manifest_hash": "0" * 64}
+
+
+@st.composite
+def broken_sidecars(draw):
+    choice = draw(st.sampled_from(["unknown key", "wrong type", "schema_version"]))
+    if choice == "unknown key":
+        key = draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in SIDECAR))
+        return {**SIDECAR, key: 0}
+    if choice == "schema_version":
+        return {**SIDECAR, "schema_version": draw(st.integers().filter(lambda v: v != 1))}
+    key = draw(st.sampled_from(sorted(SIDECAR)))
+    taken = TAKES[SIDECAR_FORMAT["sidecar"][key]]
+    other = draw(st.sampled_from(sorted(JSON_VALUES.keys() - taken)))
+    return {**SIDECAR, key: draw(JSON_VALUES[other])}
+
+
+@settings(deadline=None, max_examples=40)
+@given(broken_sidecars())
+def test_a_broken_sidecar_exits_2_before_any_output(sidecar):
+    with tempfile.TemporaryDirectory() as tmp:
+        counts = Path(tmp) / "counts.csv"
+        save_table(SMALL_RUN, counts)
+        (Path(tmp) / "counts.meta.json").write_text(json.dumps(sidecar))
+        for args in (["certify"], ["bell", "--out", f"{tmp}/bell.csv"],
+                     ["tomo", "--pair", "0,1"]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([*args, "--counts", str(counts)])
+            assert code == 2, err.getvalue()
+            assert "counts.meta.json" in err.getvalue()
+            assert len(err.getvalue().strip().splitlines()) == 1
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["counts.csv", "counts.meta.json"]

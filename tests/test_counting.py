@@ -37,7 +37,8 @@ from qcert import (
 )
 from qcert import counting, pipeline
 from qcert.bases import MAX_MODES, MeasurementBasis, PlannedSetting, scan_setting
-from qcert.counting import CSV_HEADER
+from qcert.files import CSV_HEADER
+from qcert.linalg import marginal_probabilities
 from qcert.counting import (
     _key_word,
     _stream,
@@ -155,8 +156,10 @@ class TestSettingMeansOracle:
                                 atol=1e-12 * n)
                 assert_allclose(means.singles_i, n * params.P_I * marg_i, rtol=0,
                                 atol=1e-12 * n)
-                assert basis_s.lost_weight(rho) == pytest.approx(1.0 - marg_s.sum(), abs=1e-12)
-                assert basis_i.lost_weight(rho) == pytest.approx(1.0 - marg_i.sum(), abs=1e-12)
+                # the weight lost to the no-click outcome, from each side's marginals
+                for basis, marg in ((basis_s, marg_s), (basis_i, marg_i)):
+                    lost = 1.0 - marginal_probabilities(rho, basis.vector_matrix, basis.side).sum()
+                    assert lost == pytest.approx(1.0 - marg.sum(), abs=1e-12)
 
 
 class TestPlanMeans:
