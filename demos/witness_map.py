@@ -35,8 +35,8 @@ def main():
         res = witness(rho, space=space)
         print(f"exact path, {space} space: W = {res.total:.2f} "
               f"-> at least {res.certified_dimension}-dimensional")
-        for (j, k), pv in sorted(res.pair_visibilities.items()):
-            rows.append([space, j, k, pv.x.value, pv.y.value, pv.z.value, pv.total])
+        for (j, k), (v_x, v_y, v_z) in zip(res.pairs, res.values.tolist()):
+            rows.append([space, j, k, v_x, v_y, v_z, v_x + v_y + v_z])
 
     with open(OUT / "witness_pairs.csv", "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -45,12 +45,13 @@ def main():
 
     # triangle view of the per-pair sums (X space), the plot-on-a-terminal version
     res = witness(rho, space="X")
+    sums = dict(zip(res.pairs, res.values.sum(axis=1)))
     print("\nper-pair visibility sums, X space (ideal value 3):")
     print("     " + "".join(f"{k:>6d}" for k in range(1, 10)))
     for j in range(9):
         cells = []
         for k in range(1, 10):
-            cells.append(f"{res.pair_visibilities[(j, k)].total:6.2f}" if k > j else "      ")
+            cells.append(f"{sums[j, k]:6.2f}" if k > j else "      ")
         print(f"j={j}  " + "".join(cells))
 
     # one sampled run: raw counts versus accidental-subtracted counts

@@ -33,8 +33,6 @@ from .counting import CoincidenceTable, bootstrap_std, plan_modes, setting_cells
 from . import naming
 
 __all__ = [
-    "Visibility",
-    "PairVisibilities",
     "WitnessResult",
     "EofResult",
     "CglmpResult",
@@ -90,32 +88,18 @@ def certified_dimension_from_witness(
     return min(certified, num_modes)
 
 
-@dataclass(frozen=True)
-class Visibility:
-    value: float
-    std_error: float
-    status: str = "ok"  # ok | clamped | no-counts
-
-
-@dataclass(frozen=True)
-class PairVisibilities:
-    x: Visibility
-    y: Visibility
-    z: Visibility
-
-    def axis(self, name: str) -> Visibility:
-        return getattr(self, name)
-
-    @property
-    def total(self) -> float:
-        return self.x.value + self.y.value + self.z.value
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessResult:
+    """Per mode pair of ``pairs`` (j < k, in order), read-only (pairs, 3) arrays of
+    the x, y and z visibilities, their standard errors and statuses ("ok",
+    "clamped" or "no-counts"); ``total`` sums the visibilities."""
+
     space: str
     num_modes: int
-    pair_visibilities: dict
+    pairs: tuple
+    values: np.ndarray
+    errors: np.ndarray
+    statuses: np.ndarray
     total: float
     total_err: float
     margin: float
@@ -172,22 +156,22 @@ def witness(
         ) from None
     vis, var, status = (a.reshape(-1, 3) for a in _visibilities(
         values.reshape(-1, 2, 2), variances.reshape(-1, 2, 2), isinstance(data, DensityOperator)))
-    per_pair = {
-        pair: PairVisibilities(*(Visibility(float(v), math.sqrt(e), str(st))
-                                 for v, e, st in zip(*axes)))
-        for pair, axes in zip(pairs, zip(vis, var, status))
-    }
+    errors = np.sqrt(var)
+    for array in (vis, errors, status):
+        array.setflags(write=False)
     total = float(vis.sum())
     total_err = math.sqrt(var.sum())
-    certified = certified_dimension_from_witness(total, total_err, d, margin=margin)
     return WitnessResult(
         space=space,
         num_modes=d,
-        pair_visibilities=per_pair,
+        pairs=tuple(pairs),
+        values=vis,
+        errors=errors,
+        statuses=status,
         total=total,
         total_err=total_err,
         margin=margin,
-        certified_dimension=certified,
+        certified_dimension=certified_dimension_from_witness(total, total_err, d, margin=margin),
     )
 
 

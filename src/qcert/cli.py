@@ -28,6 +28,7 @@ from . import __version__ as VERSION
 from .errors import ComputationError, QcertError, ValidationError
 from .counting import load_table, save_table
 from .files import SCHEMA_VERSION, json_text, meta_path
+from .bases import AXES
 from .certify import cglmp, eof_bound, witness, witness_bound
 from . import naming
 from .pipeline import (
@@ -148,17 +149,11 @@ def _witness_block(result) -> dict:
         "bound_table": {str(d): witness_bound(result.num_modes, d)
                         for d in range(1, result.num_modes + 1)},
         "pairs": [
-            {
-                "j": j, "k": k,
-                **{
-                    f"V_{ax}": pv.axis(ax).value for ax in ("x", "y", "z")
-                },
-                **{
-                    f"V_{ax}_err": pv.axis(ax).std_error for ax in ("x", "y", "z")
-                },
-                "status": [pv.axis(ax).status for ax in ("x", "y", "z")],
-            }
-            for (j, k), pv in sorted(result.pair_visibilities.items())
+            {"j": j, "k": k, **{f"V_{ax}": v for ax, v in zip(AXES, values)},
+             **{f"V_{ax}_err": err for ax, err in zip(AXES, errors)}, "status": statuses}
+            for (j, k), values, errors, statuses in zip(
+                result.pairs, result.values.tolist(), result.errors.tolist(),
+                result.statuses.tolist())
         ],
     }
 

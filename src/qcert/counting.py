@@ -47,6 +47,7 @@ import csv
 import functools
 import hashlib
 import itertools
+import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -195,15 +196,11 @@ class SettingMeans:
 _TABLE_ROWS = 128
 
 
-def _mean_blocks(rho: DensityOperator, pairs, trials: int, params: CountingParams):
-    """Yield the count means of settings, given as (signal, idler) basis
-    pairs, a block at a time: the block's indices into ``pairs``, its
-    coincidence means (m, n_s, n_i) and its signal (m, n_s) and idler (m, n_i)
-    singles means.  A block holds settings of one cell shape and gets one
-    table product; the side marginals of all blocks, rows in block order,
-    take one product a side."""
-    if trials < 1:
-        raise ValidationError("trials must be at least 1")
+def _table_blocks(rho: DensityOperator, pairs):
+    """Settings, given as (signal, idler) basis pairs, in blocks of one table
+    product each: a block's indices into ``pairs`` and its (m, n_s, dim) and
+    (m, n_i, dim) kets.  A block holds settings of one cell shape in the order
+    given, at most ``_TABLE_ROWS`` product-ket rows or one setting."""
     if any(b_s.dim != rho.dim_signal or b_i.dim != rho.dim_idler for b_s, b_i in pairs):
         raise ValidationError("measurement vectors do not match the state dimensions")
     groups: dict[tuple, list[int]] = {}
@@ -212,16 +209,29 @@ def _mean_blocks(rho: DensityOperator, pairs, trials: int, params: CountingParam
     blocks = []
     for (n_s, n_i), members in groups.items():
         step = max(1, _TABLE_ROWS // (n_s * n_i))
-        blocks += [members[first:first + step] for first in range(0, len(members), step)]
-    kets_s = [np.array([pairs[k][0].vector_matrix for k in idx]) for idx in blocks]
-    kets_i = [np.array([pairs[k][1].vector_matrix for k in idx]) for idx in blocks]
+        for first in range(0, len(members), step):
+            idx = members[first:first + step]
+            blocks.append((idx, np.array([pairs[k][0].vector_matrix for k in idx]),
+                           np.array([pairs[k][1].vector_matrix for k in idx])))
+    return blocks
+
+
+def _mean_blocks(rho: DensityOperator, pairs, trials: int, params: CountingParams):
+    """Yield the count means of settings, given as (signal, idler) basis
+    pairs, a ``_table_blocks`` block at a time: its indices into ``pairs``,
+    coincidence means (m, n_s, n_i) and signal (m, n_s) and idler (m, n_i)
+    singles means.  The side marginals of all blocks, rows in block order,
+    take one product a side."""
+    if trials < 1:
+        raise ValidationError("trials must be at least 1")
+    blocks = _table_blocks(rho, pairs)
     marg_s = linalg.marginal_probabilities(
-        rho, np.concatenate([v.reshape(-1, rho.dim_signal) for v in kets_s]), "signal")
+        rho, np.concatenate([v.reshape(-1, rho.dim_signal) for _, v, _ in blocks]), "signal")
     marg_i = linalg.marginal_probabilities(
-        rho, np.concatenate([v.reshape(-1, rho.dim_idler) for v in kets_i]), "idler")
+        rho, np.concatenate([v.reshape(-1, rho.dim_idler) for *_, v in blocks]), "idler")
     n = float(trials)
     row_s = row_i = 0
-    for idx, v_s, v_i in zip(blocks, kets_s, kets_i):
+    for idx, v_s, v_i in blocks:
         tables = linalg.outcome_probabilities(rho, v_s, v_i)
         m, n_s, n_i = tables.shape
         ms = marg_s[row_s:row_s + m * n_s].reshape(m, n_s)
@@ -560,13 +570,19 @@ def setting_cells(data, settings, corrected: bool = False):
     as (..., settings, n_s, n_i) arrays in basis label order: exact
     probabilities with zero variance from a DensityOperator, and
     ``cell_estimates`` of the settings' rows from a CoincidenceTable or a
-    ReplicaStack (with its leading replica axis).  A setting whose cells are
-    missing, incomplete or labelled otherwise raises one ValidationError.
+    ReplicaStack (with its leading replica axis).  A state's tables take one
+    stacked product per ``_table_blocks`` block.  Settings of more than one
+    cell shape, or a setting whose cells are missing, incomplete or
+    labelled otherwise, raise one ValidationError.
     """
+    shapes = sorted({(len(st.basis_s.labels), len(st.basis_i.labels)) for st in settings})
+    if len(shapes) > 1:
+        raise ValidationError(f"settings read together need one cell shape, got {shapes}")
     if isinstance(data, DensityOperator):
-        tables = np.array([linalg.outcome_probabilities(data, st.basis_s.vector_matrix,
-                                                        st.basis_i.vector_matrix)
-                           for st in settings])
+        # one cell shape, so the blocks come in the order of the settings
+        tables = [linalg.outcome_probabilities(data, kets_s, kets_i) for _, kets_s, kets_i
+                  in _table_blocks(data, [(st.basis_s, st.basis_i) for st in settings])]
+        tables = np.concatenate(tables) if tables else np.empty(0)
         return tables, np.zeros(tables.shape)
     table = data.table if isinstance(data, ReplicaStack) else data
     if not isinstance(table, CoincidenceTable):
@@ -575,9 +591,22 @@ def setting_cells(data, settings, corrected: bool = False):
     return cell_estimates((data.counts if corrected else data.counts[:1])[..., rows], corrected)
 
 
+def _sidecar(metadata, meta: Path) -> dict:
+    """Sidecar metadata read by ``files.SIDECAR_FORMAT``; D (up to the bases'
+    mode limit) gets one message for a bad type or range."""
+    dim = metadata.get("D", 2) if type(metadata) is dict else 2
+    if type(dim) is not int or not 2 <= dim <= MAX_MODES:
+        raise ValidationError(f"{meta}: D must be an integer from 2 to {MAX_MODES}, got {dim!r}")
+    return read_block("sidecar", metadata, f"{meta}: ")
+
+
 def save_table(table: CoincidenceTable, path) -> None:
-    """Write the counts CSV plus its JSON metadata sidecar."""
+    """Write the counts CSV plus its JSON metadata sidecar; metadata that
+    ``load_table`` would refuse raises ValidationError before either is written."""
     path = Path(path)
+    meta = meta_path(path)
+    text = json_text(table.metadata)
+    _sidecar(json.loads(text), meta)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         # csv quotes a field holding "\n" but not one holding "\r", which a
@@ -586,7 +615,7 @@ def save_table(table: CoincidenceTable, path) -> None:
         writer.writerow(CSV_HEADER)
         for row in zip(table.setting, *table.labels.tolist(), *table.counts.tolist()):
             (quoted if "\r" in row[0] else writer).writerow(row)
-    meta_path(path).write_text(json_text(table.metadata), encoding="utf-8")
+    meta.write_text(text, encoding="utf-8")
 
 
 def load_table(path) -> CoincidenceTable:
@@ -617,12 +646,7 @@ def load_table(path) -> CoincidenceTable:
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
     meta = meta_path(path)
-    metadata = read_json(meta) if meta.exists() else {}
-    # D (up to the bases' mode limit) gets one message for a bad type or range
-    dim = metadata.get("D", 2) if type(metadata) is dict else 2
-    if type(dim) is not int or not 2 <= dim <= MAX_MODES:
-        raise ValidationError(f"{meta}: D must be an integer from 2 to {MAX_MODES}, got {dim!r}")
-    metadata = read_block("sidecar", metadata, f"{meta}: ")
+    metadata = _sidecar(read_json(meta) if meta.exists() else {}, meta)
     try:
         return CoincidenceTable(*_columns(rows), metadata)
     except _RowError as exc:

@@ -7,9 +7,11 @@ so objects can be shared and cached freely.
 
 An outcome table is one fixed matrix product over the product kets
 kron(v_s[a], v_i[b]), and a side marginal one over that side's reduced
-state; the diagonal is a multiply-and-row-sum.  No einsum contraction is
-planned: at these sizes (D <= 10, so rho is at most 100 x 100) planning
-the contraction took longer than doing it.
+state; the diagonal is a multiply-and-row-sum.  Stacked kets give a block
+of settings' tables from one product (``counting`` makes one per block of
+up to 128 product-ket rows).  No einsum contraction is planned: at these
+sizes (D <= 10, so rho is at most 100 x 100) planning took longer than
+doing it.
 
 A density operator's positivity is checked by a Cholesky factorization
 first.  When it succeeds the matrix is positive definite, and the
@@ -157,14 +159,6 @@ def density_from_ket(psi: StateVector) -> DensityOperator:
     return DensityOperator(psi.dim_signal, psi.dim_idler, outer)
 
 
-def _check_real(value: complex, what: str) -> float:
-    if abs(value.imag) > ATOL_IMAG:
-        raise ComputationError(
-            f"{what} has imaginary residue {value.imag:.3e}; inputs are inconsistent"
-        )
-    return float(value.real)
-
-
 def _ket_rows(vectors, dim: int, ndims=(2,)) -> np.ndarray:
     """Measurement kets as a complex (n, dim) array, one ket per row, or with
     ``ndims`` (2, 3) also an (m, n, dim) stack of such arrays."""
@@ -240,8 +234,11 @@ def fidelity_to_pure(rho: DensityOperator, target: StateVector) -> float:
     if (rho.dim_signal, rho.dim_idler) != (target.dim_signal, target.dim_idler):
         raise ValidationError("state dimensions do not match")
     amp = target.amplitudes
-    val = _check_real(complex(amp.conj() @ rho.matrix @ amp), "fidelity")
-    return float(min(max(val, 0.0), 1.0))
+    val = complex(amp.conj() @ rho.matrix @ amp)
+    if abs(val.imag) > ATOL_IMAG:
+        raise ComputationError(f"fidelity has imaginary residue {val.imag:.3e}; inputs are "
+                               "inconsistent")
+    return float(min(max(val.real, 0.0), 1.0))
 
 
 def restrict_to_pair(rho: DensityOperator, j: int, k: int) -> PairRestriction:

@@ -114,6 +114,13 @@ def oracle_means(rho, basis_s, basis_i, trials, params):
             n * params.P_S * marg_s, n * params.P_I * marg_i)
 
 
+def oracle_cells(rho, settings):
+    """Exact cells as setting_cells read them before settings were stacked:
+    one outcome_probabilities call per setting."""
+    return np.array([outcome_probabilities(rho, st.basis_s.vector_matrix,
+                                           st.basis_i.vector_matrix) for st in settings])
+
+
 # Keyed-stream simulation built with numpy's own constructors, one setting at
 # a time.  The oracle for plan_means(...).draw.
 

@@ -1,6 +1,6 @@
 import functools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -177,13 +177,19 @@ class TestWitnessExact:
         assert res.total == pytest.approx(111.6, abs=0.01)
         assert res.certified_dimension == 8
 
+    def test_one_mode_has_no_pairs(self):
+        res = witness(uniform_rho(4), num_modes=1)
+        assert (res.total, res.total_err, res.certified_dimension) == (0.0, 0.0, 1)
+        assert res.pairs == () and res.values.shape == res.statuses.shape == (0, 3)
+
     def test_dark_pairs_flagged_not_excluded(self):
         coeffs = np.zeros(10, dtype=complex)
         coeffs[:2] = 1 / np.sqrt(2)
         rho = density_from_ket(ideal_state(SourceConfig(num_modes=10, coefficients=coeffs)))
         res = witness(rho, space="X")
-        assert len(res.pair_visibilities) == 45
-        assert res.pair_visibilities[(5, 6)].z.status == "no-counts"
+        assert len(res.pairs) == 45
+        assert res.values.shape == res.errors.shape == res.statuses.shape == (45, 3)
+        assert res.statuses[res.pairs.index((5, 6)), 2] == "no-counts"
 
 
 class TestWitnessCounts:
@@ -381,18 +387,19 @@ class TestEofCounts:
         rho = uniform_rho(4, noise=0.35)
         direct = eof_bound(rho)
         wit = witness(rho, space="X")
-        for (j, k), pv in wit.pair_visibilities.items():
+        for (j, k), (v_x, v_y, _) in zip(wit.pairs, wit.values):
             weight = restrict_to_pair(rho, j, k).weight
-            estimate = weight * (pv.x.value + pv.y.value) / 4.0
+            estimate = weight * (v_x + v_y) / 4.0
             assert estimate == pytest.approx(direct.coherences[(j, k)], abs=1e-10)
 
     def test_estimator_is_safe_underestimate_with_phase(self):
         cfg = SourceConfig.uniform(2, phases=[0.0, np.radians(40.0)])
         rho = density_from_ket(ideal_state(cfg))
         direct = eof_bound(rho).coherences[(0, 1)]
-        pv = witness(rho, space="X").pair_visibilities[(0, 1)]
+        wit = witness(rho, space="X")
+        assert wit.pairs == ((0, 1),)
         weight = restrict_to_pair(rho, 0, 1).weight
-        estimate = weight * (pv.x.value + pv.y.value) / 4.0
+        estimate = weight * (wit.values[0, 0] + wit.values[0, 1]) / 4.0
         assert estimate < direct
         assert estimate == pytest.approx(direct * abs(np.cos(np.radians(40.0))), abs=1e-10)
 
@@ -522,7 +529,9 @@ class TestTableWithoutModeCount:
 
     def test_num_modes_stands_in_for_d(self, tables):
         with_d, without_d = tables
-        assert witness(without_d, num_modes=4) == witness(with_d)
+        counted, expected = witness(without_d, num_modes=4), witness(with_d)
+        for field in fields(expected):   # its per-pair arrays compare element by element
+            assert np.array_equal(getattr(counted, field.name), getattr(expected, field.name))
         assert eof_bound(without_d, num_modes=4, n_bootstrap=5) == eof_bound(
             with_d, n_bootstrap=5)
 
@@ -567,11 +576,9 @@ class TestSharedCellReader:
         counted = witness(table, space=space)
         # the total sums 3 visibilities per pair, each held to 1e-9
         assert counted.total == pytest.approx(
-            exact.total, abs=1e-9 * 3 * len(exact.pair_visibilities))
-        for pair, pv in exact.pair_visibilities.items():
-            for axis in ("x", "y", "z"):
-                assert counted.pair_visibilities[pair].axis(axis).value == pytest.approx(
-                    pv.axis(axis).value, abs=1e-9)
+            exact.total, abs=1e-9 * exact.values.size)
+        assert counted.pairs == exact.pairs
+        np.testing.assert_allclose(counted.values, exact.values, rtol=0, atol=1e-9)
 
     def test_cglmp(self, paths):
         d, rho, table = paths

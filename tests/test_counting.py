@@ -35,7 +35,7 @@ from qcert import (
     with_accidental_noise,
     x_basis,
 )
-from qcert import counting, pipeline
+from qcert import bases, counting, pipeline
 from qcert.bases import MAX_MODES, MeasurementBasis, PlannedSetting, scan_setting
 from qcert.files import CSV_HEADER
 from qcert.linalg import marginal_probabilities
@@ -48,7 +48,7 @@ from qcert.counting import (
 )
 from qcert.pipeline import SimulationConfig
 
-from conftest import (einsum_marginals, einsum_table, oracle_bases, oracle_means,
+from conftest import (einsum_marginals, einsum_table, oracle_bases, oracle_cells, oracle_means,
                       oracle_simulate, oracle_states, oracle_stream)
 
 
@@ -213,6 +213,48 @@ class TestPlanMeans:
         plan = [PlannedSetting("two", *full_bases(2)), PlannedSetting("three", *full_bases(3))]
         with pytest.raises(ValidationError, match="do not match the state dimensions"):
             plan_means(rho2(), plan, 100, CountingParams())
+
+
+class TestStackedExactCells:
+    @pytest.mark.parametrize("d", range(2, MAX_MODES + 1))
+    def test_every_plan_family_equals_the_per_setting_tables(self, d, monkeypatch):
+        families = [[st for j in range(d) for k in range(j + 1, d)
+                     for st in bases.witness_settings(space, j, k, d)] for space in "XK"]
+        families += [[scan_setting(space, d)] for space in "XK"]
+        families += [bases.bell_settings(b, d) for b in range(2, d + 1)]
+        families += [bases.tomo_settings(0, d - 1, space, d) for space in "XK"]
+        rows = []
+        original = counting.linalg.outcome_probabilities
+
+        def counted(rho, kets_s, kets_i):
+            rows.append(len(kets_s) * kets_s.shape[1] * kets_i.shape[1])
+            return original(rho, kets_s, kets_i)
+
+        monkeypatch.setattr(counting.linalg, "outcome_probabilities", counted)
+        for rho in oracle_states(d, d, seed=700 + d):
+            for settings in families:
+                rows.clear()
+                values, variances = counting.setting_cells(rho, settings)
+                assert_allclose(values, oracle_cells(rho, settings), rtol=0, atol=1e-12)
+                assert not variances.any()
+                # one product per block of at most _TABLE_ROWS product-ket rows
+                cells = values[0].size
+                assert len(rows) == -(-len(settings) // (counting._TABLE_ROWS // cells))
+                assert sum(rows) == values.size and max(rows) <= counting._TABLE_ROWS
+
+    def test_no_settings_give_empty_cells(self):
+        rho = noisy_state(SourceConfig.uniform(4).with_noise(0.1))
+        values, variances = counting.setting_cells(rho, [])
+        assert values.shape == variances.shape == (0,)
+
+    def test_mixed_cell_shapes_are_one_validation_error(self):
+        cfg = SimulationConfig(source=SourceConfig.uniform(4), trials_per_setting=1000,
+                               spaces=("X",), bell_dimensions=(3,), tomo_pair=(0, 1))
+        mixed = [bases.witness_settings("X", 0, 1, 4)[0], bases.bell_settings(3, 4)[0]]
+        for data in (noisy_state(cfg.source), pipeline.run_simulation(cfg)):
+            with pytest.raises(ValidationError,
+                               match=r"one cell shape, got \[\(2, 2\), \(3, 3\)\]"):
+                counting.setting_cells(data, mixed)
 
 
 class TestNoPlannedEinsum:
@@ -460,6 +502,23 @@ class TestTables(object):
         assert forward.metadata == backward.metadata == other.metadata
         assert forward.row_keys is backward.row_keys
         assert other.restricted(["diagX"]).row_keys is part.row_keys
+
+    @pytest.mark.parametrize("metadata", [{"D": 2, "note": 1}, {"seed": "3"}, {"D": 11},
+                                          {"schema_version": 2}, [2]])
+    def test_save_refuses_what_load_refuses_before_any_file(self, tmp_path, metadata):
+        table = CoincidenceTable(records=(make_record(1, 2, 2, 5),), metadata=metadata)
+        with pytest.raises(ValidationError, match="counts.meta.json"):
+            save_table(table, tmp_path / "counts.csv")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name", pipeline.PRESET_NAMES)
+    def test_every_simulated_table_round_trips(self, tmp_path, name):
+        table = pipeline.run_simulation(pipeline.preset(name))
+        table.metadata["manifest_hash"] = "0" * 64   # as qcert simulate adds it
+        save_table(table, tmp_path / "counts.csv")
+        back = load_table(tmp_path / "counts.csv")
+        assert back.records == table.records
+        assert back.metadata == table.metadata
 
     def test_corrupt_sidecar_names_the_file(self, tmp_path):
         path = tmp_path / "counts.csv"

@@ -79,6 +79,14 @@ def test_pair_visibilities_match_the_per_table_oracle(table, corrected):
             assert vis[b, n] == pytest.approx(value, rel=1e-12, abs=1e-15)
             assert math.sqrt(var[b, n]) == pytest.approx(err, rel=1e-12, abs=1e-15)
             assert status[b, n] == flag
+    # the table's own witness result holds the same per-pair arrays
+    res = certify.witness(table, space="X", corrected=corrected)
+    assert res.pairs == tuple((j, k) for j in range(D) for k in range(j + 1, D))
+    for n, st in enumerate(settings):
+        value, err, flag = oracle_visibility(*oracle_setting_cells(table, st, corrected))
+        assert res.values.flat[n] == pytest.approx(value, rel=1e-12, abs=1e-15)
+        assert res.errors.flat[n] == pytest.approx(err, rel=1e-12, abs=1e-15)
+        assert res.statuses.flat[n] == flag
 
 
 @pytest.mark.parametrize("corrected", [False, True])
