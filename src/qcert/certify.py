@@ -77,13 +77,19 @@ def witness_bound(num_modes: int, d: int) -> int:
     return 3 * num_modes * (num_modes - 1) // 2 - num_modes * (num_modes - d)
 
 
+def _checked_margin(margin: float) -> float:
+    if not margin >= 0:   # NaN too
+        raise ValidationError(f"margin must be at least 0 standard errors, got {margin!r}")
+    return margin
+
+
 def certified_dimension_from_witness(
     total: float, total_err: float, num_modes: int, margin: float = 1.0
 ) -> int:
     """1 + max{d : total - margin * err > f(d)}, capped at the mode count."""
-    certified = 1
+    certified, lower = 1, total - _checked_margin(margin) * total_err
     for d in range(1, num_modes + 1):
-        if total - margin * total_err > witness_bound(num_modes, d):
+        if lower > witness_bound(num_modes, d):
             certified = d + 1
     return min(certified, num_modes)
 
@@ -415,7 +421,7 @@ def cglmp(data, d: int, corrected: bool = False, margin: float = 1.0) -> CglmpRe
     table with counts only in cells of weight +1 reads S at its maximum, and
     its error is not 0.  A cell with counts keeps its variance (at least 1).
     """
-    weights = cglmp_weights(d).reshape(4, d, d)
+    weights, margin = cglmp_weights(d).reshape(4, d, d), _checked_margin(margin)
     _, dim = _modes(data, d)
     settings = bases.bell_settings(d, dim)
     vals, var = setting_cells(data, settings, corrected)

@@ -363,13 +363,13 @@ def _grid(text: str) -> list[float]:
     return grid
 
 
-def _finite(text: str) -> float:
+def _margin(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number of at least 0, got {text!r}")
     return value
 
 
@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", required=True, help="counts CSV")
     p.add_argument("--space", choices=["X", "K"], default="X")
     p.add_argument("--subtract-accidentals", action="store_true")
-    p.add_argument("--margin", type=_finite, default=1.0,
+    p.add_argument("--margin", type=_margin, default=1.0,
                    help="certification margin in standard errors")
     p.add_argument("--out", help="report JSON path")
     _add_common(p)
@@ -438,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also emit accidental-subtracted rows (counts input)")
     p.add_argument("--exact", action="store_true",
                    help="exact probabilities instead of sampled counts (not with --counts)")
-    p.add_argument("--margin", type=_finite, default=1.0)
+    p.add_argument("--margin", type=_margin, default=1.0)
     p.add_argument("--out", help="output CSV path")
     _add_common(p)
     p.set_defaults(func=cmd_bell)
@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_inputs(p, "ideal")
     p.add_argument("--param", choices=["noise_fraction"], default="noise_fraction")
     p.add_argument("--grid", type=_grid, required=True, help="start:stop:steps or comma list")
-    p.add_argument("--margin", type=_finite, default=1.0)
+    p.add_argument("--margin", type=_margin, default=1.0)
     p.add_argument("--out", help="output CSV path")
     _add_common(p)
     p.set_defaults(func=cmd_sweep)

@@ -29,16 +29,17 @@ configuration and drawn with each seed (``pipeline.run_simulation`` does).
 
 A table is shared row keys plus its own counts: ``RowKeys`` holds a setting
 name per row and the int64 outcome labels, checked for repeats once, and
-every cache derived from them (setting index, bootstrap order and word,
+every cache derived from them (setting index, bootstrap order and words,
 cell rows, sub-keys of ``restricted``); the table holds int64 counts C, S_s,
 S_i, N, checked by one array pass, and its metadata.  Its CountRecords are
-a view built on first read.  Bootstrap replica b of a table has one
-generator, SeedSequence([seed + b, table word]) -> PCG64, the table word
-hashing its sorted row keys, and draws every row in sorted-key order, so a
-replica does not depend on row order either.  A raw estimate reads C only,
-so its replicas draw the C row of that call alone.  Replicas come a block at
-a time as a ``ReplicaStack`` with a leading replica axis; ``setting_cells``
-reads tables and stacks alike.
+a view built on first read.  A bootstrap of a table has one stream per row
+kind, SeedSequence([seed, kind word]) -> PCG64, for the Poisson means C,
+S_s - C and S_i - C, each kind word hashing the table's sorted row keys;
+replica b is the b-th draw of every row from each stream, rows in
+sorted-key order, so a replica does not depend on row order either.  A raw
+estimate reads C only, so its replicas draw from the C stream alone.
+Replicas come a block at a time as a ``ReplicaStack`` with a leading
+replica axis; ``setting_cells`` reads tables and stacks alike.
 """
 
 from __future__ import annotations
@@ -266,19 +267,14 @@ def _key_word(setting: str, *key_parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _checked_seed(seed) -> int:
-    seed = int(seed)
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
-    return seed
-
-
 def _stream(seed, word: int) -> np.random.Generator:
     """The keyed stream of (seed, key word): numpy's
     ``PCG64(SeedSequence([seed, word]))``.  A negative seed raises
     ValidationError."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([_checked_seed(seed),
-                                                                        word])))
+    seed = int(seed)
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, word])))
 
 
 def _setting_key(name: str, labels_s: tuple, labels_i: tuple):
@@ -428,12 +424,13 @@ class RowKeys:
     @functools.cached_property
     def replica_key(self):
         """The rows in sorted-key order, the inverse of that order and the
-        bootstrap key word hashing the sorted keys: what every replica draws
-        by."""
+        bootstrap key words of the row kinds C, S_s - C and S_i - C, each
+        hashing the kind and the sorted keys: what every replica draws by."""
         keys = self.keys
         order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
-        word = _key_word("bootstrap", *(part for row in order for part in keys[row]))
-        return order, np.argsort(order), word
+        parts = [part for row in order for part in keys[row]]
+        return order, np.argsort(order), [_key_word("bootstrap", kind, *parts)
+                                          for kind in ("C", "S_s-C", "S_i-C")]
 
     def cell_rows(self, settings: tuple) -> np.ndarray:
         """The (settings, n_s, n_i) rows of settings that share one cell shape,
@@ -660,36 +657,35 @@ _BLOCK_CELLS = 8192
 
 def _replica_blocks(table: CoincidenceTable, seed: int, n_replicas: int,
                     singles: bool = True):
-    """Yield the (4, replicas, rows) counts of Poisson replicas seed, seed + 1,
-    ... (``n_replicas`` in all), a block of replicas at a time.  Replica b
-    makes one ``poisson`` call on the (3, rows) means C, S_s - C and S_i - C
-    in sorted-key order, from the stream ``_stream(b, word)`` with
-    ``word`` the key word of the table's sorted row keys, hashed once per
-    table.  Coincidences and singles (coincidences plus top-up) are capped
-    at the trial count, so every replica keeps 0 <= C <= min(S_s, S_i) and
-    max(C, S_s, S_i) <= N.  Without ``singles`` a replica draws the C row
-    alone, which is the first row of that call bit for bit, and a block
-    holds (1, replicas, rows)."""
-    seed = _checked_seed(seed)
-    order, inverse, word = table.row_keys.replica_key
+    """Yield the (4, replicas, rows) counts of Poisson replicas 0, 1, ...
+    (``n_replicas`` in all) of ``seed``, a block of replicas at a time.  Each
+    row kind, the means C, S_s - C and S_i - C in sorted-key order, has one
+    stream ``_stream(seed, word)`` with ``word`` its key word in
+    ``RowKeys.replica_key``, and each block makes one ``poisson`` call on
+    those means per kind, replica after replica, so replica b is the b-th
+    draw of each stream whatever the block size.  Coincidences and singles
+    (coincidences plus top-up) are capped at the trial count, so every
+    replica keeps 0 <= C <= min(S_s, S_i) and max(C, S_s, S_i) <= N.
+    Without ``singles`` a replica draws from the C stream alone, the same
+    coincidences bit for bit, and a block holds (1, replicas, rows)."""
+    order, inverse, words = table.row_keys.replica_key
     c, s, i, n = table.counts
     if n.max(initial=0) > MAX_TRIALS:
         raise ValidationError(f"trial count {n.max()} above the bootstrap's limit {MAX_TRIALS}")
-    means = np.stack([c, s - c, i - c][:3 if singles else 1])[:, order].astype(float)
+    kinds = [c, s - c, i - c][:3 if singles else 1]
+    streams = [(_stream(seed, word), kind[order].astype(float)) for word, kind in zip(words, kinds)]
     block = max(1, _BLOCK_CELLS // max(len(order), 1))
-    for first in range(seed, seed + n_replicas, block):
-        draws = np.empty((min(block, seed + n_replicas - first),) + means.shape, np.int64)
-        for b in range(len(draws)):
-            draws[b] = _stream(first + b, word).poisson(means)
-        counts = draws.transpose(1, 0, 2)[..., inverse]
+    for first in range(0, n_replicas, block):
+        size = (min(block, n_replicas - first), len(order))
+        counts = np.stack([rng.poisson(means, size) for rng, means in streams])[..., inverse]
         counts[0] = np.minimum(counts[0], n)
         counts[1:] = np.minimum(counts[0] + counts[1:], n)
         yield np.concatenate([counts, np.broadcast_to(n, counts[:1].shape)]) if singles else counts
 
 
 def bootstrap_table(table: CoincidenceTable, seed: int) -> CoincidenceTable:
-    """Replica ``seed`` of the bootstrap as a table, rows in table order: the
-    one-replica view of the draw ``bootstrap_std`` stacks (no draw of its
+    """Replica 0 of the bootstrap of ``seed`` as a table, rows in table order:
+    the one-replica view of the draw ``bootstrap_std`` stacks (no draw of its
     own).  A negative seed raises ValidationError."""
     counts = next(_replica_blocks(table, seed, 1))[:, 0]
     return _table(table.row_keys, counts, dict(table.metadata))
@@ -699,15 +695,15 @@ def bootstrap_std(table: CoincidenceTable, statistic, n_bootstrap: int, seed: in
                   singles: bool = True) -> float:
     """Bootstrap standard error (ddof = 1) of a statistic over Poisson replicas.
 
-    Replica b is ``bootstrap_table(table, seed + b)``: one generator keyed by
-    (seed + b, the table's sorted row keys) draws all of its rows, so the
-    replicas depend neither on row order nor on the block size.  Replicas
-    are drawn a block at a time into a ReplicaStack, and ``statistic(stack)``
-    returns one value per replica of the stack, NaN for a replica it
-    refuses.  Refused replicas are dropped; with fewer than two survivors
-    the error is NaN, never a silent zero.  A statistic that reads no
-    singles (a raw estimate) passes ``singles=False``: its replicas draw
-    their coincidences alone, the same ones.
+    Replica b is the b-th draw of one stream per row kind, keyed by (seed,
+    the kind and the table's sorted row keys), so the replicas depend neither
+    on row order nor on the block size; replica 0 is ``bootstrap_table``.
+    Replicas are drawn a block at a time into a ReplicaStack, and
+    ``statistic(stack)`` returns one value per replica of the stack, NaN for
+    a replica it refuses.  Refused replicas are dropped; with fewer than two
+    survivors the error is NaN, never a silent zero.  A statistic that reads
+    no singles (a raw estimate) passes ``singles=False``: its replicas draw
+    from the C stream alone, the same coincidences.
     """
     if n_bootstrap < 2:
         raise ValidationError(f"a bootstrap error needs at least 2 replicas, got {n_bootstrap}")

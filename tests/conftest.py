@@ -155,6 +155,44 @@ def oracle_simulate(rho, basis_s, basis_i, trials, params, seed, name):
             for a in labels_s for b in labels_i]
 
 
+# Bootstrap replicas built with numpy's own constructors and scalar draws.
+# The oracle for counting._replica_blocks and bootstrap_table.
+
+REPLICA_KINDS = ("C", "S_s-C", "S_i-C")
+
+
+def oracle_replica_stream(table, seed, kind):
+    """The bootstrap stream of one row kind of REPLICA_KINDS:
+    SeedSequence([seed, word]) -> PCG64, ``word`` hashing "bootstrap", the
+    kind and the table's sorted record keys."""
+    keys = sorted(rec.key for rec in table.records)
+    text = "\x1f".join(["bootstrap", kind, *(str(part) for key in keys for part in key)])
+    word = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "little")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), word])))
+
+
+def oracle_bootstrap(table, seed, n_replicas=1):
+    """Replicas 0 .. n_replicas - 1 of ``seed``, each a list of records in
+    table order, from scalar draws: replica after replica, each kind's stream
+    draws its mean for every record in sorted-key order (C, then S_s - C,
+    then S_i - C); coincidences and singles capped at the trial count."""
+    streams = [oracle_replica_stream(table, seed, kind) for kind in REPLICA_KINDS]
+    recs = sorted(table.records, key=lambda rec: rec.key)
+    means = ([rec.coincidences for rec in recs],
+             [rec.singles_s - rec.coincidences for rec in recs],
+             [rec.singles_i - rec.coincidences for rec in recs])
+    replicas = []
+    for _ in range(n_replicas):
+        draws = [[int(rng.poisson(mean)) for mean in kind] for rng, kind in zip(streams, means)]
+        replica = {}
+        for rec, c, top_s, top_i in zip(recs, *draws):
+            c = min(c, rec.trials)
+            replica[rec.key] = replace(rec, coincidences=c, singles_s=min(c + top_s, rec.trials),
+                                       singles_i=min(c + top_i, rec.trials))
+        replicas.append([replica[rec.key] for rec in table.records])
+    return replicas
+
+
 # Per-table estimators as they were before the count path read stacked
 # arrays: one record, one setting and one table at a time.  The oracles for
 # the batched estimators over a bootstrap replica stack.

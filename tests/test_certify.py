@@ -116,6 +116,18 @@ class TestCertifiedDimensionRule:
     def test_margin_rule(self, total, err, expected):
         assert certified_dimension_from_witness(total, err, 10) == expected
 
+    @pytest.mark.parametrize("margin", [-50.0, -1e-9, math.nan])
+    def test_negative_margin_refused(self, margin):
+        # a negative margin adds errors to the bound: S = 1.38 +- 0.06 read
+        # as a Bell violation at margin -50
+        rho = uniform_rho(3)
+        for certify in (lambda: certified_dimension_from_witness(111.6, 0.8, 10, margin),
+                        lambda: witness(rho, margin=margin),
+                        lambda: cglmp(rho, 3, margin=margin)):
+            with pytest.raises(ValidationError, match="margin must be at least 0"):
+                certify()
+        assert certified_dimension_from_witness(111.6, 0.8, 10, margin=0.0) == 8
+
 
 def visibility_from_counts(records, corrected=False):
     """(V, its standard error, status) of the mode-pair (0, 1) x setting from

@@ -367,6 +367,18 @@ BAD_CONFIG_FIELDS = {
 
 
 class TestInvalidInput:
+    @pytest.mark.parametrize("command", [["certify"], ["bell"],
+                                         ["sweep", "--preset", "ideal", "--grid", "0,0.1"]])
+    @pytest.mark.parametrize("margin", ["-50", "-0.5"])
+    def test_negative_margin_exits_2_before_any_output(self, tmp_path, sim_run, command,
+                                                        margin):
+        counts = [] if command[0] == "sweep" else ["--counts", str(sim_run / "counts.csv")]
+        res = run_cli(*command, *counts, f"--margin={margin}", "--out", "out", cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "--margin" in res.stderr and "Traceback" not in res.stderr
+        assert res.stdout == ""
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("args", [
         ["tomo", "--counts", "counts.csv", "--pair", "a,b"],
         ["tomo", "--counts", "counts.csv", "--pair", "0"],

@@ -48,8 +48,9 @@ from qcert.counting import (
 )
 from qcert.pipeline import SimulationConfig
 
-from conftest import (einsum_marginals, einsum_table, oracle_bases, oracle_cells, oracle_means,
-                      oracle_simulate, oracle_states, oracle_stream)
+from conftest import (einsum_marginals, einsum_table, oracle_bases, oracle_bootstrap,
+                      oracle_cells, oracle_means, oracle_replica_stream, oracle_simulate,
+                      oracle_states, oracle_stream)
 
 
 def rho2():
@@ -475,9 +476,9 @@ class TestTables(object):
 
     def test_bootstrap_caps_coincidences_at_the_trial_count(self):
         table = CoincidenceTable(records=(make_record(4, 4, 4, n=4, setting="a", out=(0, 0)),))
-        # replica 6 draws 6 coincidences, more than the 4 trials allow
-        assert oracle_replica_stream(table, 6).poisson(4) == 6
-        rec = bootstrap_table(table, seed=6).records[0]
+        # replica 0 of seed 5 draws 9 coincidences, more than the 4 trials allow
+        assert oracle_replica_stream(table, 5, "C").poisson(4) == 9
+        rec = bootstrap_table(table, seed=5).records[0]
         assert (rec.coincidences, rec.singles_s, rec.singles_i, rec.trials) == (4, 4, 4, 4)
 
     def test_bootstrap_deterministic(self):
@@ -552,8 +553,8 @@ class TestBootstrapStd:
 
     def test_is_the_ddof1_spread_over_bootstrap_replicas(self):
         t = self.make_table()
-        values = [float(sum(r.coincidences for r in bootstrap_table(t, seed=40 + b).records))
-                  for b in range(12)]
+        values = [float(sum(r.coincidences for r in replica))
+                  for replica in oracle_bootstrap(t, seed=40, n_replicas=12)]
         expected = float(np.std(values, ddof=1))
         assert bootstrap_std(t, self.total, 12, seed=40) == pytest.approx(expected, rel=1e-12)
 
@@ -565,8 +566,8 @@ class TestBootstrapStd:
             values[0] = np.nan   # replica 0 refused
             return values
 
-        kept = [float(sum(r.coincidences for r in bootstrap_table(t, seed=7 + b).records))
-                for b in range(1, 10)]
+        kept = [float(sum(r.coincidences for r in replica))
+                for replica in oracle_bootstrap(t, seed=7, n_replicas=10)[1:]]
         assert bootstrap_std(t, statistic, 10, seed=7) == pytest.approx(
             float(np.std(kept, ddof=1)), rel=1e-12)
 
@@ -688,14 +689,15 @@ class TestTableProperties:
 
     @settings(deadline=None, max_examples=40)
     @given(table_rows, st.integers(0, 2**64), st.integers(2, 4))
-    def test_stack_replica_b_is_bootstrap_table_at_seed_plus_b(self, rows, seed, n_replicas):
+    def test_stack_replica_b_is_the_oracle_replica_b(self, rows, seed, n_replicas):
         table = table_from_rows(rows)
         stack = replica_stack(table, n_replicas, seed)
         assert stack.counts.shape == (4, n_replicas, len(rows))
-        for b in range(n_replicas):
-            records = bootstrap_table(table, seed + b).records
+        for b, records in enumerate(oracle_bootstrap(table, seed, n_replicas)):
             assert stack.counts[:, b].T.tolist() == [
                 [r.coincidences, r.singles_s, r.singles_i, r.trials] for r in records]
+        # bootstrap_table is replica 0
+        assert list(bootstrap_table(table, seed).records) == oracle_bootstrap(table, seed)[0]
 
     @settings(deadline=None, max_examples=60)
     @given(table_rows, st.integers(0, 2**64), st.data())
@@ -821,36 +823,6 @@ def column_table(rows, trials=200) -> CoincidenceTable:
                                          for name, a, b, c, extra_s, extra_i in rows]))
 
 
-def oracle_replica_stream(table, seed):
-    """Bootstrap replica ``seed``'s one generator, built with numpy's own
-    constructors: SeedSequence([seed, word]) -> PCG64, ``word`` hashing the
-    table's sorted record keys."""
-    keys = sorted(rec.key for rec in table.records)
-    text = "\x1f".join(["bootstrap", *(str(part) for key in keys for part in key)])
-    word = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "little")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), word])))
-
-
-def oracle_bootstrap(table, seed):
-    """bootstrap_table with scalar draws: the coincidences of every record in
-    sorted-key order, then the signal top-ups S_s - C, then the idler top-ups
-    S_i - C; coincidences and singles capped at the trial count."""
-    rng = oracle_replica_stream(table, seed)
-    recs = sorted(table.records, key=lambda rec: rec.key)
-    draws = [[int(rng.poisson(mean)) for mean in means] for means in (
-        [rec.coincidences for rec in recs],
-        [rec.singles_s - rec.coincidences for rec in recs],
-        [rec.singles_i - rec.coincidences for rec in recs])]
-    replica = {}
-    for rec, c, top_s, top_i in zip(recs, *draws):
-        c = min(c, rec.trials)
-        replica[rec.key] = CountRecord(
-            setting=rec.setting, outcome_s=rec.outcome_s, outcome_i=rec.outcome_i,
-            coincidences=c, singles_s=min(c + top_s, rec.trials),
-            singles_i=min(c + top_i, rec.trials), trials=rec.trials)
-    return [replica[rec.key] for rec in table.records]
-
-
 class TestKeyedStreams:
     @pytest.mark.parametrize("seed", [0, 7, 2**64 + 1])
     def test_setting_stream_draws_like_numpy(self, seed):
@@ -884,7 +856,20 @@ class TestKeyedStreams:
         table = TestTables().make_table()
         # records out of sorted-key order, so the draws must be put back in place
         table = CoincidenceTable(records=table.records[::-1], metadata=table.metadata)
-        assert list(bootstrap_table(table, seed).records) == oracle_bootstrap(table, seed)
+        assert list(bootstrap_table(table, seed).records) == oracle_bootstrap(table, seed)[0]
+
+    def test_adjacent_seeds_share_no_replica(self):
+        table = pipeline.run_simulation(small_plan_config(seed=2))
+        assert len(table.records) >= 100
+        stacks = {(seed, singles): np.concatenate(
+            list(counting._replica_blocks(table, seed, 20, singles)), axis=1)
+            for seed in (5, 6) for singles in (True, False)}
+        # a replica shared by adjacent seeds would make their errors nearly equal
+        assert not any(np.array_equal(a, b) for a in stacks[5, True][0]
+                       for b in stacks[6, True][0])
+        # raw and corrected replicas of one seed draw the same coincidences
+        for seed in (5, 6):
+            assert np.array_equal(stacks[seed, False], stacks[seed, True][:1])
 
     @pytest.mark.parametrize("draw", [
         lambda: _stream(-1, counting._setting_key("s", (0,), (0,))[0]),
@@ -989,17 +974,29 @@ class TestSimulatePlan:
         assert sorted(streams) == sorted((4, word) for word in setting_words)
         assert words == []
         assert first.records != second.records
-        # one stream per bootstrap replica, seeds s .. s + B - 1, one table word,
-        # hashed once per row-key layout: the second run's table shares it
+        # a bootstrap builds one stream per row kind it draws, whatever its
+        # replica count: C, S_s - C and S_i - C corrected, the C stream alone
+        # raw.  The three kind words are hashed once per row-key layout, and
+        # the second run's table shares it.
         assert second.row_keys is first.row_keys
-        for table, hashed in ((first, 1), (first, 0), (second, 0)):
-            streams.clear()
-            words.clear()
-            bootstrap_std(table, lambda stack: stack.counts[0].sum(axis=-1), n_bootstrap=5,
-                          seed=11)
-            assert [seed for seed, _ in streams] == list(range(11, 16))
-            assert len({word for _, word in streams}) == 1
-            assert len(words) == hashed
+        words.clear()
+        drawn = set()
+        for table in (first, second):
+            for n_bootstrap in (2, 100, 250):
+                for singles in (True, False):
+                    streams.clear()
+                    bootstrap_std(table, lambda stack: stack.counts[0].sum(axis=-1),
+                                  n_bootstrap, seed=11, singles=singles)
+                    assert [seed for seed, _ in streams] == [11] * (3 if singles else 1)
+                    drawn.add(tuple(word for _, word in streams))
+        corrected, raw = sorted(drawn, key=len, reverse=True)
+        assert len(set(corrected)) == 3 and raw == corrected[:1]
+        assert len(words) == 3
+        # a calibrated-witness plan draw still builds one stream per setting
+        streams.clear()
+        cfg = pipeline.preset("calibrated-witness")
+        pipeline.run_simulation(cfg)
+        assert len(streams) == len(pipeline.build_settings(cfg)) == 317
 
     @settings(deadline=None, max_examples=30)
     @given(st.integers(0, 2**64), st.data())

@@ -30,7 +30,7 @@ def table():
 
 
 def replica_counts(table, seed, n_replicas):
-    """The counts of replicas seed, seed + 1, ... as one stack."""
+    """The counts of replicas 0, 1, ... of ``seed`` as one stack."""
     return np.concatenate(list(counting._replica_blocks(table, seed, n_replicas)), axis=1)
 
 

@@ -10,7 +10,6 @@ from qcert import (
     DensityOperator,
     SourceConfig,
     ValidationError,
-    bootstrap_table,
     density_from_ket,
     ideal_state,
     noisy_state,
@@ -27,6 +26,8 @@ from qcert.tomo import (
     reconstruct,
     reconstruct_exact,
 )
+
+from conftest import oracle_bootstrap
 
 
 def random_two_qubit(rng) -> DensityOperator:
@@ -188,8 +189,9 @@ class TestCountReconstruction:
         rho = noisy_state(SourceConfig.uniform(10, noise_fraction=0.25))
         table = self.build_table(rho, trials=10**6, seed=4)
         tomo_table = table.restricted(st.name for st in tomo_settings(0, 5))
-        fids = [reconstruct(bootstrap_table(tomo_table, seed=9 + b), (0, 5),
-                            corrected=True, n_bootstrap=2).fidelity for b in range(8)]
+        fids = [reconstruct(CoincidenceTable(records=tuple(replica), metadata=tomo_table.metadata),
+                            (0, 5), corrected=True, n_bootstrap=2).fidelity
+                for replica in oracle_bootstrap(tomo_table, seed=9, n_replicas=8)]
         res = reconstruct(table, (0, 5), corrected=True, n_bootstrap=8, seed=9)
         assert res.fidelity_err == pytest.approx(float(np.std(fids, ddof=1)), rel=1e-12)
 
