@@ -13,9 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from qcert import noisy_state
-from qcert.counting import CoincidenceTable, simulate_setting
-from qcert.pipeline import effective_params, preset, sampling_state
-from qcert.bases import tomo_settings
+from qcert.pipeline import preset, run_simulation
 from qcert.tomo import reconstruct, reconstruct_exact
 
 OUT = Path(__file__).parent / "output"
@@ -41,14 +39,7 @@ def main():
     print(f"relative phase: {exact.relative_phase_deg:+.2f} deg")
     print(f"post-selection weight: {exact.postselection_weight:.4f}\n")
 
-    rho_s = sampling_state(cfg)
-    params = effective_params(cfg)
-    records = []
-    for st in tomo_settings(*pair, num_modes=cfg.source.num_modes):
-        records.extend(simulate_setting(rho_s, st.basis_s, st.basis_i,
-                                        cfg.trials_per_setting, params, cfg.seed,
-                                        setting_name=st.name))
-    table = CoincidenceTable(records=tuple(records), metadata={"D": 10})
+    table = run_simulation(cfg)
     print(f"sampled run, {cfg.trials_per_setting:.0e} trials per setting:")
     for corrected, label in ((False, "raw counts"), (True, "subtracted")):
         res = reconstruct(table, pair, corrected=corrected, n_bootstrap=100, seed=cfg.seed)

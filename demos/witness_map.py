@@ -13,11 +13,8 @@ summary numbers.
 import csv
 from pathlib import Path
 
-import numpy as np
-
 from qcert import noisy_state, witness, witness_bound
-from qcert.counting import CoincidenceTable, simulate_setting
-from qcert.pipeline import build_settings, effective_params, preset, sampling_state
+from qcert.pipeline import preset, run_simulation
 
 OUT = Path(__file__).parent / "output"
 
@@ -57,15 +54,7 @@ def main():
     # one sampled run: raw counts versus accidental-subtracted counts
     print("\nsampled run at the same operating point "
           f"({cfg.trials_per_setting} trials per setting):")
-    rho_s = sampling_state(cfg)
-    params = effective_params(cfg)
-    plan = [s for s in build_settings(cfg) if s.name.startswith("witX")]
-    records = []
-    for st in plan:
-        records.extend(simulate_setting(rho_s, st.basis_s, st.basis_i,
-                                        cfg.trials_per_setting, params, cfg.seed,
-                                        setting_name=st.name))
-    table = CoincidenceTable(records=tuple(records), metadata={"D": 10})
+    table = run_simulation(cfg)
     for corrected, label in ((False, "raw counts       "), (True, "after subtraction")):
         res = witness(table, space="X", corrected=corrected)
         print(f"  {label}: W = {res.total:6.2f} +- {res.total_err:.2f} "

@@ -1,10 +1,10 @@
 """Certification quantities: dimension witness, formation bound, Bell parameter.
 
 All three accept either a DensityOperator (exact probabilities) or a
-CoincidenceTable (finite counts, optionally accidental-subtracted), and
-read their ``bases`` plan as one stacked array through the cell reader
-``counting.setting_cells`` (the exact formation bound excepted, which reads
-matrix elements of rho).  The count-path formation terms also run over a
+CoincidenceTable (finite counts, optionally accidental-subtracted), take
+their mode space from ``counting.plan_modes`` and read their ``bases`` plan
+through the cell reader ``counting.setting_cells``, all but the exact pair
+coherences <jj|rho|kk>.  The count-path formation terms also run over a
 bootstrap ``ReplicaStack``, where a refused replica reads NaN:
 
 * ``witness``: sums the three pair visibilities over every mode pair and
@@ -52,18 +52,6 @@ def _no_support(total: float, exact: bool) -> bool:
     """A setting's cell total with nothing to normalise: below 1e-14 for
     exact probabilities, non-positive for (possibly subtracted) counts."""
     return total < 1e-14 if exact else total <= 0
-
-
-def _modes(data, num_modes: int | None) -> tuple[int, int]:
-    """(d, dim): the d analysed modes (``num_modes``, else all of them) and
-    the dim-mode space the setting plans of ``data`` are built in."""
-    if isinstance(data, CoincidenceTable) and not (num_modes or data.metadata.get("D")):
-        raise ValidationError("num_modes required (no D in table metadata)")
-    dim = plan_modes(data, num_modes)
-    d = int(num_modes or dim)
-    if not 1 <= d <= dim:
-        raise ValidationError(f"{d} modes do not fit the {dim}-mode data")
-    return d, dim
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +133,7 @@ def witness(
 ) -> WitnessResult:
     """Visibility-sum dimension witness over all mode pairs of one space."""
     naming.require_space(space)
-    d, dim = _modes(data, num_modes)
+    d, dim = plan_modes(data, num_modes)
     pairs = _witness_pairs(d)
     plans = [bases.witness_settings(space, j, k, dim) for j, k in pairs]
     try:
@@ -240,13 +228,15 @@ def _b_from_terms(coherences, cross_terms):
 
 
 def _eof_exact_elements(rho: DensityOperator, space: str, j, k):
-    """<jj|rho|kk>, <jk|rho|jk> and <kj|rho|kj> per pair, read off rho rotated
-    once into the product basis of the space's full-basis scan; linear in rho."""
+    """<jj|rho|kk>, <jk|rho|jk> and <kj|rho|kj> per pair in the product basis of
+    the space's full-basis scan: the populations its cells, as on counts, the
+    coherences one product over its |aa> kets; linear in rho."""
     scan = bases.scan_setting(space, rho.dim_signal)
-    kets = np.kron(scan.basis_s.vector_matrix, scan.basis_i.vector_matrix)
-    r = kets.conj() @ rho.matrix @ kets.T
-    n = rho.dim_idler
-    return r[j * n + j, k * n + k], r[j * n + k, j * n + k].real, r[k * n + j, k * n + j].real
+    populations = setting_cells(rho, [scan])[0][0]
+    kets_s, kets_i = scan.basis_s.vector_matrix, scan.basis_i.vector_matrix
+    diagonal = (kets_s[:, :, None] * kets_i[:, None, :]).reshape(len(kets_s), -1)
+    coherences = diagonal.conj() @ rho.matrix @ diagonal.T
+    return coherences[j, k], populations[j, k], populations[k, j]
 
 
 def _eof_exact_terms(coherences, p_jk, p_kj):
@@ -303,7 +293,7 @@ def eof_bound(
     at log2 n the same way.
     """
     naming.require_space(space)
-    d, dim = _modes(data, num_modes)
+    d, dim = plan_modes(data, num_modes)
     pairs = tuple((j, k) for j, k in (_witness_pairs(d) if pair_set is None else pair_set))
     bad = [(j, k) for j, k in pairs if j == k or not (0 <= j < d and 0 <= k < d)]
     if bad:
@@ -422,7 +412,7 @@ def cglmp(data, d: int, corrected: bool = False, margin: float = 1.0) -> CglmpRe
     its error is not 0.  A cell with counts keeps its variance (at least 1).
     """
     weights, margin = cglmp_weights(d).reshape(4, d, d), _checked_margin(margin)
-    _, dim = _modes(data, d)
+    _, dim = plan_modes(data, d)
     settings = bases.bell_settings(d, dim)
     vals, var = setting_cells(data, settings, corrected)
     exact = isinstance(data, DensityOperator)

@@ -47,7 +47,6 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -199,45 +198,38 @@ _TABLE_ROWS = 128
 
 def _table_blocks(rho: DensityOperator, pairs):
     """Settings, given as (signal, idler) basis pairs, in blocks of one table
-    product each: a block's indices into ``pairs`` and its (m, n_s, dim) and
-    (m, n_i, dim) kets.  A block holds settings of one cell shape in the order
-    given, at most ``_TABLE_ROWS`` product-ket rows or one setting."""
+    product each: yield a block's indices into ``pairs``, its (m, n_s, dim)
+    and (m, n_i, dim) kets and its (m, n_s, n_i) outcome tables.  A block
+    holds settings of one cell shape in the order given, at most
+    ``_TABLE_ROWS`` product-ket rows or one setting."""
     if any(b_s.dim != rho.dim_signal or b_i.dim != rho.dim_idler for b_s, b_i in pairs):
         raise ValidationError("measurement vectors do not match the state dimensions")
     groups: dict[tuple, list[int]] = {}
     for k, (b_s, b_i) in enumerate(pairs):
         groups.setdefault((len(b_s.labels), len(b_i.labels)), []).append(k)
-    blocks = []
     for (n_s, n_i), members in groups.items():
         step = max(1, _TABLE_ROWS // (n_s * n_i))
         for first in range(0, len(members), step):
             idx = members[first:first + step]
-            blocks.append((idx, np.array([pairs[k][0].vector_matrix for k in idx]),
-                           np.array([pairs[k][1].vector_matrix for k in idx])))
-    return blocks
+            kets_s = np.array([pairs[k][0].vector_matrix for k in idx])
+            kets_i = np.array([pairs[k][1].vector_matrix for k in idx])
+            yield idx, kets_s, kets_i, linalg.outcome_probabilities(rho, kets_s, kets_i)
 
 
 def _mean_blocks(rho: DensityOperator, pairs, trials: int, params: CountingParams):
     """Yield the count means of settings, given as (signal, idler) basis
     pairs, a ``_table_blocks`` block at a time: its indices into ``pairs``,
     coincidence means (m, n_s, n_i) and signal (m, n_s) and idler (m, n_i)
-    singles means.  The side marginals of all blocks, rows in block order,
-    take one product a side."""
+    singles means, the side marginals taken with the block's table."""
     if trials < 1:
         raise ValidationError("trials must be at least 1")
-    blocks = _table_blocks(rho, pairs)
-    marg_s = linalg.marginal_probabilities(
-        rho, np.concatenate([v.reshape(-1, rho.dim_signal) for _, v, _ in blocks]), "signal")
-    marg_i = linalg.marginal_probabilities(
-        rho, np.concatenate([v.reshape(-1, rho.dim_idler) for *_, v in blocks]), "idler")
     n = float(trials)
-    row_s = row_i = 0
-    for idx, v_s, v_i in blocks:
-        tables = linalg.outcome_probabilities(rho, v_s, v_i)
+    for idx, kets_s, kets_i, tables in _table_blocks(rho, pairs):
         m, n_s, n_i = tables.shape
-        ms = marg_s[row_s:row_s + m * n_s].reshape(m, n_s)
-        mi = marg_i[row_i:row_i + m * n_i].reshape(m, n_i)
-        row_s, row_i = row_s + m * n_s, row_i + m * n_i
+        ms = linalg.marginal_probabilities(
+            rho, kets_s.reshape(-1, rho.dim_signal), "signal").reshape(m, n_s)
+        mi = linalg.marginal_probabilities(
+            rho, kets_i.reshape(-1, rho.dim_idler), "idler").reshape(m, n_i)
         for totals, what in ((tables.reshape(m, -1).sum(axis=1), "joint"),
                              (ms.sum(axis=1), "signal"), (mi.sum(axis=1), "idler")):
             if totals.max() > 1.0 + 1e-9:
@@ -325,16 +317,15 @@ class PlanMeans:
 
 def plan_means(rho: DensityOperator, plan: list[PlannedSetting], trials: int,
                params: CountingParams) -> PlanMeans:
-    """The seed-free part of a plan's table (settings in plan order, cells in
-    basis label order): the means a block of settings at a time, each
-    setting's stream key and the row keys.  An empty plan raises ValidationError."""
+    """The seed-free part of a plan's table: the row keys, one row per key of
+    each setting's ``cells`` (settings in plan order), the means a block of
+    settings at a time and each setting's stream key.  An empty plan raises
+    ValidationError."""
     if not plan:
         raise ValidationError("a settings plan needs at least one setting")
-    plan_labels = [(st.basis_s.labels, st.basis_i.labels) for st in plan]
-    keys = [_setting_key(st.name, *pair) for st, pair in zip(plan, plan_labels)]
-    sizes = [len(labels_s) * len(labels_i) for labels_s, labels_i in plan_labels]
-    start = np.cumsum([0] + sizes)
-    labels = np.empty((2, start[-1]), dtype=np.int64)
+    keys = [_setting_key(st.name, st.basis_s.labels, st.basis_i.labels) for st in plan]
+    setting, *labels = zip(*[(st.name, *key) for st in plan for row in st.cells for key in row])
+    start = np.cumsum([0] + [len(st.cells) * len(st.cells[0]) for st in plan])
     blocks = []
     for idx, lam, mean_s, mean_i in _mean_blocks(
             rho, [(st.basis_s, st.basis_i) for st in plan], trials, params):
@@ -344,15 +335,11 @@ def plan_means(rho: DensityOperator, plan: list[PlannedSetting], trials: int,
             lam.reshape(m, -1), mean_s - lam.sum(axis=2),
             mean_i - np.ascontiguousarray(lam.transpose(0, 2, 1)).sum(axis=2)], axis=1), 0.0)
         rows = start[idx][:, None] + np.arange(n_s * n_i)
-        labels[0, rows] = np.repeat([plan_labels[k][0] for k in idx], n_i, axis=1)
-        labels[1, rows] = np.tile([plan_labels[k][1] for k in idx], (1, n_s))
         streams = tuple((*keys[k], means[r, keys[k][1]]) for r, k in enumerate(idx))
         for array in (rows, *(sorted_means for *_, sorted_means in streams)):
             array.setflags(write=False)   # shared by every draw of a cached plan
         blocks.append((rows, n_s, n_i, streams))
-    setting = tuple(itertools.chain.from_iterable(
-        itertools.repeat(st.name, size) for st, size in zip(plan, sizes)))
-    return PlanMeans(RowKeys(setting, labels), trials, tuple(blocks))
+    return PlanMeans(RowKeys(setting, np.array(labels, dtype=np.int64)), trials, tuple(blocks))
 
 
 def simulate_setting(
@@ -540,16 +527,26 @@ class CoincidenceTable:
                                 dict(self.metadata))
 
 
-def plan_modes(data, fallback: int | None = None) -> int:
-    """The mode count the setting plans of ``data`` are built in: a state's
-    (signal and idler must agree), else a table's D, else ``fallback``."""
+def plan_modes(data, num_modes: int | None = None) -> tuple[int, int]:
+    """(d, dim): the dim-mode space the setting plans of ``data`` are built
+    in, a state's (signal and idler must agree), else a table's D, else
+    ``num_modes``, and the d modes analysed in it, ``num_modes``, else all
+    of them.  A table with neither D nor ``num_modes``, or d outside 1..dim,
+    raises ValidationError."""
     if isinstance(data, DensityOperator):
         if data.dim_signal != data.dim_idler:
             raise ValidationError("setting plans need equal signal and idler mode counts")
-        return data.dim_signal
-    if isinstance(data, CoincidenceTable):
-        return int(data.metadata.get("D") or fallback)
-    raise ValidationError("expected a DensityOperator or a CoincidenceTable")
+        dim = data.dim_signal
+    elif isinstance(data, CoincidenceTable):
+        dim = int(data.metadata.get("D") or num_modes or 0)
+        if not dim:
+            raise ValidationError("num_modes required (no D in table metadata)")
+    else:
+        raise ValidationError("expected a DensityOperator or a CoincidenceTable")
+    d = int(num_modes or dim)
+    if not 1 <= d <= dim:
+        raise ValidationError(f"{d} modes do not fit the {dim}-mode data")
+    return d, dim
 
 
 @dataclass(frozen=True)
@@ -577,8 +574,8 @@ def setting_cells(data, settings, corrected: bool = False):
         raise ValidationError(f"settings read together need one cell shape, got {shapes}")
     if isinstance(data, DensityOperator):
         # one cell shape, so the blocks come in the order of the settings
-        tables = [linalg.outcome_probabilities(data, kets_s, kets_i) for _, kets_s, kets_i
-                  in _table_blocks(data, [(st.basis_s, st.basis_i) for st in settings])]
+        tables = [table for *_, table in
+                  _table_blocks(data, [(st.basis_s, st.basis_i) for st in settings])]
         tables = np.concatenate(tables) if tables else np.empty(0)
         return tables, np.zeros(tables.shape)
     table = data.table if isinstance(data, ReplicaStack) else data

@@ -121,6 +121,17 @@ def oracle_cells(rho, settings):
                                            st.basis_i.vector_matrix) for st in settings])
 
 
+def kron_eof_elements(rho, space, j, k):
+    """<jj|rho|kk>, <jk|rho|jk> and <kj|rho|kj> per pair as the exact formation
+    bound read them before it read the scan's cells: off rho rotated once
+    into the scan's product basis by one (D^2, D^2) Kronecker product."""
+    scan = bases.scan_setting(space, rho.dim_signal)
+    kets = np.kron(scan.basis_s.vector_matrix, scan.basis_i.vector_matrix)
+    r = kets.conj() @ rho.matrix @ kets.T
+    n = rho.dim_idler
+    return r[j * n + j, k * n + k], r[j * n + k, j * n + k].real, r[k * n + j, k * n + j].real
+
+
 # Keyed-stream simulation built with numpy's own constructors, one setting at
 # a time.  The oracle for plan_means(...).draw.
 

@@ -30,15 +30,15 @@ from qcert import (
 from qcert.bases import (cglmp_basis, mode_vector, pair_basis, scan_setting, witness_settings,
                          x_basis)
 from qcert.linalg import outcome_probabilities
-from qcert.certify import (certified_dimension_from_witness, _ebits_from_b, _saturated_ebits,
-                           _visibilities)
+from qcert.certify import (certified_dimension_from_witness, _ebits_from_b, _eof_exact_elements,
+                           _saturated_ebits, _visibilities, _witness_pairs)
 from qcert.errors import ComputationError
 from qcert import bases, counting, naming
 from qcert.counting import setting_cells
 from qcert.pipeline import PRESET_NAMES, SimulationConfig, build_settings, preset
 from qcert.tomo import reconstruct, reconstruct_exact
 
-from conftest import SATURATING_SEED, saturating_table
+from conftest import SATURATING_SEED, kron_eof_elements, oracle_states, saturating_table
 
 
 def uniform_rho(d, noise=0.0):
@@ -306,6 +306,22 @@ class TestEofExact:
                 assert res.coherences[(j, k)] == pytest.approx(coherence, abs=1e-12)
                 assert res.cross_terms[(j, k)] == pytest.approx(cross, abs=1e-12)
 
+    @pytest.mark.parametrize("space", ["X", "K"])
+    def test_elements_are_the_kron_rotation(self, space):
+        # populations read as the scan's cells, coherences over its |aa> kets:
+        # X (one-hot kets) bit for bit, K within 1e-12
+        states = [noisy_state(preset(name).source) for name in PRESET_NAMES]
+        states += [rho for d in range(2, 7) for rho in oracle_states(d, d, seed=700 + d)]
+        for rho in states:
+            j, k = np.array(_witness_pairs(rho.dim_signal)).T
+            got = _eof_exact_elements(rho, space, j, k)
+            want = kron_eof_elements(rho, space, j, k)
+            for a, b in zip(got, want):
+                if space == "X":
+                    assert np.array_equal(a, b)
+                else:
+                    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
     def test_impossible_coherence_sum_rejected(self):
         with pytest.raises(ComputationError):
             _ebits_from_b(1.5)
@@ -516,6 +532,10 @@ class TestEofValidation:
         with pytest.raises(ValidationError, match="repeats a pair"):
             eof_bound(ten_mode_data, pair_set=pair_set, n_bootstrap=2)
 
+    def test_witness_refuses_more_modes_than_the_data(self, ten_mode_data):
+        with pytest.raises(ValidationError, match="11 modes do not fit the 10-mode data"):
+            witness(ten_mode_data, num_modes=11)
+
     def test_edge_pair_accepted(self, ten_mode_data):
         res = eof_bound(ten_mode_data, pair_set=[(0, 9)], n_bootstrap=2)
         assert res.pair_set == ((0, 9),)
@@ -538,6 +558,14 @@ class TestTableWithoutModeCount:
                 estimator(tables[1])
             messages.append(str(info.value))
         assert messages[0] == messages[1]
+
+    def test_plan_modes_needs_d_or_num_modes(self, tables):
+        with_d, without_d = tables
+        with pytest.raises(ValidationError, match="num_modes required"):
+            counting.plan_modes(without_d)
+        assert counting.plan_modes(without_d, 3) == (3, 3)
+        assert counting.plan_modes(with_d) == (4, 4)
+        assert counting.plan_modes(with_d, 2) == (2, 4)
 
     def test_num_modes_stands_in_for_d(self, tables):
         with_d, without_d = tables

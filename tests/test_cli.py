@@ -321,6 +321,14 @@ class TestTomo:
                       cwd=sim_run)
         assert res.returncode == 2
 
+    def test_pair_outside_the_run_names_its_modes(self, tmp_path, monkeypatch, capsys):
+        save_table(saturating_table(), tmp_path / "counts.csv")
+        files = sorted(tmp_path.iterdir())
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["tomo", "--counts", "counts.csv", "--pair", "0,12"]) == 2
+        assert "13 modes do not fit the 10-mode data" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == files
+
 
 class TestSweep:
     def test_grid_rows(self, small_config):

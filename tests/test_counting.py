@@ -193,6 +193,15 @@ class TestPlanMeans:
                                    zip((lam[r], singles_s[r], singles_i[r]), expected[k]))
                 assert sorted(seen) == list(range(len(plan)))
 
+    @pytest.mark.parametrize("name", pipeline.PRESET_NAMES)
+    def test_row_keys_are_the_plan_cells_in_plan_order(self, name):
+        cfg = pipeline.preset(name)
+        plan = pipeline.build_settings(cfg)
+        means = plan_means(pipeline.sampling_state(cfg), plan, cfg.trials_per_setting,
+                           pipeline.effective_params(cfg))
+        assert means.row_keys.keys == tuple((st.name, a, b) for st in plan
+                                            for row in st.cells for a, b in row)
+
     def test_probability_sums_are_checked_per_setting(self):
         # an unnormalized state (trace 1.5 on |00> and |11>) that only one
         # setting of a block of two sees in full
