@@ -50,7 +50,7 @@ class TomoResult:
 def _plan(data, j: int, k: int, space: str):
     """The nine settings of pair (j, k); a table without D gets the smallest
     mode space that holds the pair (the cell labels do not depend on it)."""
-    return tomo_settings(j, k, space=space, num_modes=plan_modes(data, max(j, k) + 1)[1])
+    return tomo_settings(j, k, space=space, num_modes=plan_modes(data, max(j, k, 0) + 1)[1])
 
 
 def _cells(data, plan, corrected: bool = False) -> np.ndarray:

@@ -321,12 +321,15 @@ class TestTomo:
                       cwd=sim_run)
         assert res.returncode == 2
 
-    def test_pair_outside_the_run_names_its_modes(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("pair, message", [("0,12", "13 modes do not fit the 10-mode data"),
+                                               ("-5,-2", "mode label -5 outside 0..9")])
+    def test_pair_outside_the_run_names_its_modes(self, pair, message, tmp_path, monkeypatch,
+                                                  capsys):
         save_table(saturating_table(), tmp_path / "counts.csv")
         files = sorted(tmp_path.iterdir())
         monkeypatch.chdir(tmp_path)
-        assert cli.main(["tomo", "--counts", "counts.csv", "--pair", "0,12"]) == 2
-        assert "13 modes do not fit the 10-mode data" in capsys.readouterr().err
+        assert cli.main(["tomo", "--counts", "counts.csv", f"--pair={pair}"]) == 2
+        assert message in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == files
 
 
