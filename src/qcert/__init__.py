@@ -6,6 +6,7 @@ from .errors import ComputationError, QcertError, ValidationError
 from .linalg import (
     DensityOperator,
     PairRestriction,
+    SourceState,
     StateVector,
     density_from_ket,
     fidelity_to_pure,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputationError, ValidationError
-from .linalg import DensityOperator
+from .linalg import DensityOperator, SourceState
 from . import bases
 from .counting import CoincidenceTable, bootstrap_std, plan_modes, setting_cells
 from . import naming
@@ -211,10 +211,15 @@ def _b_cap(m: int) -> float:
     return math.sqrt(2.0 * (1.0 - 1.0 / m))
 
 
+# A coherence sum within this relative distance below B_cap saturates: the
+# exact sum of a state at the cap lands a few ulps either side of it.
+SATURATION_RTOL = 1e-12
+
+
 def _saturated_ebits(b: float, m: int) -> tuple[float, bool]:
     """(ebits, saturated) of coherence sum b over pairs touching m modes:
-    the bound, capped at log2 m from B_cap on."""
-    if b > 0 and b >= _b_cap(m):
+    the bound, capped at log2 m from B_cap (1 - SATURATION_RTOL) on."""
+    if b > 0 and b >= _b_cap(m) * (1.0 - SATURATION_RTOL):
         return math.log2(m), True
     return _ebits_from_b(b), False
 
@@ -230,12 +235,18 @@ def _b_from_terms(coherences, cross_terms):
 def _eof_exact_elements(rho: DensityOperator, space: str, j, k):
     """<jj|rho|kk>, <jk|rho|jk> and <kj|rho|kj> per pair in the product basis of
     the space's full-basis scan: the populations its cells, as on counts, the
-    coherences one product over its |aa> kets; linear in rho."""
+    coherences one product over its |aa> kets, or for a source state
+    (1 - p)<aa|Psi><Psi|bb> + p<aa|bb>/D^2; linear in rho."""
     scan = bases.scan_setting(space, rho.dim_signal)
     populations = setting_cells(rho, [scan])[0][0]
     kets_s, kets_i = scan.basis_s.vector_matrix, scan.basis_i.vector_matrix
-    diagonal = (kets_s[:, :, None] * kets_i[:, None, :]).reshape(len(kets_s), -1)
-    coherences = diagonal.conj() @ rho.matrix @ diagonal.T
+    if isinstance(rho, SourceState):
+        p, psi = rho.noise_fraction, np.diagonal(rho.amplitudes(kets_s, kets_i))
+        overlaps = (kets_s.conj() @ kets_s.T) * (kets_i.conj() @ kets_i.T)
+        coherences = (1.0 - p) * np.outer(psi, psi.conj()) + p * overlaps / rho.dim
+    else:
+        diagonal = (kets_s[:, :, None] * kets_i[:, None, :]).reshape(len(kets_s), -1)
+        coherences = diagonal.conj() @ rho.matrix @ diagonal.T
     return coherences[j, k], populations[j, k], populations[k, j]
 
 
@@ -289,8 +300,11 @@ def eof_bound(
     A coherence sum at or above B_cap = sqrt(2(1 - 1/m)), m the modes the
     pair set touches, is ``saturated``: ebits read log2 m, the dimension
     certified is m, and ebits_err is the delta-method slope at B_cap,
-    B_cap m / ln 2, times the coherence-sum error.  Curve entry n is capped
-    at log2 n the same way.
+    B_cap m / ln 2, times the coherence-sum error.  "At or above" has a
+    stated tolerance, ``SATURATION_RTOL`` = 1e-12 relative: a sum from
+    B_cap (1 - 1e-12) on saturates, so a state at the cap reads saturated
+    whichever side of B_cap its last digits round to.  Curve entry n is
+    capped at log2 n the same way.
     """
     naming.require_space(space)
     d, dim = plan_modes(data, num_modes)

@@ -19,10 +19,20 @@ Hermitian part divided by its trace is stored as given.  Only a singular
 or indefinite input (a pure state, say) is diagonalized with ``eigh``;
 then eigenvalues are floored, clamped and renormalized, and the
 reconstruction is stored.
+
+The source's state, (1 - p)|Psi><Psi| + p I/D^2 with Psi = sum_x c_x |x, x>,
+is a ``SourceState``: it holds c and p, needs no check beyond theirs, and
+builds its D^2 x D^2 matrix only when something reads it.  Its tables,
+marginals, pair restrictions and fidelities read c and p instead: a table
+cell is (1 - p)|<a, b|Psi>|^2 + p |v_a|^2 |w_b|^2 / D^2, each <a, b|Psi> one
+multiply-and-sum over the D axis, so a block of settings gives each setting
+the table it gets alone, bit for bit.  The dense kernel serves every other
+state and is the tests' reference for this one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +49,7 @@ ATOL_IMAG = 1e-10
 __all__ = [
     "StateVector",
     "DensityOperator",
+    "SourceState",
     "PairRestriction",
     "density_from_ket",
     "outcome_probabilities",
@@ -141,6 +152,49 @@ class DensityOperator:
         return f"DensityOperator({self.dim_signal}x{self.dim_idler})"
 
 
+class SourceState(DensityOperator):
+    """The source's state (1 - p)|Psi><Psi| + p I/D^2, Psi = sum_x c_x |x, x>,
+    held as its D diagonal coefficients c and its noise fraction p.
+
+    c is rescaled to unit norm, as a StateVector's amplitudes are, which
+    makes the state Hermitian, unit-trace and positive by construction; a
+    zero or non-finite c, or p outside [0, 1], is refused.  The dense
+    ``matrix`` is built the first time it is read.
+    """
+
+    def __init__(self, coefficients, noise_fraction: float) -> None:
+        coeffs = np.asarray(coefficients, dtype=complex).reshape(-1)
+        if not np.all(np.isfinite(coeffs.view(float))):
+            raise ValidationError("coefficients must be finite")
+        norm = np.linalg.norm(coeffs)
+        if norm < 1e-300:   # an empty c too
+            raise ValidationError("cannot normalize zero source coefficients")
+        if not 0.0 <= noise_fraction <= 1.0:   # NaN too
+            raise ValidationError(f"noise fraction must lie in [0, 1], got {noise_fraction!r}")
+        self.dim_signal = self.dim_idler = coeffs.size
+        self.coefficients = _frozen(coeffs / norm)
+        self.noise_fraction = float(noise_fraction)
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        d, p = self.dim_signal, self.noise_fraction
+        psi = np.zeros(d * d, dtype=complex)
+        psi[np.arange(d) * (d + 1)] = self.coefficients
+        return _frozen((1.0 - p) * np.outer(psi, psi.conj()) + p * np.eye(d * d) / (d * d))
+
+    def amplitudes(self, kets_s: np.ndarray, kets_i: np.ndarray) -> np.ndarray:
+        """<a, b|Psi> of (..., n_s, D) signal and (..., n_i, D) idler kets as
+        (..., n_s, n_i): one multiply-and-sum over the D axis per product ket,
+        so a ket's value does not depend on the kets stacked with it."""
+        return (kets_s.conj()[..., :, None, :]
+                * (kets_i.conj() * self.coefficients)[..., None, :, :]).sum(axis=-1)
+
+
+def _norms(kets: np.ndarray) -> np.ndarray:
+    """|v|^2 of each ket (last axis)."""
+    return (kets.real**2 + kets.imag**2).sum(axis=-1)
+
+
 @dataclass(frozen=True)
 class PairRestriction:
     """Result of post-selecting onto a two-mode pair subspace."""
@@ -188,20 +242,28 @@ def outcome_probabilities(rho: DensityOperator, vectors_s, vectors_i) -> np.ndar
     Row (a, b) of the product-ket matrix K is kron(v_s[a], v_i[b]), and the
     table is diag(conj(K) rho K^T): one matrix product, no contraction planning.
     Two (m, n, dim) stacks give the (m, n_s, n_i) tables of m settings from one
-    product over all of their product kets, row for row the same.
+    product over all of their product kets, row for row the same.  A source
+    state's table is (1 - p)|<a, b|Psi>|^2 + p |v_a|^2 |w_b|^2 / D^2 (see
+    ``SourceState.amplitudes``).
     """
     v_s = _ket_rows(vectors_s, rho.dim_signal, (2, 3))
     v_i = _ket_rows(vectors_i, rho.dim_idler, (v_s.ndim,))
     if v_s.shape[:-2] != v_i.shape[:-2]:
         raise ValidationError(f"ket stacks of {len(v_s)} and {len(v_i)} settings differ")
-    shape = v_s.shape[:-1] + v_i.shape[-2:-1]
-    kets = (v_s[..., :, None, :, None] * v_i[..., None, :, None, :]).reshape(-1, rho.dim)
-    table = _diagonal(kets, rho.matrix).reshape(shape)
-    real = table.real
-    residue = np.abs(table.imag).max()
+    if isinstance(rho, SourceState):
+        p, amps = rho.noise_fraction, rho.amplitudes(v_s, v_i)
+        noise = _norms(v_s)[..., :, None] * _norms(v_i)[..., None, :]
+        real = (1.0 - p) * (amps.real**2 + amps.imag**2) + p * noise / rho.dim
+        residue = 0.0
+    else:
+        shape = v_s.shape[:-1] + v_i.shape[-2:-1]
+        kets = (v_s[..., :, None, :, None] * v_i[..., None, :, None, :]).reshape(-1, rho.dim)
+        table = _diagonal(kets, rho.matrix).reshape(shape)
+        real, residue = table.real, np.abs(table.imag).max()
     # a sum over the table is finite whenever every entry is, so the full
     # scan runs only when the scalars already say something is off
-    if not math.isfinite(residue + real.sum()) and not np.isfinite(table).all():
+    if not math.isfinite(residue + real.sum()) and not (math.isfinite(residue)
+                                                        and np.isfinite(real).all()):
         raise ValidationError("measurement vectors must be finite")
     if residue > ATOL_IMAG:
         raise ComputationError(
@@ -215,17 +277,18 @@ def marginal_probabilities(rho: DensityOperator, vectors, side: str) -> np.ndarr
 
     ``side`` ("signal" or "idler") names the subsystem the kets act on; the
     result is Re diag(conj(V) rho_side V^T) with rho_side that subsystem's
-    reduced state.
+    reduced state, for a source state (1 - p) sum_x |c_x|^2 |v[x]|^2 + p |v|^2 / D.
     """
-    r4 = rho.reshaped()
-    if side == "signal":
-        reduced, dim = np.einsum("xiyi->xy", r4), rho.dim_signal
-    elif side == "idler":
-        reduced, dim = np.einsum("ixiy->xy", r4), rho.dim_idler
-    else:
+    if side not in ("signal", "idler"):
         raise ValidationError(f"side must be 'signal' or 'idler', got {side!r}")
-    kets = _ket_rows(vectors, dim)
-    marg = _diagonal(kets, reduced).real
+    kets = _ket_rows(vectors, rho.dim_signal if side == "signal" else rho.dim_idler)
+    if isinstance(rho, SourceState):
+        p, c = rho.noise_fraction, rho.coefficients
+        weighted = ((kets.real**2 + kets.imag**2) * (c.real**2 + c.imag**2)).sum(axis=-1)
+        marg = (1.0 - p) * weighted + p * _norms(kets) / rho.dim_signal
+    else:
+        reduced = np.einsum("xiyi->xy" if side == "signal" else "ixiy->xy", rho.reshaped())
+        marg = _diagonal(kets, reduced).real
     return np.minimum(np.maximum(marg, 0.0), 1.0)
 
 
@@ -234,7 +297,13 @@ def fidelity_to_pure(rho: DensityOperator, target: StateVector) -> float:
     if (rho.dim_signal, rho.dim_idler) != (target.dim_signal, target.dim_idler):
         raise ValidationError("state dimensions do not match")
     amp = target.amplitudes
-    val = complex(amp.conj() @ rho.matrix @ amp)
+    if isinstance(rho, SourceState):
+        # (1 - p)|<psi|Psi>|^2 + p <psi|psi> / D^2
+        d, p = rho.dim_signal, rho.noise_fraction
+        overlap = np.vdot(amp[np.arange(d) * (d + 1)], rho.coefficients)
+        val = complex((1.0 - p) * abs(overlap)**2 + p * np.vdot(amp, amp).real / rho.dim)
+    else:
+        val = complex(amp.conj() @ rho.matrix @ amp)
     if abs(val.imag) > ATOL_IMAG:
         raise ComputationError(f"fidelity has imaginary residue {val.imag:.3e}; inputs are "
                                "inconsistent")
@@ -246,13 +315,24 @@ def restrict_to_pair(rho: DensityOperator, j: int, k: int) -> PairRestriction:
 
     Returns the renormalized two-qubit operator (basis order jj, jk, kj, kk)
     together with the pre-normalization trace, i.e. the post-selection weight.
-    Weights below 1e-14 yield a flagged zero-weight result.
+    Weights below 1e-14 yield a flagged zero-weight result.  A source state's
+    pair block is (1 - p)|u><u| + p I/D^2 with u = c_j|jj> + c_k|kk>, so its
+    restriction is the two-mode source state of (c_j, c_k).
     """
     if j == k:
         raise ValidationError("pair modes must differ")
     for m in (j, k):
         if not (0 <= m < rho.dim_signal) or not (0 <= m < rho.dim_idler):
             raise ValidationError(f"mode {m} outside the state's mode range")
+    if isinstance(rho, SourceState):
+        pair, p = rho.coefficients[[j, k]], rho.noise_fraction
+        noise = 4.0 * p / rho.dim
+        weight = float((1.0 - p) * _norms(pair) + noise)
+        if weight < 1e-14:
+            return PairRestriction(operator=None, weight=0.0)
+        # without amplitude on the pair the block is white noise, whatever its ket
+        return PairRestriction(operator=SourceState(pair if pair.any() else (1.0, 0.0),
+                                                    noise / weight), weight=weight)
     idx = [
         j * rho.dim_idler + j,
         j * rho.dim_idler + k,

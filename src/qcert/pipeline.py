@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .files import CONFIG_FORMAT, SCHEMA_VERSION, json_text, read_block, read_json
-from .linalg import DensityOperator, StateVector, density_from_ket, fidelity_to_pure, restrict_to_pair
+from .linalg import SourceState, StateVector, fidelity_to_pure, restrict_to_pair
 from . import bases
 from .bases import PlannedSetting
 from .counting import (MAX_TRIALS, CoincidenceTable, CountingParams, PlanMeans, plan_means,
@@ -33,7 +33,7 @@ from .counting import (MAX_TRIALS, CoincidenceTable, CountingParams, PlanMeans, 
 from .certify import (_b_from_terms, _ebits_from_b, _eof_exact_elements, _eof_exact_terms,
                       _visibilities, _witness_pairs, cglmp)
 from . import naming
-from .source import SourceConfig, _visibility_norm, ideal_state, noisy_state
+from .source import SourceConfig, _visibility_norm, noisy_state
 from .tomo import BELL_TARGET
 
 __all__ = [
@@ -288,9 +288,11 @@ def build_settings(cfg: SimulationConfig) -> list[PlannedSetting]:
     return plan
 
 
-def sampling_state(cfg: SimulationConfig) -> DensityOperator:
+def sampling_state(cfg: SimulationConfig) -> SourceState:
+    """The state counts are drawn from: the noise-free source on the counting
+    channel, which adds the noise as accidentals, else the noisy one."""
     if cfg.noise_channel == "counting":
-        return density_from_ket(ideal_state(cfg.source))
+        return noisy_state(cfg.source.with_noise(0.0))
     return noisy_state(cfg.source)
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import DensityOperator, StateVector
+from .linalg import DensityOperator, SourceState, StateVector
 from .certify import witness
 
 __all__ = [
@@ -122,14 +122,10 @@ def ideal_state(cfg: SourceConfig) -> StateVector:
     return StateVector(d, d, amps)
 
 
-def noisy_state(cfg: SourceConfig) -> DensityOperator:
-    """(1 - p) |Psi><Psi| + p I/D^2 with p = cfg.noise_fraction."""
-    d = cfg.num_modes
-    psi = ideal_state(cfg)
-    pure = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    p = cfg.noise_fraction
-    mat = (1.0 - p) * pure + p * np.eye(d * d) / (d * d)
-    return DensityOperator(d, d, mat)
+def noisy_state(cfg: SourceConfig) -> SourceState:
+    """(1 - p) |Psi><Psi| + p I/D^2 with p = cfg.noise_fraction, held as Psi's
+    coefficients C_i e^{i phi_i} and p; its matrix is built on first read."""
+    return SourceState(cfg.coefficients * np.exp(1j * cfg.phase_mismatch), cfg.noise_fraction)
 
 
 def mean_pair_visibility(rho: DensityOperator) -> float:

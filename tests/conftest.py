@@ -102,9 +102,22 @@ def oracle_bases(d_s, d_i, seed):
     return pairs
 
 
+def dense(rho):
+    """The state as a dense DensityOperator: a source state's matrix, built
+    and checked as any matrix is, so its reader runs the dense kernel; a
+    dense state as it is."""
+    if type(rho) is DensityOperator:
+        return rho
+    return DensityOperator(rho.dim_signal, rho.dim_idler, rho.matrix)
+
+
 def oracle_means(rho, basis_s, basis_i, trials, params):
     """A setting's count means as setting_means computed them before plans
-    were tabulated a block at a time: one table and two marginal calls."""
+    were tabulated a block at a time: one table and two marginal calls, on
+    the kernel of the state given.  The draw tests compare plan means with
+    these bit for bit, so a source state keeps its own kernel here; the
+    source-state property test in test_linalg checks that kernel against
+    the dense one."""
     table = outcome_probabilities(rho, basis_s.vector_matrix, basis_i.vector_matrix)
     marg_s = marginal_probabilities(rho, basis_s.vector_matrix, "signal")
     marg_i = marginal_probabilities(rho, basis_i.vector_matrix, "idler")
@@ -116,7 +129,8 @@ def oracle_means(rho, basis_s, basis_i, trials, params):
 
 def oracle_cells(rho, settings):
     """Exact cells as setting_cells read them before settings were stacked:
-    one outcome_probabilities call per setting."""
+    one dense outcome_probabilities call per setting."""
+    rho = dense(rho)
     return np.array([outcome_probabilities(rho, st.basis_s.vector_matrix,
                                            st.basis_i.vector_matrix) for st in settings])
 
@@ -124,7 +138,8 @@ def oracle_cells(rho, settings):
 def kron_eof_elements(rho, space, j, k):
     """<jj|rho|kk>, <jk|rho|jk> and <kj|rho|kj> per pair as the exact formation
     bound read them before it read the scan's cells: off rho rotated once
-    into the scan's product basis by one (D^2, D^2) Kronecker product."""
+    into the scan's product basis by one (D^2, D^2) Kronecker product.  It
+    reads rho's dense matrix alone (a source state's, built on first read)."""
     scan = bases.scan_setting(space, rho.dim_signal)
     kets = np.kron(scan.basis_s.vector_matrix, scan.basis_i.vector_matrix)
     r = kets.conj() @ rho.matrix @ kets.T
@@ -316,13 +331,16 @@ ORACLE_FIT_TOL = {"visibility": 1e-6, "eof": 1e-7, "fidelity": 1e-9}
 
 def oracle_objective(objective, cfg, pair=None):
     """p -> the objective of noisy_state(cfg.with_noise(p)), built densely."""
+    def state(p):
+        return dense(noisy_state(cfg.with_noise(p)))
+
     if objective == "visibility":
-        return lambda p: mean_pair_visibility(noisy_state(cfg.with_noise(p)))
+        return lambda p: mean_pair_visibility(state(p))
     if objective == "eof":
-        return lambda p: eof_bound(noisy_state(cfg.with_noise(p))).ebits
+        return lambda p: eof_bound(state(p)).ebits
 
     def fidelity(p):
-        restriction = restrict_to_pair(noisy_state(cfg.with_noise(p)), *pair)
+        restriction = restrict_to_pair(state(p), *pair)
         return 0.0 if restriction.zero_weight else fidelity_to_pure(restriction.operator,
                                                                     BELL_PAIR)
     return fidelity

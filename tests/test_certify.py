@@ -30,15 +30,16 @@ from qcert import (
 from qcert.bases import (cglmp_basis, mode_vector, pair_basis, scan_setting, witness_settings,
                          x_basis)
 from qcert.linalg import outcome_probabilities
-from qcert.certify import (certified_dimension_from_witness, _ebits_from_b, _eof_exact_elements,
-                           _saturated_ebits, _visibilities, _witness_pairs)
+from qcert.certify import (SATURATION_RTOL, certified_dimension_from_witness, _ebits_from_b,
+                           _eof_exact_elements, _saturated_ebits, _visibilities, _witness_pairs)
 from qcert.errors import ComputationError
 from qcert import bases, counting, naming
 from qcert.counting import setting_cells
 from qcert.pipeline import PRESET_NAMES, SimulationConfig, build_settings, preset
 from qcert.tomo import reconstruct, reconstruct_exact
 
-from conftest import SATURATING_SEED, kron_eof_elements, oracle_states, saturating_table
+from conftest import (SATURATING_SEED, dense, kron_eof_elements, oracle_states,
+                      saturating_table)
 
 
 def uniform_rho(d, noise=0.0):
@@ -328,8 +329,9 @@ class TestEofExact:
 
 
 class TestEofSaturation:
-    """At B >= B_cap = sqrt(2(1 - 1/m)), m the modes the pairs touch, the bound
-    reads log2 m; B >= sqrt(2) is reported saturated, not refused."""
+    """At B >= B_cap (1 - 1e-12), B_cap = sqrt(2(1 - 1/m)) and m the modes the
+    pairs touch, the bound reads log2 m; B >= sqrt(2) is reported saturated,
+    not refused."""
 
     @pytest.mark.parametrize("m", [2, 3, 10])
     def test_bound_caps_at_log2_m(self, m):
@@ -338,6 +340,25 @@ class TestEofSaturation:
             assert _saturated_ebits(b, m) == (math.log2(m), True)
         below = b_cap * (1 - 1e-9)
         assert _saturated_ebits(below, m) == (_ebits_from_b(below), False)
+
+    @pytest.mark.parametrize("m", [2, 3, 10])
+    def test_saturation_tolerance_is_relative_1e12(self, m):
+        b_cap = math.sqrt(2 * (1 - 1 / m))
+        assert SATURATION_RTOL == 1e-12
+        assert _saturated_ebits(b_cap * (1 - 0.5e-12), m) == (math.log2(m), True)
+        outside = b_cap * (1 - 2e-12)
+        assert _saturated_ebits(outside, m) == (_ebits_from_b(outside), False)
+
+    @pytest.mark.parametrize("space", ["X", "K"])
+    def test_exact_source_at_the_cap_saturates_on_either_kernel(self, space):
+        # the dense kernel reads the ideal B a few ulps below B_cap, the ket
+        # kernel a few above or below: both are at the cap
+        rho = noisy_state(SourceConfig.uniform(10))
+        for state in (rho, dense(rho)):
+            res = eof_bound(state, space=space)
+            assert res.coherence_sum == pytest.approx(math.sqrt(1.8), rel=1e-13)
+            assert res.saturated
+            assert (res.ebits, res.certified_dimension) == (math.log2(10), 10)
 
     def test_saturated_corrected_table(self):
         res = eof_bound(saturating_table(), corrected=True, seed=SATURATING_SEED)
@@ -355,7 +376,7 @@ class TestEofSaturation:
         res = eof_bound(saturating_table(), corrected=True, seed=SATURATING_SEED)
         for n, b_n, ebits in res.curve:
             assert 0 <= ebits <= math.log2(n)
-            if b_n >= math.sqrt(2 * (1 - 1 / n)):
+            if b_n >= math.sqrt(2 * (1 - 1 / n)) * (1 - SATURATION_RTOL):
                 assert ebits == math.log2(n)
             else:
                 assert ebits == _ebits_from_b(b_n)

@@ -277,7 +277,8 @@ class TestNoPlannedEinsum:
             return original(*operands, **kwargs)
 
         monkeypatch.setattr(np, "einsum", guarded)
-        rho = noisy_state(SourceConfig.uniform(10).with_noise(0.2))
+        # a dense state: a source state's tables and marginals call no einsum
+        rho = DensityOperator(10, 10, noisy_state(SourceConfig.uniform(10).with_noise(0.2)).matrix)
         witness(rho, space="K")
         scan = scan_setting("K", 10)
         simulate_setting(rho, scan.basis_s, scan.basis_i, 10**5, CountingParams(), seed=3,

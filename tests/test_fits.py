@@ -1,7 +1,7 @@
 """Noise fits: the edge-case contract, the dense oracle and the state count.
 
-The fits read two endpoint states, rho(0) and rho(1) = I/D^2, and mix
-their linear pieces at each bisection step.  ``conftest.oracle_objective``
+The fits read two endpoint source states, rho(0) and rho(1) = I/D^2, and
+mix their linear pieces at each bisection step.  ``conftest.oracle_objective``
 keeps the dense per-step objectives (one ``noisy_state`` per step) that
 they must reproduce.
 """
@@ -11,6 +11,7 @@ import pytest
 
 from qcert import DensityOperator, SourceConfig, ValidationError
 from qcert import pipeline
+from qcert.linalg import SourceState
 from qcert.pipeline import fit_noise_to_eof, fit_noise_to_pair_fidelity, fit_noise_to_visibility
 
 from conftest import oracle_fit, oracle_objective
@@ -111,15 +112,17 @@ class TestTwoStatesPerFit:
     def test_a_fit_builds_two_source_states(self, objective, monkeypatch):
         cfg = SourceConfig.uniform(6)
         target = oracle_objective(objective, cfg, (0, 3))(0.2)
-        built = []
-        original = DensityOperator.__init__
+        built, dense = [], []
+        original = SourceState.__init__
 
-        def counted(self, dim_signal, dim_idler, matrix):
-            built.append(dim_signal)
-            original(self, dim_signal, dim_idler, matrix)
+        def counted(self, coefficients, noise_fraction):
+            original(self, coefficients, noise_fraction)
+            built.append(self.dim_signal)
 
-        monkeypatch.setattr(DensityOperator, "__init__", counted)
+        monkeypatch.setattr(SourceState, "__init__", counted)
+        monkeypatch.setattr(DensityOperator, "__init__", lambda self, *args: dense.append(args))
         fit(objective, target, cfg, (0, 3))
         # rho(0) and rho(1); the fidelity fit also restricts each to its pair
         assert sorted(built) == ([2, 2, 6, 6] if objective == "fidelity" else [6, 6])
+        assert dense == []
 

@@ -1,23 +1,37 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from qcert import (
     DensityOperator,
     SourceConfig,
+    SourceState,
     StateVector,
     ValidationError,
+    bases,
+    cglmp,
     density_from_ket,
+    eof_bound,
     fidelity_to_pure,
+    ideal_state,
     linalg,
     noisy_state,
     outcome_probabilities,
+    pipeline,
+    reconstruct_exact,
     restrict_to_pair,
+    witness,
 )
+from qcert.certify import _eof_exact_elements, _witness_pairs
+from qcert.counting import plan_means, setting_cells
 from qcert.errors import ComputationError
 from qcert.linalg import marginal_probabilities
 
-from conftest import (eigh_density, einsum_marginals, einsum_table, oracle_bases, oracle_states,
+from conftest import (BELL_PAIR, dense, eigh_density, einsum_marginals, einsum_table,
+                      kron_eof_elements, oracle_bases, oracle_cells, oracle_states,
                       random_unitary)
 
 
@@ -331,3 +345,117 @@ class TestRestrictToPair:
             for b in (1, 3)
         )
         assert res.weight == pytest.approx(total, abs=1e-10)
+
+
+def plan_families(d):
+    """Every exact plan family at D = d: witness pairs and scans of both
+    spaces, the Bell settings of each dimension and a tomography pair."""
+    families = [[st for j, k in _witness_pairs(d) for st in bases.witness_settings(space, j, k, d)]
+                for space in "XK"]
+    families += [[bases.scan_setting(space, d)] for space in "XK"]
+    families += [bases.bell_settings(b, d) for b in range(2, d + 1)]
+    return families + [bases.tomo_settings(0, d // 2, space, d) for space in "XK"]
+
+
+def drawn_source(d, spread, seed, p, dark):
+    """A diagonal source with spread amplitudes and random phases, modes 1 to
+    ``dark`` dark (amplitude 0), and noise fraction p."""
+    rng = np.random.default_rng(seed)
+    amps = np.abs(1.0 + spread * rng.standard_normal(d))
+    amps[1:dark + 1] = 0.0
+    return SourceConfig(d, amps / np.linalg.norm(amps), rng.uniform(-np.pi, np.pi, d), p)
+
+
+class TestSourceState:
+    """The source state's kernels against the dense kernel on its matrix."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(d=st.integers(2, 10), spread=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1),
+           p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           dark=st.integers(0, 2))
+    @example(d=10, spread=0.2, seed=1, p=0.0, dark=0)
+    @example(d=3, spread=0.0, seed=2, p=1.0, dark=2)
+    def test_kernels_match_the_dense_kernel(self, d, spread, seed, p, dark):
+        cfg = drawn_source(d, spread, seed, p, min(dark, d - 1))
+        rho = noisy_state(cfg)
+        psi = ideal_state(cfg).amplitudes
+        assert_allclose(rho.matrix, (1 - p) * np.outer(psi, psi.conj()) + p * np.eye(d * d)
+                        / (d * d), rtol=0, atol=1e-15)
+        ref = dense(rho)
+        for settings_ in plan_families(d):
+            assert_allclose(setting_cells(rho, settings_)[0], oracle_cells(rho, settings_),
+                            rtol=0, atol=1e-12)
+            for side, basis in (("signal", "basis_s"), ("idler", "basis_i")):
+                kets = np.concatenate([getattr(st_, basis).vector_matrix for st_ in settings_])
+                assert_allclose(marginal_probabilities(rho, kets, side),
+                                marginal_probabilities(ref, kets, side), rtol=0, atol=1e-12)
+        j, k = np.array(_witness_pairs(d)).T
+        for space in "XK":
+            for got, want in zip(_eof_exact_elements(rho, space, j, k),
+                                 kron_eof_elements(rho, space, j, k)):
+                assert_allclose(got, want, rtol=0, atol=1e-12)
+        target = StateVector(d, d, np.random.default_rng(seed).normal(size=(d * d, 2)) @ [1, 1j])
+        assert fidelity_to_pure(rho, target) == pytest.approx(fidelity_to_pure(ref, target),
+                                                              abs=1e-12)
+        for pair in ((0, 1), (1, 2), (0, d - 1), (d - 1, 0)):   # (1, 2) dark at dark = 2
+            if pair[0] == pair[1] or max(pair) >= d:
+                continue
+            got, want = restrict_to_pair(rho, *pair), restrict_to_pair(ref, *pair)
+            assert got.weight == pytest.approx(want.weight, abs=1e-12)
+            assert got.zero_weight == want.zero_weight
+            if not got.zero_weight:
+                assert isinstance(got.operator, SourceState)
+                assert_allclose(got.operator.matrix, want.operator.matrix, rtol=0, atol=1e-12)
+                assert fidelity_to_pure(got.operator, BELL_PAIR) == pytest.approx(
+                    fidelity_to_pure(want.operator, BELL_PAIR), abs=1e-12)
+
+    def test_blocked_tables_are_the_per_setting_tables_bit_for_bit(self):
+        rho = noisy_state(drawn_source(10, 0.3, 5, 0.2, 0))
+        for settings_ in plan_families(10):
+            assert np.array_equal(setting_cells(rho, settings_)[0], [outcome_probabilities(
+                rho, st_.basis_s.vector_matrix, st_.basis_i.vector_matrix) for st_ in settings_])
+
+    @pytest.mark.parametrize("coefficients, noise, match", [
+        ([0, 0, 0], 0.1, "zero source coefficients"),
+        ([], 0.1, "zero source coefficients"),
+        ([1, np.nan], 0.1, "finite"),
+        ([1, np.inf], 0.1, "finite"),
+        ([1, 1], -0.01, "noise fraction"),
+        ([1, 1], 1.01, "noise fraction"),
+        ([1, 1], np.nan, "noise fraction"),
+    ])
+    def test_constructor_refuses_bad_coefficients_and_noise(self, coefficients, noise, match):
+        with pytest.raises(ValidationError, match=match):
+            SourceState(coefficients, noise)
+
+    def test_state_is_normalized_and_dense_readers_accept_it(self):
+        rho = SourceState([3, 4j], 0.5)
+        assert_allclose(rho.coefficients, [0.6, 0.8j])
+        assert isinstance(rho, DensityOperator)
+        assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-15)
+        assert not rho.matrix.flags.writeable
+        assert rho.reshaped().shape == (2, 2, 2, 2)
+
+
+class TestNoDenseMatrix:
+    def test_exact_estimators_fits_and_plans_never_build_the_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a source state built its dense matrix")
+
+        monkeypatch.setattr(SourceState, "matrix", property(refuse))
+        cfg = drawn_source(10, 0.2, 9, 0.0, 0)
+        rho = noisy_state(cfg.with_noise(0.15))
+        for space in "XK":
+            witness(rho, space=space)
+            eof_bound(rho, space=space)
+        for d in range(2, 11):
+            cglmp(rho, d)
+        reconstruct_exact(rho, 0, 5)
+        pipeline.fit_noise_to_visibility(0.5, cfg)
+        pipeline.fit_noise_to_eof(1.0, cfg)
+        pipeline.fit_noise_to_pair_fidelity(0.3, cfg, (0, 5))
+        for name in pipeline.PRESET_NAMES:
+            run = pipeline.preset(name)
+            for sim in (run, replace(run, noise_channel="state")):
+                plan_means(pipeline.sampling_state(sim), pipeline.build_settings(sim),
+                           sim.trials_per_setting, pipeline.effective_params(sim))
