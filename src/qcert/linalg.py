@@ -20,14 +20,11 @@ or indefinite input (a pure state, say) is diagonalized with ``eigh``;
 then eigenvalues are floored, clamped and renormalized, and the
 reconstruction is stored.
 
-The source's state, (1 - p)|Psi><Psi| + p I/D^2 with Psi = sum_x c_x |x, x>,
-is a ``SourceState``: it holds c and p, needs no check beyond theirs, and
-builds its D^2 x D^2 matrix only when something reads it.  Its tables,
-marginals, pair restrictions and fidelities read c and p instead: a table
-cell is (1 - p)|<a, b|Psi>|^2 + p |v_a|^2 |w_b|^2 / D^2, each <a, b|Psi> one
-multiply-and-sum over the D axis, so a block of settings gives each setting
-the table it gets alone, bit for bit.  The dense kernel serves every other
-state and is the tests' reference for this one.
+The source's state (1 - p)|Psi><Psi| + p I/D^2 is a ``SourceState``: its
+tables, marginals, pair restrictions and fidelities read Psi's D
+coefficients and p, one multiply-and-sum over the D axis per product ket,
+and its D^2 x D^2 matrix is built only when something reads it.  The dense
+kernel serves every other state and is the tests' reference for this one.
 """
 
 from __future__ import annotations

@@ -112,7 +112,7 @@ class TestTwoStatesPerFit:
     def test_a_fit_builds_two_source_states(self, objective, monkeypatch):
         cfg = SourceConfig.uniform(6)
         target = oracle_objective(objective, cfg, (0, 3))(0.2)
-        built, dense = [], []
+        built, dense_built = [], []
         original = SourceState.__init__
 
         def counted(self, coefficients, noise_fraction):
@@ -120,9 +120,10 @@ class TestTwoStatesPerFit:
             built.append(self.dim_signal)
 
         monkeypatch.setattr(SourceState, "__init__", counted)
-        monkeypatch.setattr(DensityOperator, "__init__", lambda self, *args: dense.append(args))
+        monkeypatch.setattr(DensityOperator, "__init__",
+                            lambda self, *args: dense_built.append(args))
         fit(objective, target, cfg, (0, 3))
         # rho(0) and rho(1); the fidelity fit also restricts each to its pair
         assert sorted(built) == ([2, 2, 6, 6] if objective == "fidelity" else [6, 6])
-        assert dense == []
+        assert dense_built == []
 
