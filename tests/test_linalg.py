@@ -49,6 +49,32 @@ def maximally_mixed(d: int) -> DensityOperator:
     return DensityOperator(d, d, np.eye(d * d) / (d * d))
 
 
+def plan_families(d):
+    """Every exact plan family at D = d: witness pairs and scans of both
+    spaces, the Bell settings of each dimension and a tomography pair."""
+    families = [[st for j, k in _witness_pairs(d) for st in bases.witness_settings(space, j, k, d)]
+                for space in "XK"]
+    families += [[bases.scan_setting(space, d)] for space in "XK"]
+    families += [bases.bell_settings(b, d) for b in range(2, d + 1)]
+    return families + [bases.tomo_settings(0, d // 2, space, d) for space in "XK"]
+
+
+def drawn_source(d, spread, seed, p, dark):
+    """A diagonal source with spread amplitudes and random phases, modes 1 to
+    ``dark`` dark (amplitude 0), and noise fraction p."""
+    rng = np.random.default_rng(seed)
+    amps = np.abs(1.0 + spread * rng.standard_normal(d))
+    amps[1:dark + 1] = 0.0
+    return SourceConfig(d, amps / np.linalg.norm(amps), rng.uniform(-np.pi, np.pi, d), p)
+
+
+def kernel_states(d_s, d_i, seed):
+    """The oracle states, and on a square space a source state with spread
+    amplitudes, random phases and noise."""
+    states = oracle_states(d_s, d_i, seed)
+    return states + [noisy_state(drawn_source(d_s, 0.3, seed, 0.2, 0))] if d_s == d_i else states
+
+
 class TestStateVector:
     def test_normalizing_constructor(self):
         psi = StateVector(2, 2, [3, 0, 0, 4])
@@ -251,7 +277,7 @@ class TestJointProbability:
 class TestProductKetOracle:
     @pytest.mark.parametrize("d_s, d_i", [(d, d) for d in range(2, 11)] + [(3, 2)])
     def test_tables_and_marginals_match_planned_einsum(self, d_s, d_i):
-        for rho in oracle_states(d_s, d_i, seed=100 + d_s * d_i):
+        for rho in kernel_states(d_s, d_i, seed=100 + d_s * d_i):
             for basis_s, basis_i in oracle_bases(d_s, d_i, seed=200 + d_s * d_i):
                 v_s, v_i = basis_s.vector_matrix, basis_i.vector_matrix
                 table = outcome_probabilities(rho, v_s, v_i)
@@ -269,7 +295,7 @@ class TestProductKetOracle:
         for basis_s, basis_i in oracle_bases(d_s, d_i, seed=200 + d_s * d_i):
             groups.setdefault((len(basis_s.labels), len(basis_i.labels)), []).append(
                 (basis_s.vector_matrix, basis_i.vector_matrix))
-        for rho in oracle_states(d_s, d_i, seed=100 + d_s * d_i):
+        for rho in kernel_states(d_s, d_i, seed=100 + d_s * d_i):
             for pairs in groups.values():
                 stacked = outcome_probabilities(rho, np.array([v_s for v_s, _ in pairs]),
                                                 np.array([v_i for _, v_i in pairs]))
@@ -347,25 +373,6 @@ class TestRestrictToPair:
         assert res.weight == pytest.approx(total, abs=1e-10)
 
 
-def plan_families(d):
-    """Every exact plan family at D = d: witness pairs and scans of both
-    spaces, the Bell settings of each dimension and a tomography pair."""
-    families = [[st for j, k in _witness_pairs(d) for st in bases.witness_settings(space, j, k, d)]
-                for space in "XK"]
-    families += [[bases.scan_setting(space, d)] for space in "XK"]
-    families += [bases.bell_settings(b, d) for b in range(2, d + 1)]
-    return families + [bases.tomo_settings(0, d // 2, space, d) for space in "XK"]
-
-
-def drawn_source(d, spread, seed, p, dark):
-    """A diagonal source with spread amplitudes and random phases, modes 1 to
-    ``dark`` dark (amplitude 0), and noise fraction p."""
-    rng = np.random.default_rng(seed)
-    amps = np.abs(1.0 + spread * rng.standard_normal(d))
-    amps[1:dark + 1] = 0.0
-    return SourceConfig(d, amps / np.linalg.norm(amps), rng.uniform(-np.pi, np.pi, d), p)
-
-
 class TestSourceState:
     """The source state's kernels against the dense kernel on its matrix."""
 
@@ -408,12 +415,6 @@ class TestSourceState:
                 assert_allclose(got.operator.matrix, want.operator.matrix, rtol=0, atol=1e-12)
                 assert fidelity_to_pure(got.operator, BELL_PAIR) == pytest.approx(
                     fidelity_to_pure(want.operator, BELL_PAIR), abs=1e-12)
-
-    def test_blocked_tables_are_the_per_setting_tables_bit_for_bit(self):
-        rho = noisy_state(drawn_source(10, 0.3, 5, 0.2, 0))
-        for settings_ in plan_families(10):
-            assert np.array_equal(setting_cells(rho, settings_)[0], [outcome_probabilities(
-                rho, st_.basis_s.vector_matrix, st_.basis_i.vector_matrix) for st_ in settings_])
 
     @pytest.mark.parametrize("coefficients, noise, match", [
         ([0, 0, 0], 0.1, "zero source coefficients"),
