@@ -29,7 +29,8 @@ import numpy as np
 from .errors import ComputationError, ValidationError
 from .linalg import DensityOperator, SourceState
 from . import bases
-from .counting import CoincidenceTable, bootstrap_std, plan_modes, setting_cells
+from .counting import (CoincidenceTable, bootstrap_std, plan_modes, setting_cells,
+                       settings_plan)
 from . import naming
 
 __all__ = [
@@ -232,19 +233,32 @@ def _b_from_terms(coherences, cross_terms):
     return np.maximum(2.0 / math.sqrt(coherences.shape[-1]) * total, 0.0)
 
 
+def _scan_coherence_pieces(plan, rho: SourceState):
+    """psi psi^+, psi_a = <aa|Psi> over the |aa> kets of the scan ``plan``
+    reads, and the kets' overlaps <aa|bb>: its coherences' pieces free of p."""
+    (scan,) = plan.settings
+    kets_s, kets_i = scan.basis_s.vector_matrix, scan.basis_i.vector_matrix
+    psi = np.diagonal(rho.amplitudes(kets_s, kets_i))
+    pieces = np.outer(psi, psi.conj()), (kets_s.conj() @ kets_s.T) * (kets_i.conj() @ kets_i.T)
+    for piece in pieces:
+        piece.setflags(write=False)
+    return pieces
+
+
 def _eof_exact_elements(rho: DensityOperator, space: str, j, k):
     """<jj|rho|kk>, <jk|rho|jk> and <kj|rho|kj> per pair in the product basis of
     the space's full-basis scan: the populations its cells, as on counts, the
     coherences one product over its |aa> kets, or for a source state
-    (1 - p)<aa|Psi><Psi|bb> + p<aa|bb>/D^2; linear in rho."""
+    (1 - p)<aa|Psi><Psi|bb> + p<aa|bb>/D^2 from the scan plan's pieces
+    (``_scan_coherence_pieces``); linear in rho."""
     scan = bases.scan_setting(space, rho.dim_signal)
     populations = setting_cells(rho, [scan])[0][0]
-    kets_s, kets_i = scan.basis_s.vector_matrix, scan.basis_i.vector_matrix
     if isinstance(rho, SourceState):
-        p, psi = rho.noise_fraction, np.diagonal(rho.amplitudes(kets_s, kets_i))
-        overlaps = (kets_s.conj() @ kets_s.T) * (kets_i.conj() @ kets_i.T)
-        coherences = (1.0 - p) * np.outer(psi, psi.conj()) + p * overlaps / rho.dim
+        pure, overlaps = settings_plan([scan]).source_piece(rho, _scan_coherence_pieces)
+        p = rho.noise_fraction
+        coherences = (1.0 - p) * pure + p * overlaps / rho.dim
     else:
+        kets_s, kets_i = scan.basis_s.vector_matrix, scan.basis_i.vector_matrix
         diagonal = (kets_s[:, :, None] * kets_i[:, None, :]).reshape(len(kets_s), -1)
         coherences = diagonal.conj() @ rho.matrix @ diagonal.T
     return coherences[j, k], populations[j, k], populations[k, j]

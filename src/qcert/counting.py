@@ -20,9 +20,9 @@ tables are reproducible regardless of execution order or outcome ordering.
 Each stream is the one numpy's SeedSequence([seed, setting word]) -> PCG64
 gives, and it makes one Poisson call on the setting's means in sorted-label
 order: the cells by (a, b), then the signal singles top-ups, then the idler
-ones.  ``plan_means`` tabulates a whole setting plan with one table product
-per block of settings of one cell shape and holds the seed-free part: the
-means, stream keys and row keys.  ``PlanMeans.draw(seed)`` draws each
+ones.  ``plan_means`` tabulates a whole setting plan a block of settings of
+one cell shape at a time and holds the seed-free part: the means, stream
+keys and row keys.  ``PlanMeans.draw(seed)`` draws each
 setting from its own stream and writes the table's columns directly, capped
 at the trial count, so a run's seed-free inputs can be computed once per
 configuration and drawn with each seed (``pipeline.run_simulation`` does).
@@ -40,6 +40,14 @@ sorted-key order, so a replica does not depend on row order either.  A raw
 estimate reads C only, so its replicas draw from the C stream alone.
 Replicas come a block at a time as a ``ReplicaStack`` with a leading
 replica axis; ``setting_cells`` reads tables and stacks alike.
+
+A state's exact tables are read through the ``SettingsPlan`` of their
+settings sequence, built once and kept (at most ``_PLANS`` sequences): its
+blocks of settings of one cell shape, their stacked kets and the kets'
+|v_a|^2 |w_b|^2.  For the source coefficients it read last, a plan also
+keeps each block's |<a, b|Psi>|^2, so a source state's table is one
+``SourceState.table`` multiply-add per block and noise fraction; any other
+state's is one ``outcome_probabilities`` call per block.
 """
 
 from __future__ import annotations
@@ -57,7 +65,7 @@ import numpy as np
 from .errors import ValidationError
 from .files import CSV_HEADER, json_text, meta_path, read_block, read_json
 from . import linalg
-from .linalg import DensityOperator
+from .linalg import DensityOperator, SourceState
 from .bases import MAX_MODES, MeasurementBasis, PlannedSetting
 
 __all__ = [
@@ -67,6 +75,8 @@ __all__ = [
     "ReplicaStack",
     "plan_modes",
     "setting_cells",
+    "SettingsPlan",
+    "settings_plan",
     "SettingMeans",
     "setting_means",
     "PlanMeans",
@@ -194,37 +204,103 @@ class SettingMeans:
 # 5.7 MB of numpy allocations against 1.2 MB one setting at a time, and
 # 256-row blocks at 1.7 MB; 128 rows stays at 1.1 MB and runs as fast.
 _TABLE_ROWS = 128
+# Settings plans of at most this many settings sequences are kept, the least
+# recently read dropped first.  One D = 10 point of an exact scan reads 14
+# sequences (witness and scan settings in two spaces, Bell d = 2..10, one
+# tomography pair), and D = 4, 6, 8 and 10 together 44.
+_PLANS = 64
+_plans: dict = {}
 
 
-def _table_blocks(rho: DensityOperator, pairs):
-    """Settings, given as (signal, idler) basis pairs, in blocks of one table
-    product each: yield a block's indices into ``pairs``, its (m, n_s, dim)
-    and (m, n_i, dim) kets and its (m, n_s, n_i) outcome tables.  A block
-    holds settings of one cell shape in the order given, at most
-    ``_TABLE_ROWS`` product-ket rows or one setting."""
-    if any(b_s.dim != rho.dim_signal or b_i.dim != rho.dim_idler for b_s, b_i in pairs):
-        raise ValidationError("measurement vectors do not match the state dimensions")
-    groups: dict[tuple, list[int]] = {}
-    for k, (b_s, b_i) in enumerate(pairs):
-        groups.setdefault((len(b_s.labels), len(b_i.labels)), []).append(k)
-    for (n_s, n_i), members in groups.items():
-        step = max(1, _TABLE_ROWS // (n_s * n_i))
-        for first in range(0, len(members), step):
-            idx = members[first:first + step]
-            kets_s = np.array([pairs[k][0].vector_matrix for k in idx])
-            kets_i = np.array([pairs[k][1].vector_matrix for k in idx])
-            yield idx, kets_s, kets_i, linalg.outcome_probabilities(rho, kets_s, kets_i)
+class SettingsPlan:
+    """What reading the tables of one settings sequence needs, built once per
+    sequence (``settings_plan``): the settings' mode dimensions and cell
+    shapes, and per block of settings of one cell shape (in the order given,
+    at most ``_TABLE_ROWS`` product-ket rows or one setting) its indices into
+    the sequence, its read-only (m, n_s, D) and (m, n_i, D) kets and their
+    ``linalg.product_norms``.  For the source coefficients it read last it
+    also keeps what depends on them and not on p (``source_piece``), among
+    it each block's ``SourceState.pure_table``.  Bases of more than one
+    dimension raise ValidationError."""
+
+    def __init__(self, settings):
+        self.settings = tuple(settings)   # kept alive, so their ids stay unique
+        dims = {(st.basis_s.dim, st.basis_i.dim) for st in self.settings}
+        if len(dims) > 1:
+            raise ValidationError("measurement vectors do not match the state dimensions")
+        self.dims = dims.pop() if dims else None
+        groups: dict[tuple, list[int]] = {}
+        for k, st in enumerate(self.settings):
+            groups.setdefault((len(st.basis_s.labels), len(st.basis_i.labels)), []).append(k)
+        self.shapes = sorted(groups)
+        self.blocks = []
+        for (n_s, n_i), members in groups.items():
+            step = max(1, _TABLE_ROWS // (n_s * n_i))
+            for first in range(0, len(members), step):
+                idx = members[first:first + step]
+                kets_s = np.array([self.settings[k].basis_s.vector_matrix for k in idx])
+                kets_i = np.array([self.settings[k].basis_i.vector_matrix for k in idx])
+                noise = linalg.product_norms(kets_s, kets_i)
+                for array in (kets_s, kets_i, noise):
+                    array.setflags(write=False)
+                self.blocks.append((idx, kets_s, kets_i, noise))
+        self._source = None, {}
+
+    def source_piece(self, rho: SourceState, build):
+        """``build(plan, rho)``: a piece of this plan's reads that depends on
+        the source coefficients c and not on p, built once for the last c
+        read (compared by dtype and bytes)."""
+        key = rho.coefficients.dtype.str, rho.coefficients.tobytes()
+        if self._source[0] != key:
+            self._source = key, {}
+        pieces = self._source[1]
+        if build not in pieces:
+            pieces[build] = build(self, rho)
+        return pieces[build]
+
+    def tables(self, rho: DensityOperator):
+        """Yield each block's indices, kets and (m, n_s, n_i) outcome tables
+        on rho: a source state's ``SourceState.table`` of the block's two
+        pieces, any other state's one ``outcome_probabilities`` call."""
+        if self.dims not in (None, (rho.dim_signal, rho.dim_idler)):
+            raise ValidationError("measurement vectors do not match the state dimensions")
+        if isinstance(rho, SourceState):
+            for (idx, kets_s, kets_i, noise), pure in zip(
+                    self.blocks, self.source_piece(rho, _pure_tables)):
+                yield idx, kets_s, kets_i, rho.table(pure, noise)
+        else:
+            for idx, kets_s, kets_i, _ in self.blocks:
+                yield idx, kets_s, kets_i, linalg.outcome_probabilities(rho, kets_s, kets_i)
 
 
-def _mean_blocks(rho: DensityOperator, pairs, trials: int, params: CountingParams):
-    """Yield the count means of settings, given as (signal, idler) basis
-    pairs, a ``_table_blocks`` block at a time: its indices into ``pairs``,
-    coincidence means (m, n_s, n_i) and signal (m, n_s) and idler (m, n_i)
-    singles means, the side marginals taken with the block's table."""
+def _pure_tables(plan: SettingsPlan, rho: SourceState) -> list:
+    """Each block's |<a, b|Psi>|^2, read-only."""
+    tables = [rho.pure_table(kets_s, kets_i) for _, kets_s, kets_i, _ in plan.blocks]
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def settings_plan(settings) -> SettingsPlan:
+    """The ``SettingsPlan`` of a settings sequence, found by the ids of its
+    settings: built on first read and kept, at most ``_PLANS`` of them."""
+    key = tuple(map(id, settings))
+    plan = _plans.pop(key, None) or SettingsPlan(settings)
+    _plans[key] = plan   # the most recently read last
+    if len(_plans) > _PLANS:
+        del _plans[next(iter(_plans))]
+    return plan
+
+
+def _mean_blocks(rho: DensityOperator, settings, trials: int, params: CountingParams):
+    """Yield the count means of settings a ``settings_plan`` block at a time:
+    its indices into ``settings``, coincidence means (m, n_s, n_i) and signal
+    (m, n_s) and idler (m, n_i) singles means, the side marginals taken with
+    the block's table."""
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     n = float(trials)
-    for idx, kets_s, kets_i, tables in _table_blocks(rho, pairs):
+    for idx, kets_s, kets_i, tables in settings_plan(settings).tables(rho):
         m, n_s, n_i = tables.shape
         ms = linalg.marginal_probabilities(
             rho, kets_s.reshape(-1, rho.dim_signal), "signal").reshape(m, n_s)
@@ -248,7 +324,8 @@ def setting_means(
 ) -> SettingMeans:
     """Expected counts for every cell of one setting: the one-setting view of
     the means ``plan_means`` tabulates."""
-    ((_, lam, singles_s, singles_i),) = _mean_blocks(rho, [(basis_s, basis_i)], trials, params)
+    setting = PlannedSetting(f"{basis_s.name}|{basis_i.name}", basis_s, basis_i)
+    ((_, lam, singles_s, singles_i),) = _mean_blocks(rho, [setting], trials, params)
     return SettingMeans(coincidences=lam[0], singles_s=singles_s[0], singles_i=singles_i[0])
 
 
@@ -327,8 +404,7 @@ def plan_means(rho: DensityOperator, plan: list[PlannedSetting], trials: int,
     setting, *labels = zip(*[(st.name, *key) for st in plan for row in st.cells for key in row])
     start = np.cumsum([0] + [len(st.cells) * len(st.cells[0]) for st in plan])
     blocks = []
-    for idx, lam, mean_s, mean_i in _mean_blocks(
-            rho, [(st.basis_s, st.basis_i) for st in plan], trials, params):
+    for idx, lam, mean_s, mean_i in _mean_blocks(rho, plan, trials, params):
         m, n_s, n_i = lam.shape
         # sums over a contiguous last axis add in the order lam[a, :].sum() does
         means = np.maximum(np.concatenate([
@@ -559,25 +635,29 @@ class ReplicaStack:
     counts: np.ndarray
 
 
+def _one_cell_shape(shapes: list) -> None:
+    if len(shapes) > 1:
+        raise ValidationError(f"settings read together need one cell shape, got {shapes}")
+
+
 def setting_cells(data, settings, corrected: bool = False):
     """The cell values and variances of settings that share one cell shape,
     as (..., settings, n_s, n_i) arrays in basis label order: exact
     probabilities with zero variance from a DensityOperator, and
     ``cell_estimates`` of the settings' rows from a CoincidenceTable or a
-    ReplicaStack (with its leading replica axis).  A state's tables take one
-    stacked product per ``_table_blocks`` block.  Settings of more than one
+    ReplicaStack (with its leading replica axis).  A state's tables are read
+    a ``settings_plan`` block at a time.  Settings of more than one
     cell shape, or a setting whose cells are missing, incomplete or
     labelled otherwise, raise one ValidationError.
     """
-    shapes = sorted({(len(st.basis_s.labels), len(st.basis_i.labels)) for st in settings})
-    if len(shapes) > 1:
-        raise ValidationError(f"settings read together need one cell shape, got {shapes}")
     if isinstance(data, DensityOperator):
+        plan = settings_plan(settings)
+        _one_cell_shape(plan.shapes)
         # one cell shape, so the blocks come in the order of the settings
-        tables = [table for *_, table in
-                  _table_blocks(data, [(st.basis_s, st.basis_i) for st in settings])]
+        tables = [table for *_, table in plan.tables(data)]
         tables = np.concatenate(tables) if tables else np.empty(0)
         return tables, np.zeros(tables.shape)
+    _one_cell_shape(sorted({(len(st.basis_s.labels), len(st.basis_i.labels)) for st in settings}))
     table = data.table if isinstance(data, ReplicaStack) else data
     if not isinstance(table, CoincidenceTable):
         raise ValidationError("expected a DensityOperator or a CoincidenceTable")

@@ -8,8 +8,8 @@ so objects can be shared and cached freely.
 An outcome table is one fixed matrix product over the product kets
 kron(v_s[a], v_i[b]), and a side marginal one over that side's reduced
 state; the diagonal is a multiply-and-row-sum.  Stacked kets give a block
-of settings' tables from one product (``counting`` makes one per block of
-up to 128 product-ket rows).  No einsum contraction is planned: at these
+of settings' tables from one product (``counting``'s settings plans make one
+per block of up to 128 product-ket rows).  No einsum contraction is planned: at these
 sizes (D <= 10, so rho is at most 100 x 100) planning took longer than
 doing it.
 
@@ -23,8 +23,12 @@ reconstruction is stored.
 The source's state (1 - p)|Psi><Psi| + p I/D^2 is a ``SourceState``: its
 tables, marginals, pair restrictions and fidelities read Psi's D
 coefficients and p, one multiply-and-sum over the D axis per product ket,
-and its D^2 x D^2 matrix is built only when something reads it.  The dense
-kernel serves every other state and is the tests' reference for this one.
+and its D^2 x D^2 matrix is built only when something reads it.  A table is
+affine in p, (1 - p) A + p N / D^2 (``SourceState.table``), with
+A = |<a, b|Psi>|^2 (``SourceState.pure_table``) and N = |v_a|^2 |w_b|^2
+(``product_norms``) free of p; ``counting``'s settings plans keep both, so
+a noise scan of one source computes them once per plan.  The dense kernel
+serves every other state and is the tests' reference for this one.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ __all__ = [
     "marginal_probabilities",
     "fidelity_to_pure",
     "restrict_to_pair",
+    "product_norms",
 ]
 
 
@@ -186,10 +191,29 @@ class SourceState(DensityOperator):
         return (kets_s.conj()[..., :, None, :]
                 * (kets_i.conj() * self.coefficients)[..., None, :, :]).sum(axis=-1)
 
+    def pure_table(self, kets_s: np.ndarray, kets_i: np.ndarray) -> np.ndarray:
+        """|<a, b|Psi>|^2 of the kets ``amplitudes`` takes: the piece of the
+        tables that depends on c and not on p."""
+        amps = self.amplitudes(kets_s, kets_i)
+        return amps.real**2 + amps.imag**2
+
+    def table(self, pure: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """The outcome table (1 - p) pure + p noise / D^2, clipped to [0, 1],
+        from its two noise-free pieces: ``pure_table`` and ``product_norms``
+        of the same kets."""
+        p = self.noise_fraction
+        return np.minimum(np.maximum((1.0 - p) * pure + p * noise / self.dim, 0.0), 1.0)
+
 
 def _norms(kets: np.ndarray) -> np.ndarray:
     """|v|^2 of each ket (last axis)."""
     return (kets.real**2 + kets.imag**2).sum(axis=-1)
+
+
+def product_norms(kets_s: np.ndarray, kets_i: np.ndarray) -> np.ndarray:
+    """|v_a|^2 |w_b|^2 of (..., n_s, D) signal and (..., n_i, D) idler kets as
+    (..., n_s, n_i): the kets' own piece of a source state's tables."""
+    return _norms(kets_s)[..., :, None] * _norms(kets_i)[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -231,6 +255,16 @@ def _diagonal(kets: np.ndarray, op: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
+def _require_finite(real: np.ndarray, residue: float = 0.0) -> None:
+    """Refuse measurement vectors that made a table, or its imaginary
+    residue, non-finite.  A sum over the table is finite whenever every entry
+    is, so the full scan runs only when the scalars already say something is
+    off."""
+    if not math.isfinite(residue + real.sum()) and not (math.isfinite(residue)
+                                                        and np.isfinite(real).all()):
+        raise ValidationError("measurement vectors must be finite")
+
+
 def outcome_probabilities(rho: DensityOperator, vectors_s, vectors_i) -> np.ndarray:
     """Joint outcome probabilities for two sets of measurement kets.
 
@@ -240,28 +274,23 @@ def outcome_probabilities(rho: DensityOperator, vectors_s, vectors_i) -> np.ndar
     table is diag(conj(K) rho K^T): one matrix product, no contraction planning.
     Two (m, n, dim) stacks give the (m, n_s, n_i) tables of m settings from one
     product over all of their product kets, row for row the same.  A source
-    state's table is (1 - p)|<a, b|Psi>|^2 + p |v_a|^2 |w_b|^2 / D^2 (see
-    ``SourceState.amplitudes``).
+    state's table is (1 - p)|<a, b|Psi>|^2 + p |v_a|^2 |w_b|^2 / D^2
+    (``SourceState.table``).
     """
     v_s = _ket_rows(vectors_s, rho.dim_signal, (2, 3))
     v_i = _ket_rows(vectors_i, rho.dim_idler, (v_s.ndim,))
     if v_s.shape[:-2] != v_i.shape[:-2]:
         raise ValidationError(f"ket stacks of {len(v_s)} and {len(v_i)} settings differ")
     if isinstance(rho, SourceState):
-        p, amps = rho.noise_fraction, rho.amplitudes(v_s, v_i)
-        noise = _norms(v_s)[..., :, None] * _norms(v_i)[..., None, :]
-        real = (1.0 - p) * (amps.real**2 + amps.imag**2) + p * noise / rho.dim
-        residue = 0.0
-    else:
-        shape = v_s.shape[:-1] + v_i.shape[-2:-1]
-        kets = (v_s[..., :, None, :, None] * v_i[..., None, :, None, :]).reshape(-1, rho.dim)
-        table = _diagonal(kets, rho.matrix).reshape(shape)
-        real, residue = table.real, np.abs(table.imag).max()
-    # a sum over the table is finite whenever every entry is, so the full
-    # scan runs only when the scalars already say something is off
-    if not math.isfinite(residue + real.sum()) and not (math.isfinite(residue)
-                                                        and np.isfinite(real).all()):
-        raise ValidationError("measurement vectors must be finite")
+        # |<a, b|Psi>|^2 <= |v_a|^2 |w_b|^2, so finite norms make a finite table
+        noise = product_norms(v_s, v_i)
+        _require_finite(noise)
+        return rho.table(rho.pure_table(v_s, v_i), noise)
+    shape = v_s.shape[:-1] + v_i.shape[-2:-1]
+    kets = (v_s[..., :, None, :, None] * v_i[..., None, :, None, :]).reshape(-1, rho.dim)
+    table = _diagonal(kets, rho.matrix).reshape(shape)
+    real, residue = table.real, np.abs(table.imag).max()
+    _require_finite(real, residue)
     if residue > ATOL_IMAG:
         raise ComputationError(
             f"probability table has imaginary residue {residue:.3e}; inputs are inconsistent"

@@ -182,10 +182,11 @@ class TestPlanMeans:
                 assert all(np.array_equal(got, want) for got, want in
                            zip((one.coincidences, one.singles_s, one.singles_i), ref))
             for rows in (1, counting._TABLE_ROWS, 10**6):
+                # settings plans fix their blocks when built: a new size reads fresh plans
                 monkeypatch.setattr(counting, "_TABLE_ROWS", rows)
+                monkeypatch.setattr(counting, "_plans", {})
                 seen = []
-                for idx, lam, singles_s, singles_i in counting._mean_blocks(
-                        rho, [(st.basis_s, st.basis_i) for st in plan], n, params):
+                for idx, lam, singles_s, singles_i in counting._mean_blocks(rho, plan, n, params):
                     assert lam.shape[0] * lam.shape[1] * lam.shape[2] <= max(rows, lam[0].size)
                     for r, k in enumerate(idx):
                         seen.append(k)

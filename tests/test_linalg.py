@@ -25,6 +25,7 @@ from qcert import (
     restrict_to_pair,
     witness,
 )
+from qcert import counting
 from qcert.certify import _eof_exact_elements, _witness_pairs
 from qcert.counting import plan_means, setting_cells
 from qcert.errors import ComputationError
@@ -438,6 +439,47 @@ class TestSourceState:
         assert rho.reshaped().shape == (2, 2, 2, 2)
 
 
+def scan_elements(rho, space, j, k):
+    """The exact formation-bound elements of a source state by the formula,
+    from the scan's kets alone: <jj|rho|kk> = (1 - p)<jj|Psi><Psi|kk>
+    + p<jj|kk>/D^2, and the populations its lone table."""
+    scan = bases.scan_setting(space, rho.dim_signal)
+    kets_s, kets_i = scan.basis_s.vector_matrix, scan.basis_i.vector_matrix
+    p, psi = rho.noise_fraction, np.diagonal(rho.amplitudes(kets_s, kets_i))
+    overlaps = (kets_s.conj() @ kets_s.T) * (kets_i.conj() @ kets_i.T)
+    coherences = (1.0 - p) * np.outer(psi, psi.conj()) + p * overlaps / rho.dim
+    populations = outcome_probabilities(rho, kets_s, kets_i)
+    return coherences[j, k], populations[j, k], populations[k, j]
+
+
+class TestSettingsPlan:
+    """Exact reads through the cached settings plans against the lone tables."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(2, 10), spread=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 2),
+           dark=st.integers(0, 2),
+           noise=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    @example(d=10, spread=0.2, seed=1, dark=0, noise=[0.3])
+    @example(d=3, spread=0.0, seed=2, dark=2, noise=[0.5])
+    def test_reads_are_the_lone_tables_bit_for_bit(self, d, spread, seed, dark, noise):
+        # two sources read in turn, so each plan's coefficient store refills
+        # at every read; p = 0 and 1 and a repeated p on the grid
+        sources = [drawn_source(d, spread, seed + n, 0.0, min(dark, d - 1) if n else 0)
+                   for n in (0, 1)]
+        j, k = np.array(_witness_pairs(d)).T
+        for p in [0.0, 1.0, *noise, noise[0]]:
+            for cfg in sources:
+                rho = noisy_state(cfg.with_noise(p))
+                for settings_ in plan_families(d):
+                    want = [outcome_probabilities(rho, st_.basis_s.vector_matrix,
+                                                  st_.basis_i.vector_matrix) for st_ in settings_]
+                    assert np.array_equal(setting_cells(rho, settings_)[0], want)
+                for space in "XK":
+                    for got, want in zip(_eof_exact_elements(rho, space, j, k),
+                                         scan_elements(rho, space, j, k)):
+                        assert np.array_equal(got, want)
+
+
 class TestNoDenseMatrix:
     def test_exact_estimators_fits_and_plans_never_build_the_matrix(self, monkeypatch):
         def refuse(self):
@@ -460,3 +502,46 @@ class TestNoDenseMatrix:
             for sim in (run, replace(run, noise_channel="state")):
                 plan_means(pipeline.sampling_state(sim), pipeline.build_settings(sim),
                            sim.trials_per_setting, pipeline.effective_params(sim))
+
+
+class TestCachedPieces:
+    def test_source_amplitudes_are_read_at_the_first_noise_fraction_only(self, monkeypatch):
+        calls = []
+        original = SourceState.amplitudes
+
+        def counted(self, kets_s, kets_i):
+            calls.append(kets_s.shape)
+            return original(self, kets_s, kets_i)
+
+        monkeypatch.setattr(SourceState, "amplitudes", counted)
+        monkeypatch.setattr(counting, "_plans", {})
+        cfg = drawn_source(6, 0.2, 5, 0.0, 0)
+        for n, p in enumerate((0.0, 0.3, 0.3, 0.8, 1.0)):
+            calls.clear()
+            rho = noisy_state(cfg.with_noise(p))
+            for space in "XK":
+                witness(rho, space=space)
+                eof_bound(rho, space=space)
+            for d in range(2, 7):
+                cglmp(rho, d)
+            reconstruct_exact(rho, 0, 3)
+            # one pure table per plan block, and one psi per scan for its coherences
+            blocks = sum(len(plan.blocks) for plan in counting._plans.values())
+            assert len(calls) == (blocks + 2 if n == 0 else 0)
+        assert len(counting._plans) == 2 + 2 + 5 + 1   # witness, scan, Bell, tomography
+
+    def test_stores_hold_no_more_than_their_bounds(self, monkeypatch):
+        monkeypatch.setattr(counting, "_plans", {})
+        sequences = [bases.witness_settings(space, j, k, 10)
+                     for space in "XK" for j, k in _witness_pairs(10)]
+        assert len(sequences) > counting._PLANS
+        for seed in (1, 2, 3):
+            rho = noisy_state(drawn_source(10, 0.2, seed, 0.1, 0))
+            for sequence in sequences:
+                setting_cells(rho, sequence)
+        assert len(counting._plans) == counting._PLANS
+        kept = [plan.settings for plan in counting._plans.values()]
+        assert kept == sequences[-counting._PLANS:]   # the most recently read
+        # one coefficient vector per plan: the last source's
+        last = (rho.coefficients.dtype.str, rho.coefficients.tobytes())
+        assert all(plan._source[0] == last for plan in counting._plans.values())

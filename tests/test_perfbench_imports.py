@@ -15,7 +15,7 @@ from qcert import (CoincidenceTable, CountRecord, SourceConfig, bootstrap_table,
 from qcert.pipeline import (SimulationConfig, build_settings, effective_params, run_simulation,
                             sampling_state)
 
-from conftest import SATURATING_SEED, saturating_table
+from conftest import SATURATING_SEED, dense, saturating_table
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -144,10 +144,12 @@ TABLE_CALLERS = ("qcert.linalg", "qcert.bases", "qcert.certify", "qcert.source")
 
 def test_table_counts_perfbench_expects(monkeypatch):
     """perfbench's ``linalg.prob_table_calls`` counts outcome_probabilities
-    calls, and its self-test expects 18 at D = 4.  The exact path stacks a
-    block of settings into one call, so the calls drop while the tables, the
-    sum of the stack sizes, stay 18 and 317: the self-test holds again once
-    the benchmark counts tables."""
+    calls, and its self-test expects 18 at D = 4.  A dense state's exact path
+    stacks a block of settings into one call, so its calls drop while its
+    tables, the sum of the stack sizes, stay 18 and 317.  A source state's
+    tables are mixed from its settings plans' cached pieces and make no call,
+    so the row now counts dense-state calls only.  Each count holds whether
+    or not the plans were read before."""
     calls = []
     original = linalg.outcome_probabilities
 
@@ -158,11 +160,15 @@ def test_table_counts_perfbench_expects(monkeypatch):
     for name in TABLE_CALLERS:
         monkeypatch.setattr(importlib.import_module(name), "outcome_probabilities", counted,
                             raising=False)
-    mean_pair_visibility(noisy_state(SourceConfig.uniform(4).with_noise(0.1)))
-    assert (len(calls), sum(calls)) == (1, 18)
-    calls.clear()
+    source = noisy_state(SourceConfig.uniform(4).with_noise(0.1))
+    for rho, expected in ((source, (0, 0)), (dense(source), (1, 18)), (source, (0, 0))):
+        calls.clear()
+        mean_pair_visibility(rho)
+        assert (len(calls), sum(calls)) == expected
     cfg = pipeline.preset("calibrated-witness")
-    rho, params = sampling_state(cfg), effective_params(cfg)
-    for st in build_settings(cfg):
-        setting_means(rho, st.basis_s, st.basis_i, cfg.trials_per_setting, params)
-    assert (len(calls), sum(calls)) == (317, 317)
+    source, params = sampling_state(cfg), effective_params(cfg)
+    for rho, expected in ((dense(source), (317, 317)), (source, (0, 0))):
+        calls.clear()
+        for st in build_settings(cfg):
+            setting_means(rho, st.basis_s, st.basis_i, cfg.trials_per_setting, params)
+        assert (len(calls), sum(calls)) == expected
