@@ -199,7 +199,7 @@ class SourceState(DensityOperator):
 
     def table(self, pure: np.ndarray, noise: np.ndarray) -> np.ndarray:
         """The outcome table (1 - p) pure + p noise / D^2, clipped to [0, 1],
-        from its two noise-free pieces: ``pure_table`` and ``product_norms``
+        from its two pieces free of p: ``pure_table`` and ``product_norms``
         of the same kets."""
         p = self.noise_fraction
         return np.minimum(np.maximum((1.0 - p) * pure + p * noise / self.dim, 0.0), 1.0)
