@@ -42,12 +42,14 @@ Replicas come a block at a time as a ``ReplicaStack`` with a leading
 replica axis; ``setting_cells`` reads tables and stacks alike.
 
 A state's exact tables are read through the ``SettingsPlan`` of their
-settings sequence, built once and kept (at most ``_PLANS`` sequences): its
-blocks of settings of one cell shape, their stacked kets and the kets'
-|v_a|^2 |w_b|^2.  For the source coefficients it read last, a plan also
-keeps each block's |<a, b|Psi>|^2, so a source state's table is one
-``SourceState.table`` multiply-add per block and noise fraction; any other
-state's is one ``outcome_probabilities`` call per block.
+settings sequence: its blocks of settings of one cell shape, their stacked
+kets and the kets' |v_a|^2 |w_b|^2.  For the source coefficients it read
+last, a plan also keeps each block's |<a, b|Psi>|^2, so a source state's
+table is one ``SourceState.table`` multiply-add per block and noise
+fraction; any other state's is one ``outcome_probabilities`` call per block.
+``settings_plan`` keeps the plans the exact readers re-read, keyed (as cell
+rows are) by the sequence's value: settings with one name and the same basis
+objects; count means read a plan built for the call alone.
 """
 
 from __future__ import annotations
@@ -209,12 +211,11 @@ _TABLE_ROWS = 128
 # sequences (witness and scan settings in two spaces, Bell d = 2..10, one
 # tomography pair), and D = 4, 6, 8 and 10 together 44.
 _PLANS = 64
-_plans: dict = {}
 
 
 class SettingsPlan:
-    """What reading the tables of one settings sequence needs, built once per
-    sequence (``settings_plan``): the settings' mode dimensions and cell
+    """What reading the tables of one settings sequence needs (kept per
+    sequence by ``settings_plan``): the settings' mode dimensions and cell
     shapes, and per block of settings of one cell shape (in the order given,
     at most ``_TABLE_ROWS`` product-ket rows or one setting) its indices into
     the sequence, its read-only (m, n_s, D) and (m, n_i, D) kets and their
@@ -224,7 +225,7 @@ class SettingsPlan:
     dimension raise ValidationError."""
 
     def __init__(self, settings):
-        self.settings = tuple(settings)   # kept alive, so their ids stay unique
+        self.settings = tuple(settings)
         dims = {(st.basis_s.dim, st.basis_i.dim) for st in self.settings}
         if len(dims) > 1:
             raise ValidationError("measurement vectors do not match the state dimensions")
@@ -281,26 +282,25 @@ def _pure_tables(plan: SettingsPlan, rho: SourceState) -> list:
     return tables
 
 
+_stored_plan = functools.lru_cache(maxsize=_PLANS)(SettingsPlan)
+
+
 def settings_plan(settings) -> SettingsPlan:
-    """The ``SettingsPlan`` of a settings sequence, found by the ids of its
-    settings: built on first read and kept, at most ``_PLANS`` of them."""
-    key = tuple(map(id, settings))
-    plan = _plans.pop(key, None) or SettingsPlan(settings)
-    _plans[key] = plan   # the most recently read last
-    if len(_plans) > _PLANS:
-        del _plans[next(iter(_plans))]
-    return plan
+    """The ``SettingsPlan`` of a settings sequence, found by its value: built
+    on first read and kept, at most ``_PLANS`` of them."""
+    return _stored_plan(tuple(settings))
 
 
 def _mean_blocks(rho: DensityOperator, settings, trials: int, params: CountingParams):
-    """Yield the count means of settings a ``settings_plan`` block at a time:
-    its indices into ``settings``, coincidence means (m, n_s, n_i) and signal
-    (m, n_s) and idler (m, n_i) singles means, the side marginals taken with
-    the block's table."""
+    """Yield the count means of settings a ``SettingsPlan`` block at a time,
+    the plan built for this call and not kept: its indices into
+    ``settings``, coincidence means (m, n_s, n_i) and signal (m, n_s) and
+    idler (m, n_i) singles means, the side marginals taken with the block's
+    table."""
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     n = float(trials)
-    for idx, kets_s, kets_i, tables in settings_plan(settings).tables(rho):
+    for idx, kets_s, kets_i, tables in SettingsPlan(settings).tables(rho):
         m, n_s, n_i = tables.shape
         ms = linalg.marginal_probabilities(
             rho, kets_s.reshape(-1, rho.dim_signal), "signal").reshape(m, n_s)
@@ -497,11 +497,10 @@ class RowKeys:
 
     def cell_rows(self, settings: tuple) -> np.ndarray:
         """The (settings, n_s, n_i) rows of settings that share one cell shape,
-        cells in basis label order; cached per settings sequence, which is
-        kept alive so its ids stay unique.  A setting whose cells are
-        missing, incomplete or labelled otherwise raises one ValidationError."""
-        plan = tuple(map(id, settings))
-        if plan not in self._cell_rows:
+        cells in basis label order; cached per settings sequence, found by its
+        value.  A setting whose cells are missing, incomplete or labelled
+        otherwise raises one ValidationError."""
+        if settings not in self._cell_rows:
             rows = []
             for setting in settings:
                 recs = self.index.get(setting.name, {})
@@ -512,8 +511,8 @@ class RowKeys:
                         f"setting {setting.name!r} missing, incomplete or mislabelled: "
                         f"{present} of its {len(keys)} outcome cells among {len(recs)} records")
                 rows.append([[recs[key] for key in row] for row in setting.cells])
-            self._cell_rows[plan] = settings, np.array(rows, dtype=np.intp)
-        return self._cell_rows[plan][1]
+            self._cell_rows[settings] = np.array(rows, dtype=np.intp)
+        return self._cell_rows[settings]
 
     def sub_keys(self, wanted: frozenset):
         """The rows of the named settings, in order, and their RowKeys."""

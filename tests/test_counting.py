@@ -182,9 +182,8 @@ class TestPlanMeans:
                 assert all(np.array_equal(got, want) for got, want in
                            zip((one.coincidences, one.singles_s, one.singles_i), ref))
             for rows in (1, counting._TABLE_ROWS, 10**6):
-                # settings plans fix their blocks when built: a new size reads fresh plans
+                # count means build their plan per call, so it takes the new size
                 monkeypatch.setattr(counting, "_TABLE_ROWS", rows)
-                monkeypatch.setattr(counting, "_plans", {})
                 seen = []
                 for idx, lam, singles_s, singles_i in counting._mean_blocks(rho, plan, n, params):
                     assert lam.shape[0] * lam.shape[1] * lam.shape[2] <= max(rows, lam[0].size)
@@ -266,6 +265,59 @@ class TestStackedExactCells:
             with pytest.raises(ValidationError,
                                match=r"one cell shape, got \[\(2, 2\), \(3, 3\)\]"):
                 counting.setting_cells(data, mixed)
+
+
+def rebuilt(basis):
+    """A new basis object with the name, side, labels and kets of ``basis``."""
+    return MeasurementBasis(basis.name, basis.side, basis.labels, basis.vector_matrix)
+
+
+class TestValueKeys:
+    """Settings plans and cell rows are found by the settings' value: equal
+    names and the same basis objects."""
+
+    def fresh_table(self):
+        cfg = small_plan_config()
+        return plan_means(pipeline.sampling_state(cfg), pipeline.build_settings(cfg),
+                          cfg.trials_per_setting, pipeline.effective_params(cfg)).draw(1)
+
+    def test_equal_sequences_share_one_plan_and_one_cell_rows_entry(self):
+        sequence = bases.witness_settings("K", 0, 2, 3)
+        wrapped = [PlannedSetting(st.name, st.basis_s, st.basis_i) for st in sequence]
+        table = self.fresh_table()
+        plan = counting.settings_plan(sequence)
+        for equal in (list(sequence), wrapped):
+            assert counting.settings_plan(equal) is plan
+        cells = [counting.setting_cells(table, equal) for equal in (sequence, list(sequence),
+                                                                    wrapped)]
+        assert list(table.row_keys._cell_rows) == [sequence]
+        assert all(np.array_equal(got, cells[0][0]) for got, _ in cells)
+
+    def test_a_rebuilt_basis_gets_its_own_plan_with_the_same_reads(self):
+        sequence = bases.witness_settings("X", 0, 2, 3)
+        copies = [PlannedSetting(st.name, rebuilt(st.basis_s), rebuilt(st.basis_i))
+                  for st in sequence]
+        assert all(np.array_equal(copy.basis_s.vector_matrix, st.basis_s.vector_matrix)
+                   and np.array_equal(copy.basis_i.vector_matrix, st.basis_i.vector_matrix)
+                   for copy, st in zip(copies, sequence))
+        assert copies != list(sequence)
+        assert counting.settings_plan(copies) is not counting.settings_plan(sequence)
+        table = self.fresh_table()
+        source = noisy_state(SourceConfig(3, [0.6, 0.64, 0.48], [0.0, 0.7, -1.9], 0.3))
+        for data in (source, DensityOperator(3, 3, source.matrix), table):
+            assert all(np.array_equal(got, want) for got, want in zip(
+                counting.setting_cells(data, copies), counting.setting_cells(data, sequence)))
+        assert len(table.row_keys._cell_rows) == 2
+
+    def test_repeated_formation_bounds_keep_one_entry(self):
+        # each call lists its pair settings anew, the pairs in either order
+        table = self.fresh_table()
+        for pair_set in (None, None, [(1, 0), (2, 0), (2, 1)], [(0, 1), (0, 2), (1, 2)]):
+            eof_bound(table, pair_set=pair_set, num_modes=3, n_bootstrap=2)
+        (sub_keys,) = [keys for _, keys in table.row_keys._sub_keys.values()]
+        pair_settings = tuple(st for j, k in ((0, 1), (0, 2), (1, 2))
+                              for st in bases.witness_settings("X", j, k, 3)[:2])
+        assert set(sub_keys._cell_rows) == {(scan_setting("X", 3),), pair_settings}
 
 
 class TestNoPlannedEinsum:

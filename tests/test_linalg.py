@@ -504,6 +504,29 @@ class TestNoDenseMatrix:
                            sim.trials_per_setting, pipeline.effective_params(sim))
 
 
+def plans_built(monkeypatch):
+    """The settings plans built from here on, stored or not, in build order."""
+    built = []
+    init = counting.SettingsPlan.__init__
+
+    def recorded(self, settings_):
+        init(self, settings_)
+        built.append(self)
+
+    monkeypatch.setattr(counting.SettingsPlan, "__init__", recorded)
+    return built
+
+
+def exact_point(rho, tomo_pair):
+    """Every exact estimator of the exact scan on one state."""
+    for space in "XK":
+        witness(rho, space=space)
+        eof_bound(rho, space=space)
+    for d in range(2, rho.dim_signal + 1):
+        cglmp(rho, d)
+    reconstruct_exact(rho, *tomo_pair)
+
+
 class TestCachedPieces:
     def test_source_amplitudes_are_read_at_the_first_noise_fraction_only(self, monkeypatch):
         calls = []
@@ -514,24 +537,20 @@ class TestCachedPieces:
             return original(self, kets_s, kets_i)
 
         monkeypatch.setattr(SourceState, "amplitudes", counted)
-        monkeypatch.setattr(counting, "_plans", {})
+        counting._stored_plan.cache_clear()
+        built = plans_built(monkeypatch)
         cfg = drawn_source(6, 0.2, 5, 0.0, 0)
         for n, p in enumerate((0.0, 0.3, 0.3, 0.8, 1.0)):
             calls.clear()
-            rho = noisy_state(cfg.with_noise(p))
-            for space in "XK":
-                witness(rho, space=space)
-                eof_bound(rho, space=space)
-            for d in range(2, 7):
-                cglmp(rho, d)
-            reconstruct_exact(rho, 0, 3)
+            exact_point(noisy_state(cfg.with_noise(p)), (0, 3))
             # one pure table per plan block, and one psi per scan for its coherences
-            blocks = sum(len(plan.blocks) for plan in counting._plans.values())
+            blocks = sum(len(plan.blocks) for plan in built)
             assert len(calls) == (blocks + 2 if n == 0 else 0)
-        assert len(counting._plans) == 2 + 2 + 5 + 1   # witness, scan, Bell, tomography
+        # witness, scan, Bell, tomography
+        assert len(built) == counting._stored_plan.cache_info().currsize == 2 + 2 + 5 + 1
 
-    def test_stores_hold_no_more_than_their_bounds(self, monkeypatch):
-        monkeypatch.setattr(counting, "_plans", {})
+    def test_stores_hold_no_more_than_their_bounds(self):
+        counting._stored_plan.cache_clear()
         sequences = [bases.witness_settings(space, j, k, 10)
                      for space in "XK" for j, k in _witness_pairs(10)]
         assert len(sequences) > counting._PLANS
@@ -539,9 +558,38 @@ class TestCachedPieces:
             rho = noisy_state(drawn_source(10, 0.2, seed, 0.1, 0))
             for sequence in sequences:
                 setting_cells(rho, sequence)
-        assert len(counting._plans) == counting._PLANS
-        kept = [plan.settings for plan in counting._plans.values()]
-        assert kept == sequences[-counting._PLANS:]   # the most recently read
-        # one coefficient vector per plan: the last source's
+        assert counting._stored_plan.cache_info().currsize == counting._PLANS
+        # the most recently read are kept, found again from a rebuilt list,
+        # each holding one coefficient vector: the last source's
+        misses = counting._stored_plan.cache_info().misses
         last = (rho.coefficients.dtype.str, rho.coefficients.tobytes())
-        assert all(plan._source[0] == last for plan in counting._plans.values())
+        for sequence in sequences[-counting._PLANS:]:
+            assert counting.settings_plan(list(sequence))._source[0] == last
+        assert counting._stored_plan.cache_info().misses == misses
+        counting.settings_plan(sequences[-counting._PLANS - 1])
+        assert counting._stored_plan.cache_info().misses == misses + 1
+
+    def test_one_setting_reads_leave_the_exact_plans_stored(self, monkeypatch):
+        # the exact plans of D = 4 and D = 10 points, then one-setting count
+        # means over calibrated-witness settings, each with a fresh wrapper
+        cfg = pipeline.preset("calibrated-witness")
+        rho, params = pipeline.sampling_state(cfg), pipeline.effective_params(cfg)
+
+        def one_setting_reads():
+            for st_ in pipeline.build_settings(cfg)[:64]:
+                counting.setting_means(rho, st_.basis_s, st_.basis_i, 10**6, params)
+                counting.simulate_setting(rho, st_.basis_s, st_.basis_i, 10**6, params, 1)
+
+        def cycle():
+            for d, p in ((4, 0.1), (10, 0.2)):
+                exact_point(noisy_state(drawn_source(d, 0.2, d, p, 0)), (0, d // 2))
+
+        cycle()
+        one_setting_reads()
+        built = plans_built(monkeypatch)
+        cycle()
+        assert built == []   # re-reading the cycle builds no plan
+        info = counting._stored_plan.cache_info()
+        one_setting_reads()
+        assert counting._stored_plan.cache_info() == info   # nor do they read the store
+        assert len(built) == 2 * 64
