@@ -252,9 +252,10 @@ def _eof_exact_elements(rho: DensityOperator, space: str, j, k):
     (1 - p)<aa|Psi><Psi|bb> + p<aa|bb>/D^2 from the scan plan's pieces
     (``_scan_coherence_pieces``); linear in rho."""
     scan = bases.scan_setting(space, rho.dim_signal)
-    populations = setting_cells(rho, [scan])[0][0]
+    plan = settings_plan((scan,))
+    populations = plan.table(rho)[0]
     if isinstance(rho, SourceState):
-        pure, overlaps = settings_plan([scan]).source_piece(rho, _scan_coherence_pieces)
+        pure, overlaps = plan.source_piece(rho, _scan_coherence_pieces)
         p = rho.noise_fraction
         coherences = (1.0 - p) * pure + p * overlaps / rho.dim
     else:

@@ -20,12 +20,12 @@ tables are reproducible regardless of execution order or outcome ordering.
 Each stream is the one numpy's SeedSequence([seed, setting word]) -> PCG64
 gives, and it makes one Poisson call on the setting's means in sorted-label
 order: the cells by (a, b), then the signal singles top-ups, then the idler
-ones.  ``plan_means`` tabulates a whole setting plan a block of settings of
-one cell shape at a time and holds the seed-free part: the means, stream
-keys and row keys.  ``PlanMeans.draw(seed)`` draws each
-setting from its own stream and writes the table's columns directly, capped
-at the trial count, so a run's seed-free inputs can be computed once per
-configuration and drawn with each seed (``pipeline.run_simulation`` does).
+ones.  ``plan_means`` tabulates a whole setting plan one cell shape at a
+time and holds the seed-free part: the means, stream keys and row keys.
+``PlanMeans.draw(seed)`` draws each setting from its own stream and writes
+the table's columns directly, capped at the trial count, so a run's
+seed-free inputs can be computed once per configuration and drawn with each
+seed (``pipeline.run_simulation`` does).
 
 A table is shared row keys plus its own counts: ``RowKeys`` holds a setting
 name per row and the int64 outcome labels, checked for repeats once, and
@@ -42,14 +42,14 @@ Replicas come a block at a time as a ``ReplicaStack`` with a leading
 replica axis; ``setting_cells`` reads tables and stacks alike.
 
 A state's exact tables are read through the ``SettingsPlan`` of their
-settings sequence: its blocks of settings of one cell shape, their stacked
+settings sequence, which holds settings of one cell shape: their stacked
 kets and the kets' |v_a|^2 |w_b|^2.  For the source coefficients it read
-last, a plan also keeps each block's |<a, b|Psi>|^2, so a source state's
-table is one ``SourceState.table`` multiply-add per block and noise
-fraction; any other state's is one ``outcome_probabilities`` call per block.
-``settings_plan`` keeps the plans the exact readers re-read, keyed (as cell
-rows are) by the sequence's value: settings with one name and the same basis
-objects; count means read a plan built for the call alone.
+last, a plan also keeps the kets' |<a, b|Psi>|^2, so a source state's tables
+are one ``SourceState.table`` multiply-add per noise fraction; any other
+state's are one ``outcome_probabilities`` call.  ``settings_plan`` keeps the
+plans the exact readers re-read, keyed (as cell rows are) by the sequence's
+value: settings with one name and the same basis objects; count means read
+one plan per cell shape, built for the call alone.
 """
 
 from __future__ import annotations
@@ -201,11 +201,6 @@ class SettingMeans:
     singles_i: np.ndarray     # (n_i,)
 
 
-# Tables are stacked in blocks of at most this many product-ket rows.  On a
-# calibrated-witness run, one product per whole cell-shape group peaked at
-# 5.7 MB of numpy allocations against 1.2 MB one setting at a time, and
-# 256-row blocks at 1.7 MB; 128 rows stays at 1.1 MB and runs as fast.
-_TABLE_ROWS = 128
 # Settings plans of at most this many settings sequences are kept, the least
 # recently read dropped first.  One D = 10 point of an exact scan reads 14
 # sequences (witness and scan settings in two spaces, Bell d = 2..10, one
@@ -213,38 +208,37 @@ _TABLE_ROWS = 128
 _PLANS = 64
 
 
+def _cell_shape(settings):
+    """The (n_s, n_i) cell shape of settings read together, None for none;
+    settings of more than one cell shape raise ValidationError."""
+    shapes = sorted({(len(st.basis_s.labels), len(st.basis_i.labels)) for st in settings})
+    if len(shapes) > 1:
+        raise ValidationError(f"settings read together need one cell shape, got {shapes}")
+    return shapes[0] if shapes else None
+
+
 class SettingsPlan:
     """What reading the tables of one settings sequence needs (kept per
-    sequence by ``settings_plan``): the settings' mode dimensions and cell
-    shapes, and per block of settings of one cell shape (in the order given,
-    at most ``_TABLE_ROWS`` product-ket rows or one setting) its indices into
-    the sequence, its read-only (m, n_s, D) and (m, n_i, D) kets and their
+    sequence by ``settings_plan``): the settings' mode dimensions, their
+    read-only stacked (m, n_s, D) and (m, n_i, D) kets and the kets'
     ``linalg.product_norms``.  For the source coefficients it read last it
     also keeps what depends on them and not on p (``source_piece``), among
-    it each block's ``SourceState.pure_table``.  Bases of more than one
-    dimension raise ValidationError."""
+    it the ``SourceState.pure_table`` of the kets.  No settings, settings of
+    more than one cell shape or bases of more than one dimension raise
+    ValidationError."""
 
     def __init__(self, settings):
         self.settings = tuple(settings)
+        if not self.settings:
+            raise ValidationError("a settings plan needs at least one setting")
+        _cell_shape(self.settings)
         dims = {(st.basis_s.dim, st.basis_i.dim) for st in self.settings}
         if len(dims) > 1:
             raise ValidationError("measurement vectors do not match the state dimensions")
-        self.dims = dims.pop() if dims else None
-        groups: dict[tuple, list[int]] = {}
-        for k, st in enumerate(self.settings):
-            groups.setdefault((len(st.basis_s.labels), len(st.basis_i.labels)), []).append(k)
-        self.shapes = sorted(groups)
-        self.blocks = []
-        for (n_s, n_i), members in groups.items():
-            step = max(1, _TABLE_ROWS // (n_s * n_i))
-            for first in range(0, len(members), step):
-                idx = members[first:first + step]
-                kets_s = np.array([self.settings[k].basis_s.vector_matrix for k in idx])
-                kets_i = np.array([self.settings[k].basis_i.vector_matrix for k in idx])
-                noise = linalg.product_norms(kets_s, kets_i)
-                for array in (kets_s, kets_i, noise):
-                    array.setflags(write=False)
-                self.blocks.append((idx, kets_s, kets_i, noise))
+        self.dims = dims.pop()
+        self.kets_s = linalg._frozen(np.array([st.basis_s.vector_matrix for st in self.settings]))
+        self.kets_i = linalg._frozen(np.array([st.basis_i.vector_matrix for st in self.settings]))
+        self.noise = linalg._frozen(linalg.product_norms(self.kets_s, self.kets_i))
         self._source = None, {}
 
     def source_piece(self, rho: SourceState, build):
@@ -259,27 +253,20 @@ class SettingsPlan:
             pieces[build] = build(self, rho)
         return pieces[build]
 
-    def tables(self, rho: DensityOperator):
-        """Yield each block's indices, kets and (m, n_s, n_i) outcome tables
-        on rho: a source state's ``SourceState.table`` of the block's two
-        pieces, any other state's one ``outcome_probabilities`` call."""
-        if self.dims not in (None, (rho.dim_signal, rho.dim_idler)):
+    def table(self, rho: DensityOperator) -> np.ndarray:
+        """The (m, n_s, n_i) outcome tables on rho: a source state's
+        ``SourceState.table`` of the plan's two pieces, any other state's one
+        ``outcome_probabilities`` call."""
+        if self.dims != (rho.dim_signal, rho.dim_idler):
             raise ValidationError("measurement vectors do not match the state dimensions")
         if isinstance(rho, SourceState):
-            for (idx, kets_s, kets_i, noise), pure in zip(
-                    self.blocks, self.source_piece(rho, _pure_tables)):
-                yield idx, kets_s, kets_i, rho.table(pure, noise)
-        else:
-            for idx, kets_s, kets_i, _ in self.blocks:
-                yield idx, kets_s, kets_i, linalg.outcome_probabilities(rho, kets_s, kets_i)
+            return rho.table(self.source_piece(rho, _pure_table), self.noise)
+        return linalg.outcome_probabilities(rho, self.kets_s, self.kets_i)
 
 
-def _pure_tables(plan: SettingsPlan, rho: SourceState) -> list:
-    """Each block's |<a, b|Psi>|^2, read-only."""
-    tables = [rho.pure_table(kets_s, kets_i) for _, kets_s, kets_i, _ in plan.blocks]
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+def _pure_table(plan: SettingsPlan, rho: SourceState) -> np.ndarray:
+    """The plan's |<a, b|Psi>|^2, read-only."""
+    return linalg._frozen(rho.pure_table(plan.kets_s, plan.kets_i))
 
 
 _stored_plan = functools.lru_cache(maxsize=_PLANS)(SettingsPlan)
@@ -292,20 +279,25 @@ def settings_plan(settings) -> SettingsPlan:
 
 
 def _mean_blocks(rho: DensityOperator, settings, trials: int, params: CountingParams):
-    """Yield the count means of settings a ``SettingsPlan`` block at a time,
-    the plan built for this call and not kept: its indices into
-    ``settings``, coincidence means (m, n_s, n_i) and signal (m, n_s) and
-    idler (m, n_i) singles means, the side marginals taken with the block's
+    """Yield the count means of settings one cell shape at a time, each
+    shape's ``SettingsPlan`` built for this call and not kept: its indices
+    into ``settings``, coincidence means (m, n_s, n_i) and signal (m, n_s)
+    and idler (m, n_i) singles means, the side marginals taken with its
     table."""
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     n = float(trials)
-    for idx, kets_s, kets_i, tables in SettingsPlan(settings).tables(rho):
+    groups: dict[tuple, list[int]] = {}
+    for k, st in enumerate(settings):
+        groups.setdefault(_cell_shape((st,)), []).append(k)
+    for idx in groups.values():
+        plan = SettingsPlan([settings[k] for k in idx])
+        tables = plan.table(rho)
         m, n_s, n_i = tables.shape
         ms = linalg.marginal_probabilities(
-            rho, kets_s.reshape(-1, rho.dim_signal), "signal").reshape(m, n_s)
+            rho, plan.kets_s.reshape(-1, rho.dim_signal), "signal").reshape(m, n_s)
         mi = linalg.marginal_probabilities(
-            rho, kets_i.reshape(-1, rho.dim_idler), "idler").reshape(m, n_i)
+            rho, plan.kets_i.reshape(-1, rho.dim_idler), "idler").reshape(m, n_i)
         for totals, what in ((tables.reshape(m, -1).sum(axis=1), "joint"),
                              (ms.sum(axis=1), "signal"), (mi.sum(axis=1), "idler")):
             if totals.max() > 1.0 + 1e-9:
@@ -362,7 +354,7 @@ def _setting_key(name: str, labels_s: tuple, labels_i: tuple):
 @dataclass(frozen=True)
 class PlanMeans:
     """The seed-free part of a plan's simulation: the table's row keys, the
-    trial count and, per block of one cell shape (n_s, n_i), its table rows
+    trial count and, per cell shape (n_s, n_i), its table rows
     and each setting's stream word, sorted-label order and means in that
     order.  ``draw`` makes the seeded part."""
 
@@ -395,8 +387,8 @@ class PlanMeans:
 def plan_means(rho: DensityOperator, plan: list[PlannedSetting], trials: int,
                params: CountingParams) -> PlanMeans:
     """The seed-free part of a plan's table: the row keys, one row per key of
-    each setting's ``cells`` (settings in plan order), the means a block of
-    settings at a time and each setting's stream key.  An empty plan raises
+    each setting's ``cells`` (settings in plan order), the means one cell
+    shape at a time and each setting's stream key.  An empty plan raises
     ValidationError."""
     if not plan:
         raise ValidationError("a settings plan needs at least one setting")
@@ -588,7 +580,11 @@ class CoincidenceTable:
     def merged(self, other: "CoincidenceTable") -> "CoincidenceTable":
         """Cell-wise merge of two tables from identically configured runs:
         this table's rows, with the counts of the other's equal keys added,
-        then the other's new rows in its order."""
+        then the other's new rows in its order.  Tables whose metadata name
+        different mode counts D raise ValidationError."""
+        dims = self.metadata.get("D"), other.metadata.get("D")
+        if None not in dims and dims[0] != dims[1]:
+            raise ValidationError(f"cannot merge tables of D = {dims[0]} and D = {dims[1]} modes")
         setting = self.setting + other.setting
         labels = np.concatenate([self.labels, other.labels], axis=1)
         slots = {}
@@ -634,33 +630,25 @@ class ReplicaStack:
     counts: np.ndarray
 
 
-def _one_cell_shape(shapes: list) -> None:
-    if len(shapes) > 1:
-        raise ValidationError(f"settings read together need one cell shape, got {shapes}")
-
-
 def setting_cells(data, settings, corrected: bool = False):
     """The cell values and variances of settings that share one cell shape,
     as (..., settings, n_s, n_i) arrays in basis label order: exact
-    probabilities with zero variance from a DensityOperator, and
-    ``cell_estimates`` of the settings' rows from a CoincidenceTable or a
-    ReplicaStack (with its leading replica axis).  A state's tables are read
-    a ``settings_plan`` block at a time.  Settings of more than one
-    cell shape, or a setting whose cells are missing, incomplete or
-    labelled otherwise, raise one ValidationError.
+    probabilities with zero variance from a DensityOperator, read through
+    the ``settings_plan`` of the settings, and ``cell_estimates`` of the
+    settings' rows from a CoincidenceTable or a ReplicaStack (with its
+    leading replica axis).  Settings of more than one cell shape, or a
+    setting whose cells are missing, incomplete or labelled otherwise, raise
+    one ValidationError.
     """
+    settings = tuple(settings)
     if isinstance(data, DensityOperator):
-        plan = settings_plan(settings)
-        _one_cell_shape(plan.shapes)
-        # one cell shape, so the blocks come in the order of the settings
-        tables = [table for *_, table in plan.tables(data)]
-        tables = np.concatenate(tables) if tables else np.empty(0)
+        tables = settings_plan(settings).table(data) if settings else np.empty(0)
         return tables, np.zeros(tables.shape)
-    _one_cell_shape(sorted({(len(st.basis_s.labels), len(st.basis_i.labels)) for st in settings}))
+    _cell_shape(settings)
     table = data.table if isinstance(data, ReplicaStack) else data
     if not isinstance(table, CoincidenceTable):
         raise ValidationError("expected a DensityOperator or a CoincidenceTable")
-    rows = table.row_keys.cell_rows(tuple(settings))
+    rows = table.row_keys.cell_rows(settings)
     return cell_estimates((data.counts if corrected else data.counts[:1])[..., rows], corrected)
 
 

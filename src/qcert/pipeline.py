@@ -153,11 +153,18 @@ class SimulationConfig:
 # ---------------------------------------------------------------------------
 
 def _bisect_noise(objective, target: float, tol: float = 1e-9) -> float:
-    """Find p in [0,1) with objective(p) = target; objective must decrease in p."""
-    top = objective(0.0)
+    """Find p in [0,1) with objective(p) = target; objective must decrease in p.
+    A non-finite target, or one outside objective's range on [0, 1 - 1e-12]
+    by more than 1e-12, raises ValidationError."""
+    if not math.isfinite(target):
+        raise ValidationError(f"target {target} is not finite")
+    lo, hi = 0.0, 1.0 - 1e-12
+    top, bottom = objective(lo), objective(hi)
     if target > top + 1e-12:
         raise ValidationError(f"target {target} above the noise-free value {top:.6f}")
-    lo, hi = 0.0, 1.0 - 1e-12
+    if target < bottom - 1e-12:
+        raise ValidationError(
+            f"target {target} below the value {bottom!r} at noise fraction 1 - 1e-12")
     while hi - lo > tol:
         mid = (lo + hi) / 2
         if objective(mid) >= target:

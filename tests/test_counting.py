@@ -165,9 +165,9 @@ class TestSettingMeansOracle:
 
 class TestPlanMeans:
     @pytest.mark.parametrize("d", range(2, MAX_MODES + 1))
-    def test_blocked_plan_means_are_the_per_setting_means_bit_for_bit(self, d, monkeypatch):
-        # the oracle bases and a full plan at D = d: every cell shape, blocks
-        # of 2 x 2 settings, and blocks of one, of the default size and whole
+    def test_blocked_plan_means_are_the_per_setting_means_bit_for_bit(self, d):
+        # the oracle bases and a full plan at D = d: every cell shape, one
+        # group of settings per cell shape
         params = CountingParams(P_S=0.006, eta_r=0.1, P_bg_idler=0.0014)
         n = 10**6
         cfg = SimulationConfig(source=SourceConfig.uniform(d),
@@ -181,17 +181,18 @@ class TestPlanMeans:
                 one = setting_means(rho, st.basis_s, st.basis_i, n, params)
                 assert all(np.array_equal(got, want) for got, want in
                            zip((one.coincidences, one.singles_s, one.singles_i), ref))
-            for rows in (1, counting._TABLE_ROWS, 10**6):
-                # count means build their plan per call, so it takes the new size
-                monkeypatch.setattr(counting, "_TABLE_ROWS", rows)
-                seen = []
-                for idx, lam, singles_s, singles_i in counting._mean_blocks(rho, plan, n, params):
-                    assert lam.shape[0] * lam.shape[1] * lam.shape[2] <= max(rows, lam[0].size)
-                    for r, k in enumerate(idx):
-                        seen.append(k)
-                        assert all(np.array_equal(got, want) for got, want in
-                                   zip((lam[r], singles_s[r], singles_i[r]), expected[k]))
-                assert sorted(seen) == list(range(len(plan)))
+            seen, shapes = [], []
+            for idx, lam, singles_s, singles_i in counting._mean_blocks(rho, plan, n, params):
+                shapes.append(lam.shape[1:])
+                assert {(len(plan[k].basis_s.labels), len(plan[k].basis_i.labels))
+                        for k in idx} == {lam.shape[1:]}
+                for r, k in enumerate(idx):
+                    seen.append(k)
+                    assert all(np.array_equal(got, want) for got, want in
+                               zip((lam[r], singles_s[r], singles_i[r]), expected[k]))
+            assert sorted(seen) == list(range(len(plan)))
+            assert sorted(shapes) == sorted({(len(st.basis_s.labels), len(st.basis_i.labels))
+                                             for st in plan})
 
     @pytest.mark.parametrize("name", pipeline.PRESET_NAMES)
     def test_row_keys_are_the_plan_cells_in_plan_order(self, name):
@@ -247,15 +248,22 @@ class TestStackedExactCells:
                 values, variances = counting.setting_cells(rho, settings)
                 assert_allclose(values, oracle_cells(rho, settings), rtol=0, atol=1e-12)
                 assert not variances.any()
-                # one product per block of at most _TABLE_ROWS product-ket rows
-                cells = values[0].size
-                assert len(rows) == -(-len(settings) // (counting._TABLE_ROWS // cells))
-                assert sum(rows) == values.size and max(rows) <= counting._TABLE_ROWS
+                # one product over every product ket of the family
+                assert rows == [values.size]
 
     def test_no_settings_give_empty_cells(self):
         rho = noisy_state(SourceConfig.uniform(4).with_noise(0.1))
         values, variances = counting.setting_cells(rho, [])
         assert values.shape == variances.shape == (0,)
+
+    def test_settings_read_once_from_a_generator(self):
+        cfg = small_plan_config()
+        sequence = bases.witness_settings("X", 0, 1, cfg.source.num_modes)
+        for data in (noisy_state(cfg.source), pipeline.run_simulation(cfg)):
+            want = counting.setting_cells(data, sequence)
+            got = counting.setting_cells(data, (st for st in sequence))
+            assert want[0].shape == (3, 2, 2)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_mixed_cell_shapes_are_one_validation_error(self):
         cfg = SimulationConfig(source=SourceConfig.uniform(4), trials_per_setting=1000,
@@ -265,6 +273,17 @@ class TestStackedExactCells:
             with pytest.raises(ValidationError,
                                match=r"one cell shape, got \[\(2, 2\), \(3, 3\)\]"):
                 counting.setting_cells(data, mixed)
+
+    def test_a_plan_of_two_cell_shapes_is_the_table_error(self):
+        cfg = SimulationConfig(source=SourceConfig.uniform(4), trials_per_setting=1000,
+                               spaces=("X",), bell_dimensions=(3,), tomo_pair=(0, 1))
+        mixed = [bases.witness_settings("X", 0, 1, 4)[0], bases.bell_settings(3, 4)[0]]
+        with pytest.raises(ValidationError) as on_table:
+            counting.setting_cells(pipeline.run_simulation(cfg), mixed)
+        for build in (counting.SettingsPlan, counting.settings_plan):
+            with pytest.raises(ValidationError) as on_plan:
+                build(mixed)
+            assert str(on_plan.value) == str(on_table.value)
 
 
 def rebuilt(basis):
@@ -536,6 +555,20 @@ class TestTables(object):
         orig = t.records[0]
         assert rec.coincidences == 2 * orig.coincidences
         assert rec.trials == 2 * orig.trials
+
+    def test_merging_tables_of_different_mode_counts_rejected(self):
+        # a setting name such as witX:0-1:x names another basis at each D
+        three, four = (pipeline.run_simulation(SimulationConfig(
+            source=SourceConfig.uniform(d), trials_per_setting=1000, seed=1,
+            bell_dimensions=(2, 3), tomo_pair=(0, 1))) for d in (3, 4))
+        assert set(three.settings()) & set(four.settings())
+        for a, b in ((three, four), (four, three)):
+            with pytest.raises(ValidationError, match="D = [34] and D = [34] modes"):
+                a.merged(b)
+        # a table without D merges with either
+        bare = CoincidenceTable(three.setting, three.labels, three.counts)
+        assert np.array_equal(bare.merged(three).counts, 2 * three.counts)
+        assert three.merged(bare).metadata["D"] == 3
 
     def test_bootstrap_caps_coincidences_at_the_trial_count(self):
         table = CoincidenceTable(records=(make_record(4, 4, 4, n=4, setting="a", out=(0, 0)),))

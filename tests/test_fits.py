@@ -6,6 +6,8 @@ keeps the dense per-step objectives (one ``noisy_state`` per step) that
 they must reproduce.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,21 @@ class TestEdgeCases:
         cfg = SourceConfig.uniform(4, phases=[0.0, 0.5, 0.0, 0.0])
         with pytest.raises(ValidationError, match="above the noise-free value"):
             fit(objective, target, cfg, (0, 1))
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected(self, objective, target):
+        with pytest.raises(ValidationError, match="not finite|must lie in"):
+            fit(objective, target, SourceConfig.uniform(4), (0, 2))
+
+    @pytest.mark.parametrize("objective, target, bottom", [
+        ("eof", -1.0, "0.0"), ("fidelity", 0.1, "0.25000000000")])
+    def test_target_below_the_full_noise_value_rejected(self, objective, target, bottom):
+        # no p in [0, 1 - 1e-12] reaches them: the pair fidelity never falls
+        # below 1/4, the formation bound below 0
+        with pytest.raises(ValidationError,
+                           match=f"target {target} below the value {bottom}"):
+            fit(objective, target, SourceConfig.uniform(4), (0, 2))
 
     def test_fidelity_of_an_unpopulated_pair_unreachable(self):
         cfg = SourceConfig(num_modes=3, coefficients=[1, 0, 0])

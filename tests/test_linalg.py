@@ -543,9 +543,8 @@ class TestCachedPieces:
         for n, p in enumerate((0.0, 0.3, 0.3, 0.8, 1.0)):
             calls.clear()
             exact_point(noisy_state(cfg.with_noise(p)), (0, 3))
-            # one pure table per plan block, and one psi per scan for its coherences
-            blocks = sum(len(plan.blocks) for plan in built)
-            assert len(calls) == (blocks + 2 if n == 0 else 0)
+            # one pure table per plan, and one psi per scan for its coherences
+            assert len(calls) == (len(built) + 2 if n == 0 else 0)
         # witness, scan, Bell, tomography
         assert len(built) == counting._stored_plan.cache_info().currsize == 2 + 2 + 5 + 1
 
